@@ -640,10 +640,8 @@ def _crypto_microbench(buffer_bytes: int = 65536) -> List[Dict[str, object]]:
     return results
 
 
-def _backend_microbench(
-    buffer_bytes: int = 65536, document_bytes: int = 512 * 1024
-) -> Dict[str, object]:
-    """Compute-backend throughput: native kernels and the worker pool.
+def _backend_microbench(buffer_bytes: int = 65536) -> Dict[str, object]:
+    """Compute-backend throughput: native kernels vs the pure fast paths.
 
     The cipher section compares the C XTEA kernels against the
     pure-Python *fast* paths (not the block-at-a-time reference) on the
@@ -652,21 +650,11 @@ def _backend_microbench(
     CBC-encrypt ratio — CBC's chain dependency defeats the SWAR trick
     entirely, so it is where moving the loop to C pays the most; the
     positioned ratio is reported alongside it.
-    ``document.pool_vs_serial`` compares a warmed pool backend's
-    whole-document protect + decrypt round trip against the serial
-    in-process one; the serial side uses the auto backend (native when
-    available), so the ratio isolates parallelism, not C-vs-Python.
     """
     import random as _random
 
-    from repro.compute import (
-        PoolBackend,
-        auto_backend,
-        available_backends,
-        native_available,
-    )
+    from repro.compute import available_backends, native_available
     from repro.crypto import modes
-    from repro.crypto.integrity import make_scheme
     from repro.crypto.xtea import Xtea
 
     rng = _random.Random(20260807)
@@ -715,43 +703,6 @@ def _backend_microbench(
         out["cipher"]["positioned_native_vs_fast"] = (
             round(native_pos_mbps / pure_pos_mbps, 2) if pure_pos_mbps else 0.0
         )
-
-    plaintext = bytes(rng.randrange(256) for _ in range(document_bytes))
-    serial_scheme = make_scheme("CBC-SHAC", backend=auto_backend())
-
-    def serial_round():
-        document = serial_scheme.protect(plaintext)
-        reader = serial_scheme.reader(document, Meter())
-        reader.read(0, len(plaintext))
-
-    serial_seconds = _best_seconds(serial_round, repeats=3)
-
-    pool = PoolBackend()
-    pool_scheme = make_scheme("CBC-SHAC", backend=pool)
-
-    def pool_round():
-        document = pool.protect_document(pool_scheme, plaintext, 0)
-        if document is None:  # pool declined/died: serial fallback
-            document = pool_scheme.protect(plaintext)
-        plain = pool.decrypt_document(pool_scheme, document, Meter())
-        if plain is None:
-            reader = pool_scheme.reader(document, Meter())
-            reader.read(0, len(plaintext))
-
-    pool_round()  # warm the workers: fork + schedule setup is one-time
-    pool_seconds = _best_seconds(pool_round, repeats=3)
-    out["document"] = {
-        "scheme": "CBC-SHAC",
-        "bytes": document_bytes,
-        "workers": pool.workers,
-        "serial_mbps": round(document_bytes / serial_seconds / MB, 3),
-        "pool_mbps": round(document_bytes / pool_seconds / MB, 3),
-        "pool_vs_serial": round(serial_seconds / pool_seconds, 2)
-        if pool_seconds
-        else 0.0,
-        "pool_fallbacks": pool.stats["fallbacks"],
-    }
-    pool.close()
     return out
 
 
@@ -826,8 +777,7 @@ def hotpath_experiment(
 
     1. **crypto** — whole-buffer mode throughput vs the block-at-a-time
        reference (the seed path);
-    2. **backends** — native C kernel vs the pure fast path, and a
-       warmed pool backend vs the serial whole-document round trip;
+    2. **backends** — native C kernel vs the pure fast path;
     3. **evaluator** — cold vs skip-pruned replay on the hospital
        document (wall-clock + the deterministic pruning counters);
     4. **station cold path** — ``SecureStation.evaluate`` with the view
@@ -950,7 +900,6 @@ def hotpath_experiment(
         # Backend ratios: None when that backend cannot run here (no
         # compiler for native); the CI guards skip accordingly.
         "native_vs_fast": backends["cipher"].get("native_vs_fast"),
-        "pool_vs_serial": backends["document"]["pool_vs_serial"],
     }
     report = {
         "bench": "hotpath",
@@ -984,11 +933,6 @@ def hotpath_experiment(
             % (ratios["native_vs_fast"], backends["cipher"]["mode"])
             if ratios["native_vs_fast"] is not None
             else "unavailable (no C compiler)",
-        ),
-        (
-            "pool vs serial whole-document",
-            "x%.2f on %d workers"
-            % (ratios["pool_vs_serial"], backends["document"]["workers"]),
         ),
         ("station cold path (best prune speedup)", "x%.2f" % ratios["prune_speedup"]),
         (

@@ -524,7 +524,7 @@ def cmd_top(args) -> int:
 
     Redraws every ``--interval`` seconds from STATS round-trips —
     per-backend throughput, latency percentiles, view-cache hit rate,
-    pool fallbacks, native-kernel availability and ring health.
+    native-kernel availability and ring health.
     ``--once`` prints a single frame and exits (scripts, tests).
     """
     import time
@@ -715,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--backend",
-        choices=["pure", "native", "pool", "all", "auto"],
+        choices=["pure", "native", "all", "auto"],
         help="compute backend for the hotpath experiment "
         "('all' measures every available one)",
     )
@@ -785,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend",
-        choices=["pure", "native", "pool", "auto"],
+        choices=["pure", "native", "auto"],
         default="auto",
         help="compute backend for the crypto hot paths "
         "(auto prefers the native C kernels when available)",
@@ -991,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--output", default="BENCH_server.json")
     p_load.add_argument(
         "--backend",
-        choices=["pure", "native", "pool", "auto"],
+        choices=["pure", "native", "auto"],
         help="compute backend of the in-process server under load "
         "(recorded in the report)",
     )

@@ -1171,7 +1171,6 @@ class ClusterGateway:
         station_totals: Dict[str, int] = {}
         server_totals: Dict[str, int] = {}
         per_backend: Dict[str, Dict[str, Any]] = {}
-        compute_totals = {"batches": 0, "fallbacks": 0, "chunks": 0}
         native_backends = 0
         cached_views = 0
         for name in list(self.backends):
@@ -1210,8 +1209,6 @@ class ClusterGateway:
                     compute = dict(stats_body.get("backend") or {})
                     entry["backend"] = compute
                     entry["store"] = stats_body.get("store")
-                    for key in compute_totals:
-                        compute_totals[key] += int(compute.get(key) or 0)
                     native_backends += 1 if compute.get("native_kernels") else 0
                 except BackendRefused:
                     pass
@@ -1242,10 +1239,7 @@ class ClusterGateway:
                 "p95": round(percentile(samples, 95) * 1000, 3),
                 "p99": round(percentile(samples, 99) * 1000, 3),
             },
-            "compute": dict(
-                compute_totals,
-                native_backends=native_backends,
-            ),
+            "compute": {"native_backends": native_backends},
             "observability": dict(
                 self.tracer.stats(), slow_log=self.tracer.slow_records()
             ),

@@ -1,27 +1,26 @@
-"""Pluggable execution backends for the crypto/evaluation hot paths.
+"""Pluggable execution backends for the crypto hot paths.
 
 Selection: ``SecureStation(backend=...)`` / ``repro serve --backend``
-accept ``"pure"``, ``"native"``, ``"pool"``, ``"auto"`` (or ``None``),
-or an already-constructed :class:`ComputeBackend`.  Auto-detection
-prefers the native C kernels when a compiler is (or was) available and
-falls back to pure Python otherwise; the pool backend is never
-auto-selected — fan-out across processes is a deployment decision.
+accept ``"pure"``, ``"native"``, ``"auto"`` (or ``None``), or an
+already-constructed :class:`ComputeBackend`.  Auto-detection prefers
+the native C kernels when a compiler is (or was) available and falls
+back to pure Python otherwise.  Every backend runs in the calling
+process.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.compute.backends import (
     BackendUnavailable,
     ComputeBackend,
     NativeBackend,
-    PoolBackend,
     PureBackend,
 )
 from repro.compute.native import native_available, reset_native_cache
 
-BACKEND_NAMES = ("pure", "native", "pool")
+BACKEND_NAMES = ("pure", "native")
 
 
 def auto_backend() -> ComputeBackend:
@@ -48,8 +47,6 @@ def resolve_backend(
         return PureBackend()
     if spec == "native":
         return NativeBackend()
-    if spec == "pool":
-        return PoolBackend()
     raise ValueError(
         "unknown compute backend %r (expected one of %s, 'auto', or a "
         "ComputeBackend instance)" % (spec, ", ".join(BACKEND_NAMES))
@@ -61,7 +58,6 @@ def available_backends() -> List[str]:
     names = ["pure"]
     if native_available():
         names.append("native")
-    names.append("pool")
     return names
 
 
@@ -70,7 +66,6 @@ __all__ = [
     "BackendUnavailable",
     "ComputeBackend",
     "NativeBackend",
-    "PoolBackend",
     "PureBackend",
     "auto_backend",
     "available_backends",

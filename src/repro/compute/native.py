@@ -337,8 +337,8 @@ void des_crypt_positioned(uint8_t *buf, size_t nblocks,
 #: Set to any non-empty value to refuse the native path (CI fallback leg).
 NO_NATIVE_ENV = "REPRO_NO_NATIVE"
 
-_UNSET = object()
-_LIB = _UNSET
+_NOT_PROBED = object()
+_LIB = _NOT_PROBED
 _LIB_LOCK = threading.Lock()
 
 
@@ -442,9 +442,9 @@ def load_library() -> Optional[ctypes.CDLL]:
     environment (tests do this around ``REPRO_NO_NATIVE``).
     """
     global _LIB
-    if _LIB is _UNSET:
+    if _LIB is _NOT_PROBED:
         with _LIB_LOCK:
-            if _LIB is _UNSET:
+            if _LIB is _NOT_PROBED:
                 _LIB = _build_library()
     return _LIB  # type: ignore[return-value]
 
@@ -462,7 +462,7 @@ def reset_native_cache() -> None:
     """Forget the memoized library so the next call re-probes."""
     global _LIB
     with _LIB_LOCK:
-        _LIB = _UNSET
+        _LIB = _NOT_PROBED
 
 
 def _flatten_schedule(schedule) -> "ctypes.Array":

@@ -126,7 +126,6 @@ class BaseScheme:
     ):
         self._key = key
         self._cipher_factory = cipher_factory
-        self.backend = backend
         if backend is not None:
             # The backend may swap the factory for an accelerated twin
             # (native kernels); output stays byte-identical.
@@ -135,25 +134,6 @@ class BaseScheme:
         self.layout = layout if layout is not None else ChunkLayout()
         if self.cipher.block_size != self.layout.block_size:
             raise ValueError("cipher block size does not match the layout")
-
-    def spec(self):
-        """A picklable description a pool worker can rebuild the scheme
-        from (:func:`scheme_from_spec`), or ``None`` when the scheme
-        cannot be reconstructed remotely (custom cipher factory, or a
-        scheme whose chunk records are not independent)."""
-        kind = _cipher_kind(self._cipher_factory)
-        if kind is None:
-            return None
-        layout = self.layout
-        return (
-            self.name,
-            self._key,
-            kind,
-            layout.chunk_size,
-            layout.fragment_size,
-            layout.block_size,
-            layout.digest_size,
-        )
 
     # -- scheme-specific hooks -----------------------------------------
     def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
@@ -186,10 +166,6 @@ class BaseScheme:
     # -- public API -------------------------------------------------------
     def protect(self, plaintext: bytes, version: int = 0) -> SecureDocument:
         """Encrypt (and digest) ``plaintext`` for storage at the terminal."""
-        if self.backend is not None:
-            document = self.backend.protect_document(self, plaintext, version)
-            if document is not None:
-                return document
         layout = self.layout
         stored = bytearray()
         count = layout.chunk_count(len(plaintext))
@@ -208,11 +184,10 @@ class BaseScheme:
     def _chunk_records(self, plaintext: bytes, indexes, version: int):
         """Yield the stored records for ``indexes``, in order.
 
-        The batching hook behind both serial :meth:`protect` and the
-        pool backend's work units: schemes whose chunk records are
+        The batching hook behind :meth:`protect` and
+        :meth:`record_stream`: schemes whose chunk records are
         independent may override it to vectorize across chunks (the CBC
-        schemes do), and a worker process calls it with just its
-        assigned index range.
+        schemes do).
         """
         for chunk_index in indexes:
             yield self._chunk_record(plaintext, chunk_index, version)
@@ -585,8 +560,7 @@ class CbcShaDocScheme(BaseScheme):
     the classic whole-document chain — chunk ``i``'s IV is the last
     ciphertext block of chunk ``i-1`` — for interoperability with
     stores written that way.  The price is inherent: encryption is
-    sequential (``spec()`` returns ``None`` so the pool backend leaves
-    it serial) and any update cascades re-encryption from the first
+    sequential and any update cascades re-encryption from the first
     dirty chunk to the end of the document.
     """
 
@@ -594,9 +568,6 @@ class CbcShaDocScheme(BaseScheme):
 
     def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
         return plaintext_chunk
-
-    def spec(self):
-        return None  # chunk records are chained, not independent
 
     def record_stream(self, plaintext: bytes, version: int = 0):
         count = self.layout.chunk_count(len(plaintext))
@@ -854,7 +825,7 @@ SCHEMES = {
     "ECB-MHT": EcbMhtScheme,
 }
 
-#: Cipher factories a pool worker knows how to rebuild by name.
+#: Cipher factories a persistent store knows how to rebuild by name.
 _CIPHER_FACTORIES = {
     "xtea": Xtea,
     "des": Des,
@@ -866,7 +837,7 @@ _CIPHER_FACTORIES = {
 def _cipher_kind(factory) -> Optional[str]:
     """The spec name of a cipher factory, or ``None`` for custom ones.
 
-    Native subclasses resolve to their base kind — the worker picks its
+    Native subclasses resolve to their base kind — the loader picks its
     own (possibly native) implementation for that kind, and all
     implementations are byte-identical by construction.
     """
@@ -886,11 +857,8 @@ def storage_spec(scheme: BaseScheme):
     provisioning key a station hands to its store (an externally
     prepared document arrives with its own encryption key).
 
-    Unlike :meth:`BaseScheme.spec` this works for CBC-SHA-DOC too —
-    record *storage* only needs the scheme reconstructible at load
-    time, not its chunk records independently re-encryptable by a pool
-    worker.  ``None`` when the cipher factory is custom (unknown by
-    name), in which case only the in-memory store can hold it.
+    ``None`` when the cipher factory is custom (unknown by name), in
+    which case only the in-memory store can hold it.
     """
     kind = _cipher_kind(scheme._cipher_factory)
     if kind is None:
@@ -907,25 +875,6 @@ def storage_spec(scheme: BaseScheme):
             layout.digest_size,
         ),
     )
-
-
-def scheme_from_spec(spec) -> BaseScheme:
-    """Rebuild a scheme from :meth:`BaseScheme.spec` (pool workers)."""
-    name, key, kind, chunk_size, fragment_size, block_size, digest_size = spec
-    factory = _CIPHER_FACTORIES[kind]
-    try:
-        from repro.compute.native import native_factory
-
-        factory = native_factory(factory)
-    except Exception:
-        pass
-    layout = ChunkLayout(
-        chunk_size=chunk_size,
-        fragment_size=fragment_size,
-        block_size=block_size,
-        digest_size=digest_size,
-    )
-    return make_scheme(name, key=key, cipher_factory=factory, layout=layout)
 
 
 def make_scheme(

@@ -25,7 +25,6 @@ from repro.engine.pipeline import (
     EncodeStage,
     EncryptStage,
     EvaluateStage,
-    FunctionStage,
     IntegrityAuditStage,
     ParseStage,
     PipelineContext,
@@ -67,7 +66,6 @@ __all__ = [
     "PipelineContext",
     "PipelineError",
     "Stage",
-    "FunctionStage",
     "ParseStage",
     "EncodeStage",
     "EncryptStage",

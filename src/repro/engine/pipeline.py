@@ -23,7 +23,7 @@ architecture:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.accesscontrol.evaluator import StreamingEvaluator
 from repro.accesscontrol.model import Policy
@@ -100,17 +100,6 @@ class Stage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<stage %s>" % self.name
-
-
-class FunctionStage(Stage):
-    """Adapter for ad-hoc stages built from plain callables."""
-
-    def __init__(self, name: str, fn: Callable[[PipelineContext], None]):
-        self.name = name
-        self._fn = fn
-
-    def run(self, ctx: PipelineContext) -> None:
-        self._fn(ctx)
 
 
 class ParseStage(Stage):
@@ -308,9 +297,6 @@ class SerializeStage(Stage):
 
     name = "serialize"
 
-    def __init__(self, indent: Optional[int] = None):
-        self.indent = indent
-
     def run(self, ctx: PipelineContext) -> None:
         view = ctx.require("view", self.name)
         ctx.serialized = serialize_events(view)
@@ -333,10 +319,6 @@ class DocumentPipeline:
         self.platform = CONTEXTS[context] if isinstance(context, str) else context
 
     # ------------------------------------------------------------------
-    def then(self, *stages: Stage) -> "DocumentPipeline":
-        """New pipeline with ``stages`` appended (composition)."""
-        return DocumentPipeline(self.stages + list(stages), self.platform)
-
     def __add__(self, other: "DocumentPipeline") -> "DocumentPipeline":
         return DocumentPipeline(self.stages + other.stages, self.platform)
 

@@ -27,7 +27,7 @@ wall-clock reality around them — observable while the system runs:
 ``repro.obs.dashboard``
     Rendering for ``repro stats --format table|csv|json`` and the
     ``repro top`` terminal dashboard (per-backend rps, p50/p95/p99,
-    view-cache hit rate, pool fallbacks, ring health).
+    view-cache hit rate, native kernels, ring health).
 
 Everything here is stdlib-only and cheap enough to stay on by default:
 the cached hot path with tracing enabled is ratio-guarded (≤ 5%

@@ -591,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["pure", "native", "pool", "auto"],
+        choices=["pure", "native", "auto"],
         help="compute backend the target server runs (recorded in the "
         "report so archived runs are attributable)",
     )

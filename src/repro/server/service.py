@@ -866,9 +866,8 @@ class StationServer:
             "server": dict(self.server_stats),
             "meter": {k: v for k, v in merged.as_dict().items() if v},
             # Compute-backend health on the wire (not just station-
-            # local): pool fallbacks and native-kernel availability are
-            # how a gateway or `repro top` spots silent serial
-            # degradation on one node.
+            # local): native-kernel availability is how a gateway or
+            # `repro top` spots a node silently running pure Python.
             "backend": self.station.backend.describe(),
             # Storage-layer health: page-cache hit rate, log growth and
             # recovery counters of the station's chunk store (a memory
@@ -887,17 +886,8 @@ class StationServer:
         Runs only when someone scrapes ``/metrics`` (or snapshots the
         registry), so the serving hot path never pays for it.
         """
-        station_stats = self.station.stats.as_dict()
-        for key, value in station_stats.items():
+        for key, value in self.station.stats.as_dict().items():
             registry.gauge("repro_station_" + key).set(value)
-        # The structural-index counters again under their own prefix,
-        # so dashboards can select the accelerator family in one match.
-        for key, value in station_stats.items():
-            if key.startswith("index_") or key in (
-                "indexed_requests",
-                "streamed_requests",
-            ):
-                registry.gauge("repro_index_" + key).set(value)
         for key, value in self.server_stats.items():
             registry.gauge("repro_server_" + key).set(value)
         for key, value in self.meter.as_dict().items():
@@ -927,12 +917,6 @@ class StationServer:
             1 if store.get("persistent") else 0
         )
         backend = self.station.backend.describe()
-        registry.gauge("repro_backend_fallbacks").set(
-            int(backend.get("fallbacks") or 0)
-        )
-        registry.gauge("repro_backend_batches").set(
-            int(backend.get("batches") or 0)
-        )
         registry.gauge("repro_native_kernels").set(
             1 if backend.get("native_kernels") else 0
         )

@@ -169,7 +169,7 @@ class TestVectorizedModes:
     def test_fuzz_against_blockwise_reference(self, name):
         factory = dict(self.CIPHERS)[name]
         cipher = factory()
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random("fuzz:" + name)
         for _ in range(12):
             blocks = rng.randrange(0, 65)
             data = bytes(rng.randrange(256) for _ in range(8 * blocks))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -440,6 +441,14 @@ class TestServerTracing:
             assert result.trace_id == format_trace_id(trace)
             assert result.spans == []
             assert "spans" not in result.trailer
+            # The deferred bookkeeping runs after the send, so the
+            # client can see the RESULT before the trace is finished.
+            deadline = time.monotonic() + 10
+            while (
+                server.tracer.stats()["finished"] < 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
             assert server.tracer.stats()["finished"] == 1
         finally:
             thread.stop()
@@ -594,6 +603,29 @@ class TestMetricsEndpoint:
             metrics.stop()
 
 
+    def test_each_station_counter_exported_once(self):
+        """Every ``StationStats`` field lands in exactly one /metrics
+        family: stamp each with a distinct value, scrape, and count the
+        families carrying it."""
+        from repro.engine import SecureStation
+        from repro.engine.station import StationStats
+
+        station = SecureStation(backend="pure")
+        server = StationServer(station)
+        stamps = {}
+        for offset, field in enumerate(StationStats.__slots__):
+            stamps[field] = 7_000_003 + offset
+            setattr(station.stats, field, stamps[field])
+        carriers = {value: [] for value in stamps.values()}
+        for name, family in server.registry.snapshot().items():
+            for sample in family["samples"]:
+                if sample.get("value") in carriers:
+                    carriers[sample["value"]].append(name)
+        station.close()
+        for field, value in stamps.items():
+            assert carriers[value] == ["repro_station_" + field], field
+
+
 # ----------------------------------------------------------------------
 # Dashboard rendering (pure formatting)
 # ----------------------------------------------------------------------
@@ -610,14 +642,14 @@ GATEWAY_BODY = {
             "requests": 6,
             "latency_ms": {"p50": 4.0, "p95": 8.0, "p99": 9.0},
             "station": {"view_hits": 3, "view_misses": 1},
-            "backend": {"fallbacks": 0, "native_kernels": True},
+            "backend": {"name": "native", "native_kernels": True},
         },
         "node1": {
             "alive": False,
             "requests": 4,
             "latency_ms": {"p50": 5.0, "p95": 9.0, "p99": 12.0},
             "station": {"view_hits": 0, "view_misses": 4},
-            "backend": {"fallbacks": 2, "native_kernels": False},
+            "backend": {"name": "pure", "native_kernels": False},
         },
     },
 }
@@ -672,7 +704,7 @@ class TestDashboard:
             "server": {"queries": 8, "updates": 1},
             "station": {"view_hits": 6, "view_misses": 2},
             "cached_views": 2,
-            "backend": {"fallbacks": 0, "native_kernels": True},
+            "backend": {"name": "native", "native_kernels": True},
             "observability": {"slow_queries": 0},
         }
         frame = render_top(body, None, None, address="st:1")

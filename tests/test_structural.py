@@ -487,18 +487,24 @@ class TestUnifiedAPI:
         assert station.config.prune is True
 
     def test_legacy_positional_master_secret(self):
-        station = SecureStation(b"legacy-secret", context="sw-lan")
-        assert station._secret == b"legacy-secret"
-        assert station.platform is not None
+        """The secret is a keyword (or config field), never positional."""
         with pytest.raises(TypeError):
-            SecureStation(b"one", master_secret=b"two")
+            SecureStation(b"legacy-secret")
+        with pytest.raises(TypeError):
+            SecureStation(b"legacy-secret", context="sw-lan")
+        station = SecureStation(master_secret=b"legacy-secret")
+        assert station._secret == b"legacy-secret"
 
     def test_legacy_publish_scheme_string(self):
+        """The scheme is a keyword (or options field), never positional."""
         station = SecureStation()
-        station.publish("d", "<a>1</a>", "ECB")
-        assert station.document("d").scheme.name == "ECB"
         with pytest.raises(TypeError):
-            station.publish("e", "<a>1</a>", "ECB", scheme="CBC-SHAC")
+            station.publish("d", "<a>1</a>", "ECB")
+        with pytest.raises(TypeError):
+            station.publish("d", "<a>1</a>", "ECB", scheme="CBC-SHAC")
+        assert "d" not in station.store
+        station.publish("d", "<a>1</a>", scheme="ECB")
+        assert station.document("d").scheme.name == "ECB"
 
     def test_publish_options_value(self):
         options = PublishOptions(scheme="CBC-SHAC", index=True)
