@@ -11,9 +11,9 @@ import pytest
 from repro.accesscontrol.evaluator import StreamingEvaluator
 from repro.accesscontrol.optimizer import optimize_policy
 from repro.crypto.chunks import ChunkLayout
+from repro.engine import evaluate_document, prepare_document
 from repro.metrics import Meter
 from repro.skipindex.decoder import SkipIndexNavigator
-from repro.soe.session import SecureSession
 from repro.accesscontrol.model import AccessRule, Policy
 
 
@@ -97,15 +97,12 @@ def test_ablation_chunk_size(workloads, benchmark, chunk_size):
     tree = workloads.document("hospital")
     policy = workloads.profile("secretary")
     layout = ChunkLayout(chunk_size=chunk_size, fragment_size=256)
-
-    from repro.soe.session import prepare_document
-
     prepared = benchmark.pedantic(
         lambda: prepare_document(tree, scheme="ECB-MHT", layout=layout),
         rounds=1,
         iterations=1,
     )
-    result = SecureSession(prepared, policy).run()
+    result = evaluate_document(prepared, policy)
     print(
         "\nchunk=%d: time=%.3fs transferred=%d digests=%d"
         % (
@@ -125,11 +122,8 @@ def test_ablation_fragment_size(workloads, fragment_size):
     tree = workloads.document("hospital")
     policy = workloads.profile("secretary")
     layout = ChunkLayout(chunk_size=2048, fragment_size=fragment_size)
-
-    from repro.soe.session import prepare_document
-
     prepared = prepare_document(tree, scheme="ECB-MHT", layout=layout)
-    result = SecureSession(prepared, policy).run()
+    result = evaluate_document(prepared, policy)
     print(
         "fragment=%d: time=%.3fs transferred=%d hash_nodes=%d"
         % (

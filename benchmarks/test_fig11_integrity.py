@@ -15,7 +15,7 @@ Paper's findings that must reproduce:
 from conftest import print_experiment
 
 from repro.bench.experiments import fig11_integrity
-from repro.soe.session import SecureSession
+from repro.engine import evaluate_document
 
 
 def test_fig11_integrity(workloads, benchmark):
@@ -40,7 +40,7 @@ def test_fig11_mht_session_kernel(workloads, benchmark):
     policy = workloads.profile("doctor")
 
     def kernel():
-        return SecureSession(prepared, policy).run()
+        return evaluate_document(prepared, policy)
 
     result = benchmark.pedantic(kernel, rounds=1, iterations=1)
     assert result.meter.digest_decrypts > 0

@@ -14,7 +14,7 @@ Paper's findings that must reproduce:
 from conftest import print_experiment
 
 from repro.bench.experiments import fig9_access_control
-from repro.soe.session import SecureSession
+from repro.engine import evaluate_document
 
 
 def test_fig9_access_control(workloads, benchmark):
@@ -54,7 +54,7 @@ def test_fig9_tcsbr_session_kernel(workloads, benchmark):
     policy = workloads.profile("secretary")
 
     def kernel():
-        return SecureSession(prepared, policy).run()
+        return evaluate_document(prepared, policy)
 
     result = benchmark.pedantic(kernel, rounds=1, iterations=1)
     assert result.events

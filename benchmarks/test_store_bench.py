@@ -25,7 +25,7 @@ import pathlib
 import random
 import time
 
-from repro.engine import DocumentPipeline
+from repro.engine import prepare_document
 from repro.store import LogStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -44,11 +44,7 @@ SOURCE = "<doc><name>entry</name><val>42</val></doc>"
 
 
 def test_store_corpus_bench(tmp_path):
-    prepared = (
-        DocumentPipeline.publisher(scheme="ECB", key=KEY)
-        .run(source=SOURCE)
-        .prepared
-    )
+    prepared = prepare_document(SOURCE, scheme="ECB", key=KEY)
     record_bytes = prepared.secure.stored_size()
     sample = min(SAMPLE, DOCS)
 

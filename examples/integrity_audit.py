@@ -14,8 +14,8 @@ import random
 
 from repro.crypto.integrity import IntegrityError, make_scheme
 from repro.datasets import HospitalConfig, generate_hospital, secretary_policy
+from repro.engine import evaluate_document, prepare_document
 from repro.metrics import Meter
-from repro.soe import SecureSession, prepare_document
 
 KEY = bytes(range(16))
 
@@ -84,7 +84,7 @@ def main() -> None:
     prepared = prepare_document(hospital, scheme="ECB-MHT", key=KEY)
     prepared.secure.stored[prepared.stored_size // 2] ^= 0x04
     try:
-        SecureSession(prepared, secretary_policy(), use_skip_index=False).run()
+        evaluate_document(prepared, secretary_policy(), use_skip_index=False)
     except IntegrityError as error:
         print("  session aborted: %s" % error)
 

@@ -21,8 +21,10 @@ Quickstart::
 
 The :mod:`repro.engine` layer holds the production-facing machinery:
 compiled :class:`~repro.engine.plans.PolicyPlan` objects, the
-:class:`~repro.engine.pipeline.DocumentPipeline` stages and the
-multi-client :class:`~repro.engine.station.SecureStation` server.
+publish/evaluate functions of :mod:`repro.engine.pipeline`
+(:func:`~repro.engine.pipeline.prepare_document`,
+:func:`~repro.engine.pipeline.evaluate_document`) and the multi-client
+:class:`~repro.engine.station.SecureStation` server.
 
 See DESIGN.md for the system inventory (with the layer diagram) and
 EXPERIMENTS.md for the paper-versus-measured record of every table and
@@ -33,7 +35,6 @@ from typing import List, Optional, Union
 
 from repro.accesscontrol.evaluator import StreamingEvaluator, evaluate_events
 from repro.engine import (
-    DocumentPipeline,
     PolicyPlan,
     PublishOptions,
     QueryPlan,
@@ -41,6 +42,8 @@ from repro.engine import (
     StationConfig,
     compile_policy,
     compile_query,
+    evaluate_document,
+    prepare_document,
 )
 from repro.accesscontrol.model import (
     DENY,
@@ -79,7 +82,8 @@ __all__ = [
     "QueryPlan",
     "compile_policy",
     "compile_query",
-    "DocumentPipeline",
+    "prepare_document",
+    "evaluate_document",
     "SecureStation",
     "StationConfig",
     "PublishOptions",

@@ -12,11 +12,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import format_output, human_bytes
 from repro.bench.workloads import Workloads
+from repro.engine.pipeline import evaluate_document
 from repro.engine.plans import compile_policy
 from repro.metrics import Meter
 from repro.skipindex.variants import encoding_report
 from repro.soe.costmodel import CONTEXTS
-from repro.soe.session import SecureSession, lwb_seconds
+from repro.soe.session import lwb_seconds
 from repro.xmlkit.serializer import serialize
 
 MB = 1_000_000.0
@@ -154,10 +155,10 @@ def fig9_access_control(
     details: Dict[str, Dict[str, object]] = {}
     for profile in ["secretary", "doctor", "researcher"]:
         policy = workloads.plan(profile)
-        tcsbr = SecureSession(prepared, policy, context=context).run()
-        brute = SecureSession(
+        tcsbr = evaluate_document(prepared, policy, context=context)
+        brute = evaluate_document(
             prepared, policy, context=context, use_skip_index=False
-        ).run()
+        )
         lwb = lwb_seconds(tcsbr.events, context)
         shares = tcsbr.breakdown.shares()
         paper = FIG9_PAPER[profile]
@@ -219,9 +220,9 @@ def fig10_queries(
         points: List[Tuple[float, float]] = []
         for threshold in FIG10_THRESHOLDS:
             query = "//Folder[//Age > %d]" % threshold
-            result = SecureSession(
+            result = evaluate_document(
                 prepared, policy, query=query, context=context
-            ).run()
+            )
             result_kb = result.result_bytes / 1000.0
             points.append((result_kb, result.seconds))
             rows.append((label, threshold, round(result_kb, 1), round(result.seconds, 3)))
@@ -278,7 +279,7 @@ def fig11_integrity(
         times: Dict[str, float] = {}
         for scheme in SCHEME_ORDER:
             prepared = workloads.prepared("hospital", scheme)
-            result = SecureSession(prepared, policy, context=context).run()
+            result = evaluate_document(prepared, policy, context=context)
             times[scheme] = result.seconds
         measured[profile] = times
         for scheme in SCHEME_ORDER:
@@ -336,7 +337,7 @@ def fig12_real_datasets(
         entry: Dict[str, float] = {}
         for with_integrity, scheme in [(False, "ECB"), (True, "ECB-MHT")]:
             prepared = workloads.prepared(document, scheme)
-            result = SecureSession(prepared, policy, context=context).run()
+            result = evaluate_document(prepared, policy, context=context)
             suffix = "int" if with_integrity else "noint"
             view_bytes = result.result_bytes
             entry["tcsbr-%s" % suffix] = (
@@ -792,7 +793,7 @@ def hotpath_experiment(
     the report.
 
     The paper-figure benches (fig8–fig12) are untouched by all three
-    optimizations: they run ``SecureSession`` — the cold path — and
+    optimizations: they run ``evaluate_document`` — the cold path — and
     cached responses report the same simulated Table-1 seconds anyway.
     """
     import json as _json

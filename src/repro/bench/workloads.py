@@ -28,7 +28,8 @@ from repro.datasets import (
 from repro.datasets.hospital import GROUPS
 from repro.engine.plans import PolicyPlan, compile_policy
 from repro.skipindex.encoder import EncodedDocument, encode_document
-from repro.soe.session import PreparedDocument, prepare_document
+from repro.engine.pipeline import prepare_document
+from repro.soe.session import PreparedDocument
 from repro.xmlkit.dom import Node
 
 

@@ -7,7 +7,7 @@ Exposes the pipeline end to end::
     python -m repro protect  doc.xml doc.store --scheme ECB-MHT --key 00112233445566778899aabbccddeeff
     python -m repro view     doc.store --key 001122... --rule "+://book" --rule "-://internal" [--query "//book[price < 20]"]
     python -m repro bench    [table1 table2 fig8 fig9 fig10 fig11 fig12 server updates hotpath]
-    python -m repro serve    --port 8471 [--hospital 3 | --store doc.store --key ... --rule ... --subject bob]
+    python -m repro serve    --port 8471 [--hospital 3]
     python -m repro serve    --port 8471 --store ./station-data --cache-mb 64   # persistent chunk log
     python -m repro cluster  --backends 3 --replicas 2 [--documents 2 --port 8470] [--store ./cluster-data]
     python -m repro store    inspect ./station-data [--format json]
@@ -19,15 +19,16 @@ Exposes the pipeline end to end::
     python -m repro stats    127.0.0.1:8470 [--format table|csv|json]
     python -m repro top      127.0.0.1:8470 [--interval 2] [--once]
 
-The protected store is a self-describing file: one JSON header line
-(scheme name, layout, plaintext size) followed by the raw terminal
-bytes.  The key never appears in the file — it travels via the secure
-channel (see :mod:`repro.soe.provisioning`), or here, the command line.
+The protected store of ``protect``/``view`` is a self-describing
+file: one JSON header line (scheme name, layout, plaintext size)
+followed by the raw terminal bytes.  The key never appears in the
+file — it travels via the secure channel (see
+:mod:`repro.soe.provisioning`), or here, the command line.
 
-``--store`` is overloaded for compatibility: an existing regular file
-is the legacy single-document protected store above; anything else is
-treated as a :class:`repro.store.LogStore` directory (created on first
-use) holding the station's whole persistent document set.
+``serve --store`` and ``cluster --store`` take a
+:class:`repro.store.LogStore` directory (created on first use) holding
+the station's whole persistent document set; a regular file there is
+refused, like ``store inspect`` refuses it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from typing import List, Optional
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.chunks import ChunkLayout
 from repro.crypto.integrity import SCHEMES, SecureDocument, make_scheme
-from repro.engine import DocumentPipeline, compile_policy
+from repro.engine import encode_source, evaluate_document, prepare_document
 from repro.skipindex.variants import encoding_report
 from repro.soe.costmodel import CONTEXTS
-from repro.soe.session import PreparedDocument, SecureSession
+from repro.soe.session import PreparedDocument
 from repro.skipindex.decoder import decode_document, EncodedDocument
 from repro.skipindex.decoder import read_header
 from repro.xmlkit.parser import parse_document
@@ -98,19 +99,15 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from repro.engine import EncodeStage, ParseStage
-
-    with open(args.document, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    ctx = DocumentPipeline([ParseStage(), EncodeStage()]).run(source=source)
-    encoded = ctx.encoded
+    tree = _load_xml(args.document)
+    encoded = encode_source(tree)
     with open(args.output, "wb") as handle:
         handle.write(encoded.data)
     print(
         "encoded %d elements into %d bytes (%d dictionary entries, "
         "%d fixpoint rounds)"
         % (
-            ctx.tree.count_elements(),
+            tree.count_elements(),
             len(encoded.data),
             len(encoded.dictionary),
             encoded.stats.fixpoint_rounds,
@@ -138,8 +135,7 @@ def cmd_protect(args) -> int:
     key = _parse_key(args.key)
     with open(args.document, "r", encoding="utf-8") as handle:
         source = handle.read()
-    pipeline = DocumentPipeline.publisher(scheme=args.scheme, key=key)
-    prepared = pipeline.run(source=source).prepared
+    prepared = prepare_document(source, args.scheme, key)
     secure = prepared.secure
     header = json.dumps(
         {
@@ -188,15 +184,13 @@ def cmd_view(args) -> int:
     prepared = _load_store(args.store, key)
     rules = _parse_rules(args.rule or [])
     policy = Policy(rules, subject=args.subject or "", dummy_tag=args.dummy_tag)
-    plan = compile_policy(policy)
-    session = SecureSession(
+    result = evaluate_document(
         prepared,
-        plan,
+        policy,
         query=args.query,
         context=args.context,
         use_skip_index=not args.brute_force,
     )
-    result = session.run()
     print(serialize_events(result.events))
     if args.costs:
         breakdown = result.breakdown
@@ -206,7 +200,7 @@ def cmd_view(args) -> int:
             "%d bytes in, %d bytes out, %d subtrees skipped"
             % (
                 result.seconds,
-                session.context.name,
+                result.context.name,
                 breakdown.communication,
                 breakdown.decryption,
                 breakdown.access_control,
@@ -254,49 +248,42 @@ def _start_metrics(registry, args):
     return metrics_server
 
 
-def _open_store_arg(path: str, cache_mb, sync: str):
-    from repro.store import open_store
+def _open_log_store(
+    path: str, create: bool, cache_mb=None, sync: str = "commit"
+):
+    """Open a chunk-store directory (``create`` a missing one), or exit
+    with a one-line diagnostic: a regular file, or a directory another
+    process holds."""
+    import os
 
+    from repro.store import StoreError, open_store
+
+    if not os.path.isdir(path) and (os.path.exists(path) or not create):
+        raise SystemExit("not a store directory: %s" % path)
     cache_bytes = None if cache_mb is None else int(cache_mb) * 1024 * 1024
-    return open_store(path, cache_bytes=cache_bytes, sync=sync)
+    try:
+        return open_store(path, cache_bytes=cache_bytes, sync=sync)
+    except StoreError as exc:
+        raise SystemExit("cannot open store: %s" % exc)
 
 
 def cmd_serve(args) -> int:
     import asyncio
-    import os
 
-    from repro import open_station
-    from repro.engine import PublishOptions, StationConfig
     from repro.server.service import StationServer, hospital_station
 
-    if args.store and os.path.isfile(args.store):
-        # Legacy single-document protected store file.
-        key = _parse_key(args.key)
-        prepared = _load_store(args.store, key)
-        station = open_station(
-            StationConfig(context=args.context, backend=args.backend)
+    chunk_store = None
+    if args.store:
+        chunk_store = _open_log_store(
+            args.store, create=True, cache_mb=args.cache_mb, sync=args.sync
         )
-        document_id = args.document_id
-        station.publish(document_id, prepared, PublishOptions(index=args.index))
-        rules = _parse_rules(args.rule or [])
-        if not rules:
-            raise SystemExit("--store serving needs at least one --rule")
-        subject = args.subject or ""
-        policy = Policy(rules, subject=subject)
-        station.grant(document_id, policy, subject=subject)
-        subjects = [subject]
-    else:
-        chunk_store = None
-        if args.store:
-            chunk_store = _open_store_arg(args.store, args.cache_mb, args.sync)
-        station, subjects = hospital_station(
-            folders=args.hospital,
-            context=args.context,
-            backend=args.backend,
-            store=chunk_store,
-            index=args.index,
-        )
-        document_id = "hospital"
+    station, subjects = hospital_station(
+        folders=args.hospital,
+        context=args.context,
+        backend=args.backend,
+        store=chunk_store,
+        index=args.index,
+    )
 
     server = StationServer(
         station,
@@ -314,9 +301,8 @@ def cmd_serve(args) -> int:
     async def amain() -> None:
         host, port = await server.start()
         print(
-            "serving %r on %s:%d (subjects: %s, backend: %s)%s"
+            "serving 'hospital' on %s:%d (subjects: %s, backend: %s)%s"
             % (
-                document_id,
                 host,
                 port,
                 ", ".join(subjects),
@@ -421,16 +407,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_store(args) -> int:
     """Offline maintenance of a persistent chunk-store directory."""
-    import os
-
-    from repro.store import LogStore, StoreError
-
-    if not os.path.isdir(args.directory):
-        raise SystemExit("not a store directory: %s" % args.directory)
-    try:
-        store = LogStore(args.directory)
-    except StoreError as exc:
-        raise SystemExit("cannot open store: %s" % exc)
+    store = _open_log_store(args.directory, create=False)
     try:
         if args.action == "compact":
             before = store.describe()
@@ -738,31 +715,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--store",
-        metavar="PATH",
-        help="persistence: an existing file is served as a legacy "
-        "protected store; otherwise a chunk-store directory (created "
-        "on first use) that survives restarts",
+        metavar="DIR",
+        help="persistence: a chunk-store directory (created on first "
+        "use) that survives restarts",
     )
     p_serve.add_argument(
         "--cache-mb",
         type=int,
         metavar="N",
-        help="page-cache budget for a directory --store (default 64)",
+        help="page-cache budget for --store (default 64)",
     )
     p_serve.add_argument(
         "--sync",
         choices=["commit", "batch"],
         default="commit",
-        help="durability for a directory --store: fsync per commit "
+        help="durability for --store: fsync per commit "
         "(default) or only on flush/close",
-    )
-    p_serve.add_argument("--key", help="16-byte hex key for --store")
-    p_serve.add_argument(
-        "--rule", action="append", help="access rule for --store (repeatable)"
-    )
-    p_serve.add_argument("--subject", help="subject granted the --store rules")
-    p_serve.add_argument(
-        "--document-id", default="store", help="document id for --store"
     )
     p_serve.add_argument("--context", default="smartcard", choices=sorted(CONTEXTS))
     p_serve.add_argument("--chunk-size", type=int, default=4096)

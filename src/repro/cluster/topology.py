@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.accesscontrol.model import Policy
 from repro.cluster.gateway import ClusterGateway
 from repro.cluster.ring import HashRing
-from repro.engine.pipeline import DocumentPipeline
+from repro.engine.pipeline import prepare_document
 from repro.engine.station import SecureStation, StationConfig, StationError
 from repro.server.client import RemoteSession
 from repro.server.service import ServerThread, StationServer
@@ -228,13 +228,9 @@ class StationCluster:
         if isinstance(document, PreparedDocument):
             prepared = document
         else:
-            pipeline = DocumentPipeline.publisher(
-                scheme=scheme, key=self._derive("document|%s" % document_id)
+            prepared = prepare_document(
+                document, scheme, key=self._derive("document|%s" % document_id)
             )
-            if isinstance(document, Node):
-                prepared = pipeline.run(tree=document).prepared
-            else:
-                prepared = pipeline.run(source=document).prepared
         placed = self._ring.preference(document_id, self.replicas)
         for name in placed:
             station = self.nodes[name].station

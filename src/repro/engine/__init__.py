@@ -7,9 +7,11 @@ codebase routes through (see ``DESIGN.md`` for the layer diagram):
   :class:`PolicyPlan` / :class:`QueryPlan`: provisioning-time XPath
   parsing and automaton compilation, done once and reused across
   documents and requests;
-* :mod:`repro.engine.pipeline` — :class:`DocumentPipeline`: the
-  parse -> encode -> encrypt -> stream-decrypt -> evaluate ->
-  integrity-check -> serialize dataflow as composable, metered stages;
+* :mod:`repro.engine.pipeline` — the Fig. 2 dataflow as plain
+  functions: :func:`prepare_document` (parse -> encode -> encrypt),
+  :func:`evaluate_document` (decrypt -> evaluate, metered),
+  :func:`run_plan` (the one evaluation loop) and
+  :func:`audit_integrity` (full-store verification sweep);
 * :mod:`repro.engine.station` — :class:`SecureStation`: a multi-client
   SOE facade with an LRU plan cache, per-session key material and
   batched :meth:`~SecureStation.evaluate_many`.
@@ -20,17 +22,11 @@ only lazily inside functions, so there are no import cycles.
 """
 
 from repro.engine.pipeline import (
-    DecryptStreamStage,
-    DocumentPipeline,
-    EncodeStage,
-    EncryptStage,
-    EvaluateStage,
-    IntegrityAuditStage,
-    ParseStage,
-    PipelineContext,
-    PipelineError,
-    SerializeStage,
-    Stage,
+    audit_integrity,
+    encode_source,
+    evaluate_document,
+    prepare_document,
+    run_plan,
 )
 from repro.engine.plans import (
     PolicyPlan,
@@ -62,17 +58,11 @@ __all__ = [
     "compile_query",
     "policy_digest",
     # pipeline
-    "DocumentPipeline",
-    "PipelineContext",
-    "PipelineError",
-    "Stage",
-    "ParseStage",
-    "EncodeStage",
-    "EncryptStage",
-    "DecryptStreamStage",
-    "EvaluateStage",
-    "IntegrityAuditStage",
-    "SerializeStage",
+    "encode_source",
+    "prepare_document",
+    "evaluate_document",
+    "run_plan",
+    "audit_integrity",
     # station
     "SecureStation",
     "StationConfig",

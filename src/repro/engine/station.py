@@ -1,10 +1,10 @@
 """SecureStation: one SOE serving many clients (the server setting).
 
 The paper's SOE is provisioned once and then serves a stream of
-requests; nothing in it is per-request except the token state.  The
-seed's :class:`~repro.soe.session.SecureSession` modelled exactly one
-``(document, subject)`` run.  A :class:`SecureStation` is the
-multi-client generalization the ROADMAP's production framing needs:
+requests; nothing in it is per-request except the token state.
+:func:`~repro.engine.pipeline.evaluate_document` is exactly one
+``(document, subject)`` run.  A :class:`SecureStation` is its
+multi-client generalization:
 
 * a **plan cache** — an LRU keyed by ``(subject, policy digest)``
   holding compiled :class:`~repro.engine.plans.PolicyPlan` objects, so
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.accesscontrol.evaluator import StreamingEvaluator
 from repro.accesscontrol.model import Policy
 from repro.accesscontrol.navigation import EventListNavigator
 from repro.compute import ComputeBackend, resolve_backend
@@ -41,7 +40,12 @@ from repro.crypto.chunks import ChunkLayout
 from repro.crypto.integrity import SecureBytes, make_scheme
 from repro.crypto.modes import decrypt_positioned, encrypt_positioned, pad_to_block
 from repro.crypto.xtea import Xtea
-from repro.engine.pipeline import DocumentPipeline, EncodeStage, ParseStage
+from repro.engine.pipeline import (
+    encode_source,
+    evaluate_document,
+    prepare_document,
+    run_plan,
+)
 from repro.engine.plans import PolicyPlan, compile_policy, policy_digest
 from repro.metrics import Meter
 from repro.skipindex.decoder import SkipIndexNavigator, decode_document
@@ -56,7 +60,7 @@ from repro.skipindex.updates import (
     refresh_structural_index,
 )
 from repro.soe.costmodel import CONTEXTS, CostModel, PlatformContext
-from repro.soe.session import PreparedDocument, SessionResult, delivered_bytes
+from repro.soe.session import PreparedDocument, SessionResult
 from repro.xmlkit.dom import Node
 from repro.xmlkit.events import Event
 from repro.xmlkit.serializer import serialize_events
@@ -64,6 +68,18 @@ from repro.xmlkit.serializer import serialize_events
 
 class StationError(KeyError):
     """Unknown document, subject or grant."""
+
+
+#: Meter fields attached to the ``stage:evaluate`` span of a traced miss.
+_EVALUATE_SPAN_ATTRS = (
+    "bytes_decrypted",
+    "bytes_hashed",
+    "chunks_accessed",
+    "events",
+    "token_ops",
+    "skipped_subtrees",
+    "pruned_subtrees",
+)
 
 
 # ----------------------------------------------------------------------
@@ -683,32 +699,20 @@ class SecureStation:
             # log (at most one segment buffered), so a document larger
             # than RAM publishes without its ciphertext ever
             # materializing.
-            pipeline = DocumentPipeline(
-                [ParseStage(), EncodeStage()], context=self.platform
-            )
-            if isinstance(document, Node):
-                ctx = pipeline.run(tree=document)
-            else:
-                ctx = pipeline.run(source=document)
-            encoded = ctx.encoded
+            encoded = encode_source(document)
             if opts.index:
                 structural = build_structural_index(encoded)
             prepared = None
         else:
-            pipeline = DocumentPipeline.publisher(
-                scheme=scheme,
-                key=key,
-                layout=layout,
-                context=self.platform,
+            prepared = prepare_document(
+                document,
+                scheme,
+                key,
+                layout,
                 version=next_version,
                 backend=self.backend,
                 index=opts.index,
             )
-            if isinstance(document, Node):
-                ctx = pipeline.run(tree=document)
-            else:
-                ctx = pipeline.run(source=document)
-            prepared = ctx.prepared
         with self._lock:
             if encoded is not None:
                 version = next_version
@@ -986,8 +990,9 @@ class SecureStation:
 
         With a ``tracer`` (``repro.obs.trace.Tracer``) and a nonzero
         ``trace`` id, the request records spans under ``parent_span``:
-        one ``view-cache`` span on a hit, or one span per pipeline
-        stage (with the stage's Meter counts as attributes) on a miss.
+        one ``view-cache`` span on a hit, or one ``stage:evaluate``
+        span around :func:`evaluate_document` (with its Meter counts
+        and the compute backend as attributes) on a miss.
         Untraced requests (``trace`` 0, the default) skip every tracing
         branch — the cached hot path stays within the ratio guard of
         ``benchmarks/test_obs_bench.py``.
@@ -1061,60 +1066,69 @@ class SecureStation:
             serve_indexed = False
             with self._lock:
                 self.stats.index_stale += 1
-        ctx = None
+        early_exit = False
         if serve_indexed:
             layout = prepared.scheme.layout
             total_chunks = layout.chunk_count(len(prepared.encoded.data))
             candidates = index.match(
                 query_plan.structural, prepared.encoded.dictionary
             )
-            if not candidates:
-                # The structural superset is empty: no element matches
-                # the query's path, so the view is provably empty before
-                # a single chunk is transferred or decrypted.
-                meter = Meter()
-                breakdown = CostModel(self.platform).breakdown(meter)
-                view: List[Event] = []
-                with self._lock:
-                    self.stats.indexed_requests += 1
-                    self.stats.index_early_exits += 1
-                    self.stats.index_chunks_total += total_chunks
-            else:
-                planned = index.planned_chunks(candidates, layout)
-                with self._lock:
-                    self.stats.indexed_requests += 1
-                    self.stats.index_planned_chunks += len(planned)
-                    self.stats.index_chunks_total += total_chunks
-                pipeline = DocumentPipeline.consumer(
-                    plan,
-                    query=query_plan,
-                    use_skip_index=self.use_skip_index,
-                    context=self.platform,
-                    prune=self.prune,
-                    index=index,
-                )
-                ctx = pipeline.run(prepared=prepared)
-                view, meter, breakdown = ctx.view, ctx.meter, ctx.breakdown
+            early_exit = not candidates
+            planned = () if early_exit else index.planned_chunks(candidates, layout)
+            with self._lock:
+                self.stats.indexed_requests += 1
+                self.stats.index_early_exits += early_exit
+                self.stats.index_planned_chunks += len(planned)
+                self.stats.index_chunks_total += total_chunks
         else:
             with self._lock:
                 self.stats.streamed_requests += 1
-            pipeline = DocumentPipeline.consumer(
-                plan,
-                query=query_plan,
-                use_skip_index=self.use_skip_index,
-                context=self.platform,
-                prune=self.prune,
+        if early_exit:
+            # The structural superset is empty: no element matches the
+            # query's path, so the view is provably empty before a
+            # single chunk is transferred or decrypted.
+            meter = Meter()
+            result = SessionResult(
+                [], meter, CostModel(self.platform).breakdown(meter), self.platform
             )
-            ctx = pipeline.run(prepared=prepared)
-            view, meter, breakdown = ctx.view, ctx.meter, ctx.breakdown
-        if traced and ctx is not None:
-            self._record_pipeline_spans(tracer, trace, parent_span, ctx)
-        result = SessionResult(view, meter, breakdown, self.platform)
+        else:
+            t_evaluate = perf_counter() if traced else 0.0
+            result = evaluate_document(
+                prepared,
+                plan,
+                query_plan,
+                self.platform,
+                self.use_skip_index,
+                self.prune,
+                index=index if serve_indexed else None,
+            )
+            if traced:
+                # The meter is shared across the run (decryption happens
+                # lazily while the evaluator pulls), so one span carries
+                # the request totals; the backend names which compute
+                # strategy served the crypto work.
+                attrs = {
+                    name: getattr(result.meter, name)
+                    for name in _EVALUATE_SPAN_ATTRS
+                    if getattr(result.meter, name)
+                }
+                attrs["backend"] = self.backend.name
+                tracer.record(
+                    trace,
+                    "stage:evaluate",
+                    t_evaluate,
+                    perf_counter(),
+                    parent=parent_span,
+                    attrs=attrs,
+                )
         result.document_version = version
         result.indexed = serve_indexed
         if cache_key is not None:
             entry = _CachedView(
-                view, meter.copy(), breakdown, indexed=serve_indexed
+                result.events,
+                result.meter.copy(),
+                result.breakdown,
+                indexed=serve_indexed,
             )
             result.cache_entry = entry
             with self._lock:
@@ -1124,39 +1138,6 @@ class SecureStation:
                     self._views.popitem(last=False)
                     self.stats.view_evictions += 1
         return result
-
-    # Meter fields attached to each pipeline-stage span.  The meter is
-    # shared across the run (decryption happens lazily while the
-    # evaluator pulls), so these are *request totals* placed on the
-    # stage they conceptually belong to — the span durations are what
-    # localize the wall-clock.
-    _SPAN_METER_ATTRS = {
-        "stream-decrypt": ("bytes_decrypted", "bytes_hashed", "chunks_accessed"),
-        "evaluate": ("events", "token_ops", "skipped_subtrees", "pruned_subtrees"),
-        "serialize": ("bytes_delivered",),
-    }
-
-    def _record_pipeline_spans(self, tracer, trace, parent_span, ctx) -> None:
-        """Turn a finished pipeline run's stage timings into spans."""
-        meter = ctx.meter
-        for name, started, ended in ctx.stage_times:
-            attrs = {
-                field: getattr(meter, field)
-                for field in self._SPAN_METER_ATTRS.get(name, ())
-                if getattr(meter, field)
-            }
-            if name == "stream-decrypt":
-                # The compute-backend dispatch decision rides on the
-                # decrypt span: which strategy served the crypto work.
-                attrs["backend"] = self.backend.name
-            tracer.record(
-                trace,
-                "stage:%s" % name,
-                started,
-                ended,
-                parent=parent_span,
-                attrs=attrs,
-            )
 
     def cached_views(self) -> int:
         with self._lock:
@@ -1238,9 +1219,10 @@ class SecureStation:
         entries in the returned :class:`BatchResult` instead of
         exceptions, so one bad subject cannot kill a multi-client
         response.  Batch-level misuse (unknown document, duplicate
-        subjects) still raises.
+        subjects) still raises.  Every result carries the version of
+        the one snapshot the batch decoded.
         """
-        prepared = self.document(document_id)
+        prepared, _key, version = self._snapshot(document_id)
         plans: List[Tuple[str, Union[PolicyPlan, SubjectFailure]]] = []
         for entry in subjects:
             if isinstance(entry, str):
@@ -1282,14 +1264,14 @@ class SecureStation:
                 navigator = EventListNavigator(
                     events, provide_meta=self.use_skip_index, meter=meter
                 )
-                evaluator = StreamingEvaluator(
+                view = run_plan(
+                    navigator,
                     plan,
-                    query=plan.query_plan(query),
-                    meter=meter,
-                    enable_skipping=self.use_skip_index,
-                    enable_pruning=self.prune,
+                    plan.query_plan(query),
+                    meter,
+                    self.use_skip_index,
+                    self.prune,
                 )
-                view = evaluator.run(navigator)
             except Exception as exc:
                 # The partial meter travels with the failure — counted
                 # apart from every served total (see SubjectFailure).
@@ -1300,10 +1282,11 @@ class SecureStation:
                     self.stats.batch_failures += 1
                     self.stats.failed_requests += 1
                 continue
-            meter.bytes_delivered += delivered_bytes(view)
-            per_subject[label] = SessionResult(
+            result = SessionResult(
                 view, meter, cost_model.breakdown(meter), self.platform
             )
+            result.document_version = version
+            per_subject[label] = result
             with self._lock:
                 self.stats.requests += 1
         with self._lock:

@@ -15,7 +15,7 @@ wall-clock reality around them — observable while the system runs:
 ``repro.obs.trace``
     Request tracing: 64-bit trace ids minted at the client or gateway
     and carried in the wire frame header (protocol version 2), per-stage
-    spans (gateway routing, backend queueing, pipeline stages, compute
+    spans (gateway routing, backend queueing, evaluation, compute
     dispatch) retained in a bounded ring buffer, and a slow-query log
     that captures the full span tree of any request over a threshold.
 

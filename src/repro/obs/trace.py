@@ -8,17 +8,17 @@ with trace id 0 pay *nothing*: every instrumentation site guards on
 
 Each process keeps one ``Tracer``.  Spans are recorded against a trace
 id (either live via ``start``/``finish`` or post-hoc via ``record``,
-which is how pipeline stage timings become spans without re-running the
-clock), and ``end_trace`` closes the trace: the finished span tree goes
-into a bounded ring buffer, and — when the trace's duration crosses the
-``slow_ms`` threshold — into the slow-query log with its *full* span
-tree preserved.
+which is how the station's evaluation timing becomes a span without
+re-running the clock), and ``end_trace`` closes the trace: the finished
+span tree goes into a bounded ring buffer, and — when the trace's
+duration crosses the ``slow_ms`` threshold — into the slow-query log
+with its *full* span tree preserved.
 
 Cross-process assembly: a backend serializes its finished spans into
 the RESULT trailer; the gateway ``adopt``s them under its own forward
 span (remapping span ids so two processes can never collide), so the
 gateway's slow-query log shows the complete journey: gateway routing →
-backend queueing → pipeline stages → compute dispatch.
+backend queueing → evaluation → compute dispatch.
 """
 
 from __future__ import annotations
@@ -312,7 +312,8 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
         """Record a span whose start/end were measured elsewhere (e.g.
-        pipeline stage timings taken by ``DocumentPipeline.run``).
+        the ``stage:evaluate`` span the station times around one
+        evaluation).
 
         Takes ownership of ``attrs`` — pass a fresh dict.
         """

@@ -14,10 +14,12 @@ quantity in a :class:`~repro.metrics.Meter`, and
 chosen platform context (smart card / software+Internet / software+LAN,
 the three rows of Table 1).
 
-:mod:`repro.soe.session` wires the full secure pipeline together:
+:mod:`repro.soe.session` holds the pipeline's result types
+(:class:`~repro.soe.session.PreparedDocument`,
+:class:`~repro.soe.session.SessionResult`); the pipeline itself —
 encrypted Skip-indexed document at the terminal -> scheme reader
 (decrypt + integrity) -> Skip-index decoder -> streaming evaluator ->
-authorized view.
+authorized view — is :func:`repro.engine.pipeline.evaluate_document`.
 """
 
 from repro.soe.costmodel import (
@@ -26,14 +28,12 @@ from repro.soe.costmodel import (
     PlatformContext,
     TimeBreakdown,
 )
-from repro.soe.session import SecureSession, SessionResult, prepare_document
+from repro.soe.session import SessionResult
 
 __all__ = [
     "PlatformContext",
     "CONTEXTS",
     "CostModel",
     "TimeBreakdown",
-    "SecureSession",
     "SessionResult",
-    "prepare_document",
 ]

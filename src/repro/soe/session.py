@@ -1,37 +1,27 @@
-"""End-to-end secure pipeline (the architecture of Fig. 2).
+"""SOE-side result types of the secure pipeline (Fig. 2).
 
-``prepare_document`` performs the publisher-side work: Skip-index
-encode the XML document, then encrypt/digest it for the untrusted
-terminal under one of the Fig. 11 schemes.
+:class:`PreparedDocument` is the publisher's output — the Skip-index
+encoding plus its encrypted/digested form at the terminal — and
+:class:`SessionResult` is one SOE run's authorized view with its cost
+accounting: the :class:`~repro.metrics.Meter` counts and their
+conversion to simulated seconds by the :mod:`~repro.soe.costmodel`.
+The functions that produce them live in :mod:`repro.engine.pipeline`
+(:func:`~repro.engine.pipeline.prepare_document`,
+:func:`~repro.engine.pipeline.evaluate_document`); multi-client
+serving lives in :class:`~repro.engine.station.SecureStation`.
 
-:class:`SecureSession` performs the SOE-side work: it opens a
-decrypting, integrity-checking view on the stored bytes, drives the
-Skip-index decoder and the streaming evaluator over it, and accounts
-every primitive cost in a :class:`~repro.metrics.Meter`, converted to
-simulated seconds by the :mod:`~repro.soe.costmodel`.  Since the
-engine-layer refactor the session compiles its policy into a
-:class:`~repro.engine.plans.PolicyPlan` once at construction and each
-:meth:`~SecureSession.run` executes the engine's consumer pipeline;
-multi-client serving lives in :class:`~repro.engine.station.
-SecureStation`.
-
-The tag dictionary and the document key are SOE-resident secrets
-(Section 2: delivered over a secured channel), so reading them is not
-charged to the terminal link.
+:func:`lwb_seconds` is the theoretical LWB oracle of Section 7.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.crypto.integrity import BaseScheme, SecureDocument, make_scheme
-from repro.crypto.chunks import ChunkLayout
+from repro.crypto.integrity import BaseScheme, SecureDocument
 from repro.metrics import Meter
 from repro.skipindex.encoder import EncodedDocument, encode_document
 from repro.soe.costmodel import CONTEXTS, CostModel, PlatformContext, TimeBreakdown
-from repro.xmlkit.dom import Node
 from repro.xmlkit.events import OPEN, TEXT, Event, events_to_tree
-from repro.xpath.ast import Path
 
 
 class PreparedDocument:
@@ -70,29 +60,6 @@ class PreparedDocument:
         )
 
 
-def prepare_document(
-    tree: Node,
-    scheme: str = "ECB-MHT",
-    key: bytes = b"\x00" * 16,
-    layout: Optional[ChunkLayout] = None,
-    index: bool = False,
-) -> PreparedDocument:
-    """Encode ``tree`` with the Skip index and protect it for storage.
-
-    ``index=True`` additionally builds the structural pre/post index
-    over the plaintext encoding (see :mod:`repro.skipindex.structural`).
-    """
-    encoded = encode_document(tree)
-    scheme_obj = make_scheme(scheme, key=key, layout=layout)
-    secure = scheme_obj.protect(encoded.data)
-    structural = None
-    if index:
-        from repro.skipindex.structural import build_structural_index
-
-        structural = build_structural_index(encoded)
-    return PreparedDocument(encoded, scheme_obj, secure, index=structural)
-
-
 def delivered_bytes(events: List[Event]) -> int:
     """Size estimate of the authorized view leaving the SOE.
 
@@ -115,13 +82,14 @@ class SessionResult:
     """Authorized view + cost accounting of one SOE run.
 
     ``document_version`` is stamped by :meth:`SecureStation.evaluate`
-    with the update version of the exact snapshot evaluated (read
-    atomically with the snapshot itself); ``None`` outside the station
-    path.  ``cache_hit`` marks a result served from the station's
-    version-keyed view cache — its events/breakdown are then shared
-    read-only with the cache entry, and the meter still carries the
-    simulated Table-1 costs of the original evaluation (cached and
-    uncached responses report identical simulated seconds).
+    and :meth:`SecureStation.evaluate_many` with the update version of
+    the exact snapshot evaluated (read atomically with the snapshot
+    itself); ``None`` outside the station path.  ``cache_hit`` marks a
+    result served from the station's version-keyed view cache — its
+    events/breakdown are then shared read-only with the cache entry,
+    and the meter still carries the simulated Table-1 costs of the
+    original evaluation (cached and uncached responses report
+    identical simulated seconds).
     """
 
     def __init__(
@@ -162,64 +130,6 @@ class SessionResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SessionResult(%.3fs, %d events)" % (self.seconds, len(self.events))
-
-
-class SecureSession:
-    """One (document, subject) SOE session.
-
-    Parameters
-    ----------
-    prepared:
-        Publisher output (:func:`prepare_document`).
-    policy:
-        The subject's access-control policy (``USER`` already bound).
-    query:
-        Optional XPath query intersected with the authorized view.
-    context:
-        Table 1 platform context name or a custom
-        :class:`PlatformContext`.
-    use_skip_index:
-        ``False`` reproduces the Brute-Force strategy: the evaluator
-        sees every event and no subtree is ever skipped.
-    """
-
-    def __init__(
-        self,
-        prepared: PreparedDocument,
-        policy: "Union[Policy, PolicyPlan]",
-        query: Union[str, Path, None] = None,
-        context: Union[str, PlatformContext] = "smartcard",
-        use_skip_index: bool = True,
-    ):
-        # The engine layer sits above the SOE; import lazily (see the
-        # layering rule in repro/engine/__init__.py).
-        from repro.engine.plans import compile_policy
-
-        self.prepared = prepared
-        self.plan = compile_policy(policy)
-        self.policy = self.plan.policy
-        self.query = self.plan.query_plan(query)
-        self.context = (
-            CONTEXTS[context] if isinstance(context, str) else context
-        )
-        self.use_skip_index = use_skip_index
-
-    def run(self) -> SessionResult:
-        """One SOE pass, via the engine's consumer pipeline.
-
-        The plan (and any compiled query) is reused across calls, so
-        repeated runs of one session never re-touch the XPath parser.
-        """
-        from repro.engine.pipeline import DocumentPipeline
-
-        pipeline = DocumentPipeline.consumer(
-            self.plan,
-            query=self.query,
-            use_skip_index=self.use_skip_index,
-            context=self.context,
-        )
-        ctx = pipeline.run(prepared=self.prepared)
-        return SessionResult(ctx.view, ctx.meter, ctx.breakdown, self.context)
 
 
 def lwb_bytes(view_events: List[Event]) -> int:

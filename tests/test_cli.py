@@ -151,6 +151,25 @@ class TestOperatorErrorPaths:
             holder.close()
         assert "cannot open store" in str(info.value)
 
+    def test_serve_store_regular_file(self, tmp_path):
+        path = tmp_path / "doc.store"
+        path.write_text("a file, not a chunk-store directory")
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", "--store", str(path)])
+        assert "not a store directory" in str(info.value)
+
+    def test_serve_store_locked_directory(self, tmp_path):
+        from repro.store import LogStore
+
+        directory = str(tmp_path / "held")
+        holder = LogStore(directory)
+        try:
+            with pytest.raises(SystemExit) as info:
+                main(["serve", "--port", "0", "--store", directory])
+        finally:
+            holder.close()
+        assert "cannot open store" in str(info.value)
+
     def test_stats_unreachable_server(self):
         with pytest.raises(SystemExit) as info:
             main(["stats", "127.0.0.1:1", "--connect-retry", "0"])

@@ -222,8 +222,7 @@ def test_fuzz_backends_byte_identical(name):
 
 @pytest.mark.parametrize("name", ["ECB", "CBC-SHAC"])
 def test_fuzz_station_views_identical_across_backends(name):
-    from repro.engine import SecureStation
-    from repro.soe.session import prepare_document
+    from repro.engine import SecureStation, prepare_document
     from repro.xmlkit.parser import parse_document
     from repro.xmlkit.serializer import serialize, serialize_events
 

@@ -211,8 +211,7 @@ def test_fuzz_station_cold_pruned_cached_identical(scheme):
     """Random (document, policy, query) triples through the station's
     three serving strategies — cold, skip-pruned, cache-hit — must
     produce byte-identical serialized views on every scheme."""
-    from repro.engine import SecureStation
-    from repro.soe.session import prepare_document
+    from repro.engine import SecureStation, prepare_document
     from repro.xmlkit.parser import parse_document
     from repro.xmlkit.serializer import serialize
 
@@ -272,8 +271,12 @@ def test_fuzz_indexed_station_matches_every_strategy(scheme):
     views on every scheme.  Wildcard queries ride along to exercise the
     fallback decision.
     """
-    from repro.engine import PublishOptions, SecureStation, StationConfig
-    from repro.soe.session import prepare_document
+    from repro.engine import (
+        PublishOptions,
+        SecureStation,
+        StationConfig,
+        prepare_document,
+    )
     from repro.xmlkit.parser import parse_document
     from repro.xmlkit.serializer import serialize
 

@@ -11,16 +11,18 @@ from repro import (
 )
 from repro.accesscontrol.evaluator import StreamingEvaluator
 from repro.engine import (
-    DocumentPipeline,
-    PipelineError,
     QueryPlan,
     SecureStation,
     StationError,
+    audit_integrity,
     compile_query,
+    evaluate_document,
     policy_digest,
+    prepare_document,
 )
 from repro.xmlkit.events import events_to_tree
 from repro.xmlkit.parser import parse_document
+from repro.xmlkit.serializer import serialize_events
 from repro.xpath import nfa
 from repro.xpath import parser as xparser
 
@@ -132,62 +134,42 @@ class TestPolicyPlan:
 # ----------------------------------------------------------------------
 # Pipeline
 # ----------------------------------------------------------------------
-class TestDocumentPipeline:
+class TestPipelineFunctions:
     def test_end_to_end_matches_reference(self):
         plan = compile_policy(secretary())
-        pipeline = DocumentPipeline.end_to_end(plan, serialize=True)
-        ctx = pipeline.run(source=DOC)
+        result = evaluate_document(prepare_document(DOC), plan)
         reference = reference_authorized_view(parse_document(DOC), secretary())
-        assert ctx.view == reference
-        assert ctx.serialized.startswith("<folder>")
-        assert set(ctx.stage_seconds) == {
-            "parse", "encode", "encrypt", "stream-decrypt", "evaluate",
-            "serialize",
-        }
+        assert result.events == reference
+        assert serialize_events(result.events).startswith("<folder>")
 
     def test_publisher_then_consumer_reusable(self):
         plan = compile_policy(secretary())
-        prepared = DocumentPipeline.publisher().run(source=DOC).prepared
-        consumer = DocumentPipeline.consumer(plan)
-        first = consumer.run(prepared=prepared)
-        second = consumer.run(prepared=prepared)
-        assert first.view == second.view
-        assert first.meter is not second.meter  # fresh context per run
+        prepared = prepare_document(DOC)
+        first = evaluate_document(prepared, plan)
+        second = evaluate_document(prepared, plan)
+        assert first.events == second.events
+        assert first.meter is not second.meter  # fresh meter per run
+        assert first.meter.as_dict() == second.meter.as_dict()
 
     def test_breakdown_and_meter_populated(self):
         plan = compile_policy(secretary())
-        ctx = DocumentPipeline.end_to_end(plan).run(source=DOC)
-        assert ctx.breakdown.total > 0
-        assert ctx.meter.bytes_transferred > 0
-        assert ctx.meter.bytes_delivered > 0
+        result = evaluate_document(prepare_document(DOC), plan)
+        assert result.breakdown.total > 0
+        assert result.meter.bytes_transferred > 0
+        assert result.meter.bytes_delivered > 0
 
     def test_integrity_audit_ok(self):
-        plan = compile_policy(secretary())
-        pipeline = DocumentPipeline.publisher(scheme="ECB-MHT") + (
-            DocumentPipeline.consumer(plan, integrity_audit=True)
-        )
-        ctx = pipeline.run(source=DOC)
-        assert ctx.integrity_report["ok"] is True
-        assert ctx.integrity_report["verifies"] is True
-        assert ctx.integrity_report["bytes_checked"] > 0
+        report = audit_integrity(prepare_document(DOC, scheme="ECB-MHT"))
+        assert report["ok"] is True
+        assert report["verifies"] is True
+        assert report["bytes_checked"] > 0
 
     def test_integrity_audit_detects_tampering(self):
-        plan = compile_policy(secretary())
-        prepared = DocumentPipeline.publisher(scheme="ECB-MHT").run(source=DOC).prepared
+        prepared = prepare_document(DOC, scheme="ECB-MHT")
         stored = bytearray(prepared.secure.stored)
         stored[len(stored) // 2] ^= 0xFF
         prepared.secure.stored = bytes(stored)
-        ctx = DocumentPipeline(
-            [stage for stage in DocumentPipeline.consumer(
-                plan, integrity_audit=True
-            ).stages if stage.name == "integrity-check"]
-        ).run(prepared=prepared)
-        assert ctx.integrity_report["ok"] is False
-
-    def test_missing_input_raises(self):
-        plan = compile_policy(secretary())
-        with pytest.raises(PipelineError):
-            DocumentPipeline.consumer(plan).run(source=DOC)  # no prepared
+        assert audit_integrity(prepared)["ok"] is False
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +217,18 @@ class TestSecureStation:
         for _subject, result in batch:
             assert result.meter.bytes_decrypted == 0
         assert batch.seconds > 0
+
+    def test_evaluate_many_stamps_document_version(self):
+        from repro.skipindex.updates import UpdateOp
+
+        station = self.build_station()
+        station.update("folder", UpdateOp.rename([0, 0], "nom"))
+        version = station.document_version("folder")
+        assert version == 1
+        batch = station.evaluate_many("folder", ["sec", "ann", "aud"])
+        for subject, result in batch:
+            assert result.document_version == version, subject
+        assert station.evaluate("folder", "sec").document_version == version
 
     def test_evaluate_many_rejects_duplicate_subjects(self):
         station = self.build_station()

@@ -2,8 +2,9 @@
 
 The serving benchmark (``perfbench/``) wraps named functions of the
 program to time each layer; a rename or deletion here would otherwise
-break only the traced benchmark run, and silently.  The import check
-keeps the serving process free of ``multiprocessing``.
+break only the traced benchmark run, and silently.  The publish test
+pins that those wrappers actually sit on the path they time.  The
+import check keeps the serving process free of ``multiprocessing``.
 """
 
 import importlib
@@ -38,3 +39,29 @@ def test_server_import_leaves_out_multiprocessing():
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert result.returncode == 0, result.stderr.decode()
+
+
+@pytest.mark.parametrize("persistent", [False, True], ids=["memory", "log"])
+def test_publish_parses_through_the_benchmark_parse_span(
+    monkeypatch, tmp_path, persistent
+):
+    # SETUP_SPANS times publish-time parsing by wrapping the module
+    # global it names; a publish path that parsed any other way would
+    # leave that span silently at zero.
+    from repro.engine import SecureStation
+    from repro.store import LogStore
+
+    module_name, attribute, _name, _flags = SETUP_SPANS[0]
+    owner = importlib.import_module(module_name)
+    original = getattr(owner, attribute)
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(owner, attribute, counting)
+    store = LogStore(str(tmp_path)) if persistent else None
+    with SecureStation(store=store) as station:
+        station.publish("doc", "<a><b>x</b></a>")
+    assert calls == ["<a><b>x</b></a>"]

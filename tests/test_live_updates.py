@@ -467,10 +467,12 @@ class TestBatchFailureAccounting:
     def test_mid_evaluation_failure_keeps_partial_meter_separate(
         self, monkeypatch
     ):
-        import repro.engine.station as station_module
+        # evaluate_many runs each subject through run_plan, which
+        # builds its evaluator from the pipeline module's global.
+        import repro.engine.pipeline as pipeline_module
 
         station = self.build_batch_station()
-        real_evaluator = station_module.StreamingEvaluator
+        real_evaluator = pipeline_module.StreamingEvaluator
 
         class ExplodingEvaluator:
             def __init__(self, plan, **kwargs):
@@ -488,7 +490,7 @@ class TestBatchFailureAccounting:
                 return self._inner.run(navigator)
 
         monkeypatch.setattr(
-            station_module, "StreamingEvaluator", ExplodingEvaluator
+            pipeline_module, "StreamingEvaluator", ExplodingEvaluator
         )
         batch = station.evaluate_many("db", ["alice", "boom", "carol"])
 

@@ -400,6 +400,25 @@ class TestServerTracing:
             span["parent"] in ids for span in spans if span is not root
         )
 
+    def test_cache_miss_records_one_evaluate_span(self):
+        station, subjects = hospital_station(folders=2, seed=11)
+        server = StationServer(station, chunk_size=256, slow_ms=0.0)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        try:
+            with RemoteSession(host, port, subjects[0]) as session:
+                result = session.evaluate("hospital", trace=new_trace_id())
+        finally:
+            thread.stop()
+            station.close()
+        assert result.trailer.get("cached") is not True
+        stages = [span for span in result.spans if span["name"].startswith("stage:")]
+        assert [span["name"] for span in stages] == ["stage:evaluate"]
+        attrs = stages[0]["attrs"]
+        for name in ("chunks_accessed", "bytes_decrypted", "events"):
+            assert attrs[name] > 0, name
+        assert attrs["backend"] == station.backend.name
+
     def test_untraced_requests_carry_no_span_payload(self, traced_server):
         server, host, port, subjects = traced_server
         with RemoteSession(host, port, subjects[0]) as session:

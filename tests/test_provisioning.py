@@ -124,7 +124,7 @@ class TestProvisionedSession:
     def test_credential_drives_a_real_session(self):
         """Full circle: credential -> key + policy -> SOE session."""
         from repro.datasets import HospitalConfig, generate_hospital
-        from repro.soe import SecureSession, prepare_document
+        from repro.engine import evaluate_document, prepare_document
         from repro import reference_authorized_view
 
         doc = generate_hospital(HospitalConfig(folders=6, seed=8))
@@ -139,5 +139,5 @@ class TestProvisionedSession:
         policy = store.policy_for("hospital", now=0.0)
 
         prepared = prepare_document(doc, scheme="ECB-MHT", key=key)
-        result = SecureSession(prepared, policy).run()
+        result = evaluate_document(prepared, policy)
         assert result.events == reference_authorized_view(doc, policy)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro import reference_authorized_view
 from repro.accesscontrol.evaluator import StreamingEvaluator
 from repro.crypto.integrity import make_scheme
+from repro.engine import evaluate_document, prepare_document
 from repro.metrics import Meter
 from repro.skipindex.decoder import (
     SkipIndexFormatError,
@@ -16,7 +17,6 @@ from repro.skipindex.decoder import (
     read_header,
 )
 from repro.skipindex.encoder import encode_document
-from repro.soe import SecureSession, prepare_document
 from repro.xmlkit.dom import Node
 from repro.xmlkit.events import validate_stream
 
@@ -111,8 +111,8 @@ class TestDeterminism:
         doc = generate_hospital(HospitalConfig(folders=6, seed=11))
         prepared = prepare_document(doc, scheme="ECB-MHT")
         policy = doctor_policy("doctor2")
-        first = SecureSession(prepared, policy).run()
-        second = SecureSession(prepared, policy).run()
+        first = evaluate_document(prepared, policy)
+        second = evaluate_document(prepared, policy)
         assert first.events == second.events
         assert first.meter.as_dict() == second.meter.as_dict()
         assert first.seconds == second.seconds

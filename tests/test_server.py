@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.datasets.hospital import doctor_policy, secretary_policy
-from repro.engine import SecureStation
+from repro.engine import SecureStation, evaluate_document
 from repro.metrics import Meter, ThreadSafeMeter
 from repro.server import protocol
 from repro.server.client import RemoteError, RemoteSession
@@ -29,7 +29,6 @@ from repro.server.protocol import (
     json_frame,
 )
 from repro.server.service import ServerThread, StationServer, hospital_station
-from repro.soe.session import SecureSession
 from repro.xmlkit.serializer import serialize_events
 
 
@@ -255,7 +254,7 @@ class TestEndToEnd:
             assert remote.meter.get("bytes_transferred", 0) > 0
 
     def test_remote_view_matches_secure_session(self, live_server, hospital):
-        """The acceptance path: RemoteSession over TCP == SecureSession."""
+        """The acceptance path: RemoteSession over TCP == evaluate_document."""
         server, host, port, subjects = live_server
         station, _ = hospital
         prepared = station.document("hospital")
@@ -264,7 +263,7 @@ class TestEndToEnd:
             "doctor0": doctor_policy("doctor0"),
         }
         for subject, policy in policies.items():
-            expected = SecureSession(prepared, policy).run()
+            expected = evaluate_document(prepared, policy)
             with RemoteSession(host, port, subject) as session:
                 remote = session.evaluate("hospital")
             assert remote.data == serialize_events(expected.events).encode(

@@ -15,7 +15,7 @@ from repro.datasets import (
     researcher_policy,
     secretary_policy,
 )
-from repro.soe import SecureSession, prepare_document
+from repro.engine import evaluate_document, prepare_document
 from repro.soe.session import delivered_bytes, lwb_bytes, lwb_seconds
 from repro.xmlkit.events import CLOSE, OPEN, TEXT
 
@@ -32,34 +32,33 @@ def prepared(request, hospital):
 
 class TestEndToEnd:
     def test_secretary_view_matches_reference(self, hospital, prepared):
-        session = SecureSession(prepared, secretary_policy())
-        result = session.run()
+        result = evaluate_document(prepared, secretary_policy())
         assert result.events == reference_authorized_view(
             hospital, secretary_policy()
         )
 
     def test_doctor_view_matches_reference(self, hospital, prepared):
         policy = doctor_policy("doctor1")
-        result = SecureSession(prepared, policy).run()
+        result = evaluate_document(prepared, policy)
         assert result.events == reference_authorized_view(hospital, policy)
 
     def test_researcher_view_matches_reference(self, hospital, prepared):
         policy = researcher_policy()
-        result = SecureSession(prepared, policy).run()
+        result = evaluate_document(prepared, policy)
         assert result.events == reference_authorized_view(hospital, policy)
 
     def test_query_view_matches_reference(self, hospital, prepared):
         policy = doctor_policy("doctor0")
         query = "//Folder[//Age > 50]"
-        result = SecureSession(prepared, policy, query=query).run()
+        result = evaluate_document(prepared, policy, query=query)
         assert result.events == reference_authorized_view(
             hospital, policy, query=query
         )
 
     def test_brute_force_same_view(self, hospital, prepared):
         policy = secretary_policy()
-        skip = SecureSession(prepared, policy, use_skip_index=True).run()
-        brute = SecureSession(prepared, policy, use_skip_index=False).run()
+        skip = evaluate_document(prepared, policy, use_skip_index=True)
+        brute = evaluate_document(prepared, policy, use_skip_index=False)
         assert skip.events == brute.events
 
 
@@ -71,17 +70,17 @@ class TestCostAccounting:
         policy = secretary_policy()
         for scheme in ["ECB", "ECB-MHT"]:
             prepared = prepare_document(doc, scheme=scheme)
-            skip = SecureSession(prepared, policy, use_skip_index=True).run()
-            brute = SecureSession(prepared, policy, use_skip_index=False).run()
+            skip = evaluate_document(prepared, policy, use_skip_index=True)
+            brute = evaluate_document(prepared, policy, use_skip_index=False)
             assert skip.meter.bytes_transferred < brute.meter.bytes_transferred
             assert skip.meter.bytes_decrypted < brute.meter.bytes_decrypted
             assert skip.seconds < brute.seconds
 
     def test_brute_force_reads_whole_document(self, hospital):
         prepared = prepare_document(hospital, scheme="ECB")
-        result = SecureSession(
+        result = evaluate_document(
             prepared, secretary_policy(), use_skip_index=False
-        ).run()
+        )
         # Every payload byte crosses the channel (block-aligned).
         assert result.meter.bytes_decrypted >= prepared.encoded_size * 0.95
 
@@ -90,7 +89,7 @@ class TestCostAccounting:
         times = {}
         for scheme in ["ECB", "ECB-MHT", "CBC-SHAC", "CBC-SHA"]:
             prepared = prepare_document(hospital, scheme=scheme)
-            times[scheme] = SecureSession(prepared, policy).run().seconds
+            times[scheme] = evaluate_document(prepared, policy).seconds
         # Fig. 11 ordering: ECB < ECB-MHT < CBC-SHAC < CBC-SHA.
         assert times["ECB"] < times["ECB-MHT"]
         assert times["ECB-MHT"] < times["CBC-SHAC"]
@@ -100,16 +99,16 @@ class TestCostAccounting:
         prepared = prepare_document(hospital, scheme="ECB")
         for policy in [secretary_policy(), doctor_policy("doctor0"),
                        researcher_policy()]:
-            result = SecureSession(prepared, policy).run()
+            result = evaluate_document(prepared, policy)
             lwb = lwb_seconds(result.events, "smartcard")
             assert lwb <= result.seconds * 1.5  # near or below the real time
-            assert lwb <= SecureSession(
+            assert lwb <= evaluate_document(
                 prepared, policy, use_skip_index=False
-            ).run().seconds
+            ).seconds
 
     def test_breakdown_components_positive(self, hospital):
         prepared = prepare_document(hospital, scheme="ECB-MHT")
-        result = SecureSession(prepared, doctor_policy("doctor0")).run()
+        result = evaluate_document(prepared, doctor_policy("doctor0"))
         breakdown = result.breakdown
         assert breakdown.communication > 0
         assert breakdown.decryption > 0
@@ -120,7 +119,7 @@ class TestCostAccounting:
     def test_decryption_dominates_on_smartcard(self, hospital):
         # Fig. 9: decryption 53-60%, communication 30-38%, AC 2-15%.
         prepared = prepare_document(hospital, scheme="ECB")
-        result = SecureSession(prepared, doctor_policy("doctor0")).run()
+        result = evaluate_document(prepared, doctor_policy("doctor0"))
         shares = result.breakdown.shares()
         assert shares["decryption"] > shares["communication"]
         assert shares["communication"] > shares["access_control"]
@@ -128,8 +127,8 @@ class TestCostAccounting:
     def test_contexts_change_tradeoffs(self, hospital):
         prepared = prepare_document(hospital, scheme="ECB")
         policy = secretary_policy()
-        card = SecureSession(prepared, policy, context="smartcard").run()
-        lan = SecureSession(prepared, policy, context="sw-lan").run()
+        card = evaluate_document(prepared, policy, context="smartcard")
+        lan = evaluate_document(prepared, policy, context="sw-lan")
         assert lan.seconds < card.seconds
 
     def test_delivered_bytes_counts_text(self):
@@ -146,9 +145,8 @@ class TestTamperingEndToEnd:
     def test_tampered_document_detected_during_session(self, hospital):
         prepared = prepare_document(hospital, scheme="ECB-MHT")
         prepared.secure.stored[len(prepared.secure.stored) // 3] ^= 0x10
-        session = SecureSession(prepared, secretary_policy(), use_skip_index=False)
         with pytest.raises(IntegrityError):
-            session.run()
+            evaluate_document(prepared, secretary_policy(), use_skip_index=False)
 
     def test_ecb_session_not_protected(self, hospital):
         # Without integrity the pipeline may fail arbitrarily or return
@@ -157,9 +155,10 @@ class TestTamperingEndToEnd:
         # Tamper inside the document body (the header region before
         # root_offset is SOE-resident and never read back).
         prepared.secure.stored[len(prepared.secure.stored) // 2] ^= 0x01
-        session = SecureSession(prepared, secretary_policy(), use_skip_index=False)
         try:
-            result = session.run()
+            result = evaluate_document(
+                prepared, secretary_policy(), use_skip_index=False
+            )
         except Exception as error:  # garbled stream: decode errors are fine
             assert not isinstance(error, IntegrityError)
         else:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.integrity import SCHEMES, IntegrityError
-from repro.engine import DocumentPipeline, SecureStation
+from repro.engine import SecureStation, prepare_document
 from repro.skipindex.updates import UpdateOp
 from repro.store import LogStore, MemoryStore, StoreError, open_store
 from repro.xmlkit.serializer import serialize_events
@@ -69,11 +69,7 @@ def test_log_store_parity_all_schemes(tmp_path, scheme):
 
 
 def test_stored_bytes_identical_across_restart(tmp_path):
-    prepared = (
-        DocumentPipeline.publisher(scheme="ECB-MHT", key=KEY)
-        .run(source=DOC)
-        .prepared
-    )
+    prepared = prepare_document(DOC, scheme="ECB-MHT", key=KEY)
     reference = bytes(prepared.secure.stored)
 
     store = LogStore(str(tmp_path))

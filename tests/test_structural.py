@@ -27,6 +27,7 @@ from repro import (
     open_station,
 )
 from repro.crypto.chunks import ChunkLayout
+from repro.engine.pipeline import prepare_document
 from repro.engine.plans import compile_query, structural_steps
 from repro.engine.station import SecureStation
 from repro.metrics import Meter
@@ -39,7 +40,6 @@ from repro.skipindex.structural import (
     parse_structural_index,
 )
 from repro.skipindex.updates import UpdateOp, refresh_structural_index
-from repro.soe.session import prepare_document
 from repro.xmlkit.dom import Node
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize, serialize_events

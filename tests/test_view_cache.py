@@ -20,9 +20,13 @@ from repro.datasets.hospital import (
     researcher_policy,
     secretary_policy,
 )
-from repro.engine import SecureStation, compile_policy
+from repro.engine import (
+    SecureStation,
+    compile_policy,
+    evaluate_document,
+    prepare_document,
+)
 from repro.skipindex.updates import UpdateOp
-from repro.soe.session import SecureSession, prepare_document
 from repro.xmlkit.serializer import serialize_events
 
 CONFIG = HospitalConfig(
@@ -110,8 +114,8 @@ def test_cold_pruned_cached_views_identical(scheme):
     prepared = prepare_document(tree, scheme=scheme)
     for policy in profiles():
         plan = compile_policy(policy)
-        # The fig-bench path: SecureSession, cold (no pruning, no cache).
-        cold = SecureSession(prepared, plan).run()
+        # The fig-bench path: evaluate_document, cold (no pruning, no cache).
+        cold = evaluate_document(prepared, plan)
 
         pruned_station = SecureStation(cache_views=False, prune=True)
         pruned_station.publish("hospital", prepared)
@@ -129,19 +133,19 @@ def test_cold_pruned_cached_views_identical(scheme):
 
 
 def test_fig_bench_cold_path_unaffected_by_station_features():
-    """The paper-figure benches run SecureSession — enabling the view
+    """The paper-figure benches run evaluate_document — enabling the view
     cache and pruning on a station serving the same prepared document
     must not move a single simulated-cost counter on that path."""
     prepared = prepare_document(hospital_tree(), scheme="ECB")
     plan = compile_policy(secretary_policy())
-    before = SecureSession(prepared, plan).run()
+    before = evaluate_document(prepared, plan)
     station = make_station()  # cache + pruning on, same document content
     station.evaluate("hospital", "secretary")
     station.evaluate("hospital", "secretary")
-    after = SecureSession(prepared, plan).run()
+    after = evaluate_document(prepared, plan)
     assert after.meter.as_dict() == before.meter.as_dict()
     assert after.seconds == before.seconds
-    assert after.meter.pruned_subtrees == 0  # SecureSession never prunes
+    assert after.meter.pruned_subtrees == 0  # evaluate_document never prunes
 
 
 # ----------------------------------------------------------------------
