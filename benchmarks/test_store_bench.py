@@ -6,7 +6,7 @@ cache is pinned to 8 MiB — a working set ~25x the cache — then
 measures the three paths that matter operationally:
 
 * bulk publish throughput (``sync="batch"``: fsync deferred to flush),
-* cold reads (mmap fault + segment CRC verify + handle build),
+* cold reads (segment ``pread`` + CRC verify + handle build),
 * cache-hit reads (resident page, warmed handle).
 
 Asserts the cache-hit path is at least ``MIN_HIT_SPEEDUP``x the cold
@@ -33,7 +33,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 DOCS = int(os.environ.get("REPRO_STORE_BENCH_DOCS", "100000"))
 CACHE_BYTES = 8 * 1024 * 1024
 SAMPLE = 2000  # cold/hot read sample; always fits the 8 MiB cache
-#: Measured locally ~40x (cold ~200us: mmap fault + CRC + scheme
+#: Measured locally ~40x (cold ~200us: pread + CRC + scheme
 #: build; hit ~5us).  5x is the contract; anything below means the
 #: cache stopped doing its job.
 MIN_HIT_SPEEDUP = 5.0

@@ -351,7 +351,7 @@ class StationCluster:
             raise ClusterError("backend %r is not running" % name)
         node.thread.stop()
         node.alive = False
-        # Release the station's store (file lock, mmaps) so the same
+        # Release the station's store (file lock, log handles) so the same
         # node name — or another process — can reopen the directory;
         # the gateway still discovers the death by its failed forward.
         node.station.close()

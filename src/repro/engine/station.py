@@ -1316,7 +1316,7 @@ class SecureStation:
             events.append(Event(item[0], item[1]))
 
     def close(self) -> None:
-        """Release the document store (log/manifest handles, mmaps).
+        """Release the document store (log/manifest handles, lock).
         Idempotent — every owner in a teardown path may call it."""
         with self._lock:
             if self._closed:

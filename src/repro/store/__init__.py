@@ -11,8 +11,8 @@ now flows through:
   are plain in-process objects, nothing touches disk.  The default, so
   every existing caller is byte- and perf-identical.
 * :class:`LogStore` — a disk-backed store: an append-only encrypted
-  chunk log plus an fsync'd version manifest, mmap'd reads behind an
-  LRU page cache with a configurable byte budget, streaming publish
+  chunk log plus an fsync'd version manifest, ``pread`` reads behind
+  an LRU page cache with a configurable byte budget, streaming publish
   for documents larger than RAM, and crash recovery that truncates a
   torn tail record and replays the version chain so a restarted
   station serves byte-identical views at the pre-crash version.

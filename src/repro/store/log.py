@@ -42,18 +42,19 @@ must never move backwards); keep the newest valid entry per document.
 A restarted station therefore serves byte-identical views at exactly
 the pre-crash committed version.
 
-**Reads.** The log is mmap'd; chunk reads go through an LRU *page
-cache* of verified segment payloads bounded by ``cache_bytes``.  A
-miss CRC-checks the whole segment once (disk corruption surfaces here,
-before the crypto layer's MAC check) and caches it; a hit is a
-dictionary lookup — the cache-hit-vs-cold ratio the store benchmark
-guards.
+**Reads.** Chunk reads go through an LRU *page cache* of verified
+segment payloads bounded by ``cache_bytes``.  A miss reads the whole
+segment with one ``pread`` and CRC-checks it on its first read (disk
+corruption surfaces here, before the crypto layer's MAC check); a hit
+is a dictionary lookup — the cache-hit-vs-cold ratio the store
+benchmark guards.  A commit drops the cached pages of the document's
+segments that its new run map no longer references, so the cache
+holds live data only.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 import threading
@@ -334,7 +335,6 @@ class LogStore(ChunkStore):
         self._segment_offsets: List[int] = []
         self._pages: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
         self._page_bytes = 0
-        self._retired_maps: List[mmap.mmap] = []
         self.counters: Dict[str, int] = {
             "page_hits": 0,
             "page_misses": 0,
@@ -407,8 +407,6 @@ class LogStore(ChunkStore):
         generation = self._generation
         self._log = open(self._chunk_path(generation), "a+b")
         self._manifest = open(self._manifest_path(generation), "a+b")
-        self._map: Optional[mmap.mmap] = None
-        self._map_size = 0
         self._log_size = os.path.getsize(self._chunk_path(generation))
         if recover:
             self._recover()
@@ -576,20 +574,8 @@ class LogStore(ChunkStore):
         return chunk_size + (digest_size if has_digest else 0)
 
     # ------------------------------------------------------------------
-    # Reads: mmap + page cache
+    # Reads: pread + page cache
     # ------------------------------------------------------------------
-    def _ensure_map(self, end: int) -> mmap.mmap:
-        if self._map is None or self._map_size < end:
-            if self._map is not None:
-                self._retired_maps.append(self._map)
-            self._log.flush()
-            size = os.path.getsize(self._chunk_path(self._generation))
-            self._map = mmap.mmap(
-                self._log.fileno(), size, access=mmap.ACCESS_READ
-            )
-            self._map_size = size
-        return self._map
-
     def _segment_at(self, offset: int) -> _Segment:
         index = bisect_right(self._segment_offsets, offset) - 1
         if index < 0:
@@ -607,19 +593,19 @@ class LogStore(ChunkStore):
             self.counters["page_hits"] += 1
             return page
         self.counters["page_misses"] += 1
-        data = bytes(
-            self._ensure_map(segment.payload_offset + segment.payload_len)[
-                segment.payload_offset : segment.payload_offset
-                + segment.payload_len
-            ]
+        # The segment may still sit in the buffered writer.
+        self._log.flush()
+        data = os.pread(
+            self._log.fileno(), segment.payload_len, segment.payload_offset
         )
-        if not segment.verified:
-            if _crc(data) != segment.crc:
-                raise IntegrityError(
-                    "chunk log segment at offset %d failed its checksum"
-                    % segment.payload_offset
-                )
-            segment.verified = True
+        if len(data) != segment.payload_len or (
+            not segment.verified and _crc(data) != segment.crc
+        ):
+            raise IntegrityError(
+                "chunk log segment at offset %d failed its checksum"
+                % segment.payload_offset
+            )
+        segment.verified = True
         self._pages[key] = data
         self._page_bytes += len(data)
         while self._page_bytes > self.cache_bytes and len(self._pages) > 1:
@@ -657,6 +643,27 @@ class LogStore(ChunkStore):
             payload = self._segment_payload(generation, segment)
             return payload[start : start + length]
 
+    def _referenced_segments(self, state: _DocState) -> Set[int]:
+        """Payload offsets of the segments ``state`` reads from."""
+        offsets = [offset for _first, _count, offset in state.runs]
+        if state.index_span is not None:
+            offsets.append(state.index_span[0])
+        return {self._segment_at(offset).payload_offset for offset in offsets}
+
+    def _drop_dead_pages(
+        self, old: Optional[_DocState], new: _DocState
+    ) -> None:
+        """Evict the cached pages of ``old``'s segments that ``new`` no
+        longer references.  Segments are per-document, so no other
+        document loses a page."""
+        if old is None:
+            return
+        dead = self._referenced_segments(old) - self._referenced_segments(new)
+        for offset in dead:
+            page = self._pages.pop((self._generation, offset), None)
+            if page is not None:
+                self._page_bytes -= len(page)
+
     def _count_read(self, amount: int) -> None:
         with self._lock:
             self.counters["bytes_read"] += amount
@@ -677,15 +684,13 @@ class LogStore(ChunkStore):
                 bytes(payload),
             )
         )
-        header = _HEADER.pack(MAGIC, len(body), _crc(body))
-        self._log.write(header)
+        crc = _crc(body)
+        self._log.write(_HEADER.pack(MAGIC, len(body), crc))
         self._log.write(body)
         payload_offset = (
             self._log_size + _HEADER.size + len(body) - len(payload)
         )
-        segment = _Segment(
-            self._log_size + _HEADER.size, len(body), _crc(body)
-        )
+        segment = _Segment(self._log_size + _HEADER.size, len(body), crc)
         segment.verified = True
         self._segments.append(segment)
         self._segment_offsets.append(segment.payload_offset)
@@ -874,6 +879,7 @@ class LogStore(ChunkStore):
             )
             self._append_index_blob(state)
             self._commit(state)
+            self._drop_dead_pages(self._states.get(document_id), state)
             self._states[document_id] = state
             # Leave the handle cache cold: a bulk load (bench corpus,
             # cluster seeding) would otherwise pin a scheme + pager
@@ -977,6 +983,7 @@ class LogStore(ChunkStore):
             # entry always owns a live span.
             self._append_index_blob(state)
             self._commit(state)
+            self._drop_dead_pages(old, state)
             self._states[document_id] = state
             state.handle = None
             return self._handle(state).prepared
@@ -1092,7 +1099,7 @@ class LogStore(ChunkStore):
             old_generation = self._generation
             old_size = self._log_size
             new_generation = old_generation + 1
-            old_log, old_manifest, old_map = self._log, self._manifest, self._map
+            old_log, old_manifest = self._log, self._manifest
             old_segments = self._segments
             states = list(self._states.values())
             # Materialize every live document's records *before*
@@ -1120,10 +1127,6 @@ class LogStore(ChunkStore):
             self._log_size = 0
             self._pages.clear()
             self._page_bytes = 0
-            if old_map is not None:
-                self._retired_maps.append(old_map)
-            self._map = None
-            self._map_size = 0
             self._log = open(self._chunk_path(new_generation), "a+b")
             self._manifest = open(self._manifest_path(new_generation), "a+b")
             for state, record_size, stored, blob in materialized:
@@ -1181,12 +1184,6 @@ class LogStore(ChunkStore):
                 return
             self.flush()
             self._closed = True
-            if self._map is not None:
-                self._map.close()
-                self._map = None
-            for retired in self._retired_maps:
-                retired.close()
-            self._retired_maps = []
             self._log.close()
             self._manifest.close()
             try:

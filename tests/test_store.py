@@ -10,9 +10,10 @@ Three families of guarantees:
   or a kill between the log append and the manifest commit must all
   recover to the last committed state; a manifest whose version chain
   rolls backwards must refuse to load (replay protection).
-* **Resource discipline** — the page cache respects its byte budget,
-  ``compact`` reclaims superseded records, ``close`` is idempotent and
-  releases the directory lock.
+* **Resource discipline** — the page cache respects its byte budget
+  and holds only live segments, reads map nothing, ``compact``
+  reclaims superseded records and releases the old generation,
+  ``close`` is idempotent and releases the directory lock.
 """
 
 import os
@@ -315,6 +316,119 @@ def test_compact_reclaims_and_preserves_views(tmp_path):
 
     with SecureStation(store=LogStore(directory)) as restarted:
         assert view_of(restarted) == expected
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+
+
+def _mapped_chunk_logs(directory):
+    prefix = os.path.join(os.path.realpath(directory), "chunks-")
+    with open("/proc/self/maps") as handle:
+        return [line.rstrip("\n") for line in handle if prefix in line]
+
+
+def _open_chunk_logs(directory):
+    prefix = os.path.join(os.path.realpath(directory), "chunks-")
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            targets.append(os.readlink(os.path.join("/proc/self/fd", fd)))
+        except OSError:  # the listing's own descriptor is gone already
+            pass
+    return [target for target in targets if target.startswith(prefix)]
+
+
+@needs_proc
+def test_reads_map_nothing_and_compact_releases_old_generation(tmp_path):
+    directory = str(tmp_path)
+    store = LogStore(directory)
+    with SecureStation(store=store) as station:
+        publish(station)
+        for index in range(50):
+            station.update(
+                "doc", UpdateOp.set_text((index % 14, 0), "pass %02d" % index)
+            )
+            view_of(station)
+        assert _mapped_chunk_logs(directory) == []
+        expected = view_of(station)
+
+        stats = store.compact()
+        assert stats["reclaimed_bytes"] > 0
+        old_log = "chunks-%06d.log" % (stats["generation"] - 1)
+        pinned = _mapped_chunk_logs(directory) + _open_chunk_logs(directory)
+        assert [ref for ref in pinned if old_log in ref] == []
+        assert view_of(station) == expected
+        assert _mapped_chunk_logs(directory) == []
+
+
+BOUNDED_SCHEMES = ("ECB-MHT", "CBC-SHAC", "CBC-SHA", "ECB")
+
+
+def _live_segment_bytes(store):
+    """Payload bytes of the segments the live runs and index spans
+    reference."""
+    live = {}
+    for state in store._states.values():
+        offsets = [offset for _first, _count, offset in state.runs]
+        if state.index_span is not None:
+            offsets.append(state.index_span[0])
+        for offset in offsets:
+            segment = store._segment_at(offset)
+            live[segment.payload_offset] = segment.payload_len
+    return sum(live.values())
+
+
+def _read_all(store, ids):
+    """Read every record of ``ids`` in order; returns the bytes and the
+    page hits and misses the pass cost."""
+    before = store.describe()
+    data = {
+        document_id: bytes(store.get(document_id).prepared.secure.stored)
+        for document_id in ids
+    }
+    after = store.describe()
+    return (
+        data,
+        after["page_hits"] - before["page_hits"],
+        after["page_misses"] - before["page_misses"],
+    )
+
+
+def test_page_cache_is_bounded_by_live_data(tmp_path):
+    directory = str(tmp_path)
+    rng = random.Random(5)
+    ids = ["doc-%s" % scheme for scheme in BOUNDED_SCHEMES]
+    store = LogStore(directory)
+    with SecureStation(store=store) as station:
+        for document_id, scheme in zip(ids, BOUNDED_SCHEMES):
+            publish(station, document_id, scheme=scheme)
+        for step in range(100):
+            document_id = ids[step % len(ids)]
+            segments = store.describe()["segments"]
+            station.update(
+                document_id,
+                UpdateOp.set_text((rng.randrange(14), 1), str(rng.randint(10, 99))),
+            )
+            appended = store.describe()["segments"] - segments
+            # Only the segments the update appended are cold: the
+            # commit dropped dead pages, never live ones.
+            _data, _hits, misses = _read_all(store, [document_id])
+            assert misses <= appended
+        assert store.describe()["cache_used_bytes"] <= _live_segment_bytes(store)
+        views = {document_id: view_of(station, document_id) for document_id in ids}
+        warm, warm_hits, warm_misses = _read_all(store, ids)
+    assert warm_misses == 0
+
+    with SecureStation(store=LogStore(directory)) as fresh:
+        assert {
+            document_id: view_of(fresh, document_id) for document_id in ids
+        } == views
+        _read_all(fresh.store, ids)
+        cold, fresh_hits, fresh_misses = _read_all(fresh.store, ids)
+    assert cold == warm
+    assert (fresh_hits, fresh_misses) == (warm_hits, 0)
 
 
 def test_close_is_idempotent_and_releases_lock(tmp_path):
