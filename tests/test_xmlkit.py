@@ -182,6 +182,91 @@ class TestParser:
         with pytest.raises(XmlSyntaxError):
             parse_document("<a/>junk")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<1a/>", "invalid tag name '1a' (at offset 0)"),
+            ("<a$b>", "invalid tag name 'a$b' (at offset 0)"),
+            ("<a b>", "malformed attribute in 'a b' (at offset 0)"),
+            ("<a b=c>", "unquoted attribute value in 'a b=c' (at offset 0)"),
+            ('<a b="x>', "unterminated attribute value (at offset 0)"),
+            ("<>", "empty tag (at offset 0)"),
+            ('<a ="1"/>', "invalid attribute name '' (at offset 0)"),
+            ("<a/ >", "invalid tag name 'a/' (at offset 0)"),
+            ("<a><1b/></a>", "invalid tag name '1b' (at offset 3)"),
+            # A body seen valid before must not mask a later bad one.
+            ("<a><b/><b/><b$/></a>", "invalid tag name 'b$' (at offset 11)"),
+            ("<a><b></b><b><b$></b></a>", "invalid tag name 'b$' (at offset 13)"),
+            (
+                "<a><b></a>",
+                "mismatched closing tag: expected 'b', got 'a' (at offset 6)",
+            ),
+        ],
+    )
+    def test_tag_body_errors_are_pinned(self, text, message):
+        with pytest.raises(XmlSyntaxError) as caught:
+            list(iter_events(text))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text, events",
+        [
+            ("<a >x</a >", [(0, "a"), (1, "x"), (2, "a")]),
+            ("< a></ a>", [(0, "a"), (2, "a")]),
+            ("<a/>", [(0, "a"), (2, "a")]),
+            ('<a x="1"/>', [(0, "a"), (0, "@x"), (1, "1"), (2, "@x"), (2, "a")]),
+            (
+                "<a><b k=\"v\" j='w'/></a>",
+                [
+                    (0, "a"), (0, "b"),
+                    (0, "@k"), (1, "v"), (2, "@k"),
+                    (0, "@j"), (1, "w"), (2, "@j"),
+                    (2, "b"), (2, "a"),
+                ],
+            ),
+            (
+                '<a><b k=""/></a>',
+                [(0, "a"), (0, "b"), (0, "@k"), (2, "@k"), (2, "b"), (2, "a")],
+            ),
+            (
+                '<a><b/><b/><b x="1"></b ></a>',
+                [
+                    (0, "a"), (0, "b"), (2, "b"), (0, "b"), (2, "b"),
+                    (0, "b"), (0, "@x"), (1, "1"), (2, "@x"), (2, "b"),
+                    (2, "a"),
+                ],
+            ),
+            (
+                '<a><b k="&lt;"/><b k="&lt;"/></a>',
+                [
+                    (0, "a"),
+                    (0, "b"), (0, "@k"), (1, "<"), (2, "@k"), (2, "b"),
+                    (0, "b"), (0, "@k"), (1, "<"), (2, "@k"), (2, "b"),
+                    (2, "a"),
+                ],
+            ),
+            (
+                '<a\tb="1"\n/>',
+                [(0, "a"), (0, "@b"), (1, "1"), (2, "@b"), (2, "a")],
+            ),
+            (
+                '<a b="1"c="2"/>',
+                [
+                    (0, "a"),
+                    (0, "@b"), (1, "1"), (2, "@b"),
+                    (0, "@c"), (1, "2"), (2, "@c"),
+                    (2, "a"),
+                ],
+            ),
+        ],
+    )
+    def test_tag_body_event_streams_are_pinned(self, text, events):
+        assert [tuple(event) for event in iter_events(text)] == events
+
+    def test_ignored_attributes_keep_self_closing_tags(self):
+        events = [tuple(e) for e in iter_events('<a><b x="1"/><b/></a>', "ignore")]
+        assert events == [(0, "a"), (0, "b"), (2, "b"), (0, "b"), (2, "b"), (2, "a")]
+
     def test_iter_events_streaming(self):
         events = list(iter_events("<a><b>x</b></a>"))
         assert events == [
