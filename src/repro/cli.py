@@ -105,7 +105,7 @@ def cmd_encode(args) -> int:
         handle.write(encoded.data)
     print(
         "encoded %d elements into %d bytes (%d dictionary entries, "
-        "%d fixpoint rounds)"
+        "at most %d sizing rounds per element)"
         % (
             tree.count_elements(),
             len(encoded.data),

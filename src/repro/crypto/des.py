@@ -120,16 +120,22 @@ def _rotate28(value: int, count: int) -> int:
 # Bit permutations are linear: permuting a value equals OR-ing the
 # permutations of its bytes.  Each per-byte table below therefore holds
 # the permutation of `byte << shift` for all 256 byte values, turning a
-# 64-entry bit loop per block into eight table lookups.
+# 64-entry bit loop per block into eight table lookups.  By the same
+# linearity each row is built from its 8 single-bit images: a value's
+# image is the image of the value without its lowest set bit, OR-ed with
+# that bit's image.
 
 
 def _byte_tables(width: int, table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     tables = []
     for byte_index in range(width // 8):
         shift = width - 8 * (byte_index + 1)
-        tables.append(
-            tuple(_permute(value << shift, width, table) for value in range(256))
-        )
+        bit_images = [_permute(1 << (shift + bit), width, table) for bit in range(8)]
+        row = [0] * 256
+        for value in range(1, 256):
+            low = value & -value
+            row[value] = row[value ^ low] | bit_images[low.bit_length() - 1]
+        tables.append(tuple(row))
     return tuple(tables)
 
 

@@ -14,7 +14,8 @@ per element:
 
 Modules:
 
-* :mod:`repro.skipindex.bitio` — bit-level readers/writers;
+* :mod:`repro.skipindex.bitio` — the bit-level reader, field widths
+  and varint helpers;
 * :mod:`repro.skipindex.encoder` — the TCSBR encoder (the Skip index
   proper) producing a self-delimiting binary document;
 * :mod:`repro.skipindex.decoder` — the streaming decoder and the

@@ -1,15 +1,17 @@
-"""Bit-level writer/reader used by the Skip-index encodings.
+"""Bit-level reading and field widths for the Skip-index encodings.
 
 The paper's metadata fields have data-dependent bit widths
 (``log2(|DescTag_parent|)`` bits for a tag code, ``log2(SubtreeSize_
 parent)`` bits for a size) and "need be aligned on a byte frontier" per
-element.  :class:`BitWriter`/:class:`BitReader` provide exactly that:
-fixed-width big-endian bit fields, byte alignment, varints and raw
-bytes.
+element.  :class:`BitReader` reads exactly that: fixed-width big-endian
+bit fields, byte alignment, varints and raw bytes.  The encoder packs
+each byte-aligned item header into one integer instead of writing it
+bit by bit, so only the varint helpers are shared on the write side.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
 
 
 def bits_for(n: int) -> int:
@@ -30,64 +32,32 @@ def bits_for_count(count: int) -> int:
     return (count - 1).bit_length()
 
 
-class BitWriter:
-    """Append-only big-endian bit stream."""
+def varint_size(value: int) -> int:
+    """Bytes of the LEB128 varint encoding ``value``."""
+    size = 1
+    while value >= 0x80:
+        value >>= 7
+        size += 1
+    return size
 
-    def __init__(self):
-        self._bytes = bytearray()
-        self._bit_pos = 0  # bits already used in the last byte (0..7)
 
-    def write_bits(self, value: int, width: int) -> None:
-        """Write ``value`` in ``width`` bits (most significant first)."""
-        if width < 0:
-            raise ValueError("negative width")
-        if width == 0:
-            return
-        if value < 0 or value >> width:
-            raise ValueError("value %d does not fit in %d bits" % (value, width))
-        remaining = width
-        while remaining > 0:
-            if self._bit_pos == 0:
-                self._bytes.append(0)
-            free = 8 - self._bit_pos
-            take = min(free, remaining)
-            chunk = (value >> (remaining - take)) & ((1 << take) - 1)
-            self._bytes[-1] |= chunk << (free - take)
-            self._bit_pos = (self._bit_pos + take) % 8
-            remaining -= take
+def put_varint(out: bytearray, value: int) -> None:
+    """Append ``value`` as a LEB128 unsigned varint (``ValueError`` if
+    negative)."""
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
 
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(1 if bit else 0, 1)
 
-    def align(self) -> None:
-        """Pad with zero bits to the next byte frontier."""
-        self._bit_pos = 0
-
-    def write_bytes(self, data: bytes) -> None:
-        """Write raw bytes (aligns first)."""
-        self.align()
-        self._bytes.extend(data)
-
-    def write_varint(self, value: int) -> None:
-        """LEB128 unsigned varint (aligns first)."""
-        if value < 0:
-            raise ValueError("varint must be non-negative")
-        self.align()
-        while True:
-            byte = value & 0x7F
+def put_varints(out: bytearray, values: Iterable[int]) -> None:
+    """:func:`put_varint` for each of ``values``, in one loop."""
+    append = out.append
+    for value in values:
+        while value >= 0x80:
+            append((value & 0x7F) | 0x80)
             value >>= 7
-            if value:
-                self._bytes.append(byte | 0x80)
-            else:
-                self._bytes.append(byte)
-                return
-
-    def tell(self) -> int:
-        """Current size in bytes (including a partially filled byte)."""
-        return len(self._bytes)
-
-    def getvalue(self) -> bytes:
-        return bytes(self._bytes)
+        append(value)
 
 
 class BitReader:

@@ -30,19 +30,28 @@ Concrete layout (our concretization of the paper's scheme; DESIGN.md §6)::
 with ``w_code = bits_for_count(|parent_desc| + 1)`` and ``w_size =
 bits_for(parent_content_size)`` — except at the root, whose size field
 is a fixed 32 bits (it has no parent).  Field widths depend on sizes
-that depend on field widths; :func:`encode_document` resolves the
-recursion with a bottom-up fixpoint (it converges in a handful of
-rounds because sizes grow monotonically).
+that depend on field widths, but only locally: an element's content
+size depends on its own subtree and on ``bits_for(own content size)``
+(the width of its internal children's size fields).
+:func:`encode_document` therefore sizes each element once, bottom-up,
+iterating that one width from 0 to its least fixpoint (sizes grow
+monotonically, so it settles in a round or two).
 
 Byte alignment: every item header is padded to a byte frontier before
-raw bytes follow, matching the paper's size accounting.
+raw bytes follow, matching the paper's size accounting; the encoder
+packs each header into one integer and appends it whole.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Union
 
-from repro.skipindex.bitio import BitWriter, bits_for, bits_for_count
+from repro.skipindex.bitio import (
+    bits_for,
+    bits_for_count,
+    put_varint,
+    varint_size,
+)
 from repro.xmlkit.dictionary import TagDictionary
 from repro.xmlkit.dom import Node
 
@@ -50,43 +59,24 @@ MAGIC = b"XSKP"
 VERSION = 1
 ROOT_SIZE_BITS = 32
 
-_TEXT = 0
-_ELEM = 1
-
-
-def _varint_size(value: int) -> int:
-    size = 1
-    while value >= 0x80:
-        value >>= 7
-        size += 1
-    return size
-
 
 class _Elem:
-    """Internal analysis node: merged items + descendant tag set."""
+    """Analysis node: one element, sized once its subtree is known.
 
-    __slots__ = (
-        "tag",
-        "items",
-        "desc_tags",
-        "desc_list",
-        "content_size",
-        "text",
-        "header_bytes",
-    )
+    ``mask`` is the descendant-tag set as a bitmask over dictionary
+    codes; 0 marks a leaf, which keeps its UTF-8 text in ``text``.  An
+    internal element also has ``items`` (merged text runs as ``bytes``
+    and child ``_Elem``, in document order), ``codes`` (the descendant
+    set as an ascending code list: the order of the TagArray bitmap and
+    of child tag codes) and ``size`` (its content size).
+    """
 
-    def __init__(self, tag: str):
-        self.tag = tag
-        self.items: List[Tuple[int, object]] = []  # (_TEXT, str) | (_ELEM, _Elem)
-        self.desc_tags: frozenset = frozenset()
-        self.desc_list: Tuple[str, ...] = ()
-        self.content_size = 0  # bytes of the children region (internal only)
-        self.text = ""  # leaf text
-        self.header_bytes = 0
+    __slots__ = ("code", "mask", "text", "items", "codes", "size")
 
-    @property
-    def is_internal(self) -> bool:
-        return any(kind == _ELEM for kind, _item in self.items)
+    def __init__(self, code: int, text: bytes = b""):
+        self.code = code
+        self.mask = 0
+        self.text = text
 
 
 class EncodingStats:
@@ -96,6 +86,7 @@ class EncodingStats:
         self.total_bytes = 0
         self.text_bytes = 0
         self.dictionary_bytes = 0
+        # Most width rounds any one element needed (see the module doc).
         self.fixpoint_rounds = 0
 
     @property
@@ -142,144 +133,128 @@ class EncodedDocument:
         )
 
 
-def _analyze(node: Node) -> _Elem:
-    """Build the analysis tree: merge adjacent text, collect DescTag."""
-    elem = _Elem(node.tag)
-    tags: set = set()
-    pending_text: List[str] = []
+def _analyze(
+    node: Node, code_of: Callable[[str], int], stats: EncodingStats
+) -> _Elem:
+    """Build and size ``node``'s analysis subtree in one pre-order walk.
 
-    def flush_text() -> None:
-        if pending_text:
-            elem.items.append((_TEXT, "".join(pending_text)))
-            del pending_text[:]
-
+    ``code_of`` maps a tag to its dictionary code (registering it when
+    the encoder builds the dictionary itself).  Adjacent text children
+    merge into one text item, as the decoder will see them.
+    """
+    code = code_of(node.tag)
+    items: List[Union[bytes, _Elem]] = []
+    pending: Optional[str] = None
+    mask = 0
     for child in node.children:
-        if isinstance(child, str):
-            pending_text.append(child)
+        if child.__class__ is str:
+            pending = child if pending is None else pending + child
+            continue
+        if pending is not None:
+            items.append(pending.encode("utf-8"))
+            pending = None
+        sub = _analyze(child, code_of, stats)
+        items.append(sub)
+        mask |= (1 << sub.code) | sub.mask
+    if not mask:
+        return _Elem(code, b"" if pending is None else pending.encode("utf-8"))
+    if pending is not None:
+        items.append(pending.encode("utf-8"))
+    elem = _Elem(code)
+    elem.mask = mask
+    elem.items = items
+    elem.codes = codes = []
+    while mask:
+        low = mask & -mask
+        codes.append(low.bit_length() - 1)
+        mask ^= low
+    # Child headers: text = code | pad; leaf = code | flag | pad;
+    # internal = code | flag | TagArray | SubtreeSize | pad, where only
+    # the SubtreeSize width depends on this element's own size.
+    code_width = bits_for_count(len(codes) + 1)
+    text_header = (code_width + 7) >> 3
+    leaf_header = (code_width + 8) >> 3
+    fixed_bits = code_width + 1 + len(codes) + 7  # +7 rounds up to bytes
+    base = 0
+    internal_children = 0
+    for item in items:
+        if item.__class__ is bytes:
+            length = len(item)
+            base += text_header + varint_size(length) + length
+        elif item.mask:  # type: ignore[union-attr]
+            base += item.size  # type: ignore[union-attr]
+            internal_children += 1
         else:
-            flush_text()
-            sub = _analyze(child)
-            elem.items.append((_ELEM, sub))
-            tags.add(sub.tag)
-            tags |= sub.desc_tags
-    flush_text()
-    elem.desc_tags = frozenset(tags)
-    if not elem.is_internal:
-        elem.text = "".join(
-            item for kind, item in elem.items if kind == _TEXT  # type: ignore[misc]
-        )
-    return elem
-
-
-def _order_desc_list(tags: frozenset, dictionary: TagDictionary) -> Tuple[str, ...]:
-    return tuple(sorted(tags, key=dictionary.code))
-
-
-def _compute_sizes(
-    root: _Elem, dictionary: TagDictionary, stats: EncodingStats
-) -> None:
-    """Bottom-up fixpoint over content sizes and field widths."""
-    all_tags = frozenset(dictionary.tags())
-    root_parent_desc = _order_desc_list(all_tags, dictionary)
-
-    def sizing_pass() -> bool:
-        changed = False
-
-        def visit(
-            elem: _Elem, parent_desc: Sequence[str], parent_size_bits: int
-        ) -> int:
-            """Return the full record size of ``elem``; update content_size."""
-            code_width = bits_for_count(len(parent_desc) + 1)
-            header_bits = code_width + 1  # code + internal flag
-            if elem.is_internal:
-                header_bits += len(parent_desc) + parent_size_bits
-            header_bytes = (header_bits + 7) // 8
-            elem.header_bytes = header_bytes
-            if not elem.is_internal:
-                text = elem.text.encode("utf-8")
-                return header_bytes + _varint_size(len(text)) + len(text)
-            desc = _order_desc_list(elem.desc_tags, dictionary)
-            elem.desc_list = desc
-            child_size_bits = bits_for(elem.content_size)
-            child_code_width = bits_for_count(len(desc) + 1)
-            content = 0
-            for kind, item in elem.items:
-                if kind == _TEXT:
-                    text = item.encode("utf-8")  # type: ignore[union-attr]
-                    content += (
-                        (child_code_width + 7) // 8
-                        + _varint_size(len(text))
-                        + len(text)
-                    )
-                else:
-                    content += visit(  # type: ignore[arg-type]
-                        item, desc, child_size_bits
-                    )
-            if content != elem.content_size:
-                elem.content_size = content
-                nonlocal_changed[0] = True
-            return elem.header_bytes + content
-
-        nonlocal_changed = [False]
-        visit(root, root_parent_desc, ROOT_SIZE_BITS)
-        changed = nonlocal_changed[0]
-        return changed
-
+            length = len(item.text)  # type: ignore[union-attr]
+            base += leaf_header + varint_size(length) + length
+    # Least fixpoint of size = base + n * header(bits_for(size)), from 0.
+    size = 0
     rounds = 0
-    while sizing_pass():
+    while True:
+        planned = base + internal_children * ((fixed_bits + bits_for(size)) >> 3)
+        if planned == size:
+            break
+        size = planned
         rounds += 1
         if rounds > 64:
             raise RuntimeError("Skip-index sizing fixpoint did not converge")
-    stats.fixpoint_rounds = rounds
+    elem.size = size
+    if rounds > stats.fixpoint_rounds:
+        stats.fixpoint_rounds = rounds
+    return elem
 
 
 def _emit(
     elem: _Elem,
-    writer: BitWriter,
-    parent_desc: Sequence[str],
-    parent_size_bits: int,
-    dictionary: TagDictionary,
-    stats: EncodingStats,
-) -> None:
-    code_width = bits_for_count(len(parent_desc) + 1)
-    code = parent_desc.index(elem.tag) + 1
-    writer.write_bits(code, code_width)
-    internal = elem.is_internal
-    writer.write_bit(1 if internal else 0)
-    if not internal:
-        text = elem.text.encode("utf-8")
-        writer.write_varint(len(text))
-        writer.write_bytes(text)
-        stats.text_bytes += len(text)
-        return
-    desc = elem.desc_list
-    desc_set = elem.desc_tags
-    bitmap = 0
-    for tag in parent_desc:
-        bitmap = (bitmap << 1) | (1 if tag in desc_set else 0)
-    writer.write_bits(bitmap, len(parent_desc))
-    writer.write_bits(elem.content_size, parent_size_bits)
-    writer.align()
-    start = writer.tell()
-    child_size_bits = bits_for(elem.content_size)
-    child_code_width = bits_for_count(len(desc) + 1)
-    for kind, item in elem.items:
-        if kind == _TEXT:
-            writer.write_bits(_TEXT, child_code_width)
-            text = item.encode("utf-8")  # type: ignore[union-attr]
-            writer.write_varint(len(text))
-            writer.write_bytes(text)
-            stats.text_bytes += len(text)
+    out: bytearray,
+    parent_codes: List[int],
+    parent_mask: int,
+    size_bits: int,
+) -> int:
+    """Append ``elem``'s item to ``out``; return its text bytes.
+
+    The header (code | flag | TagArray | SubtreeSize, then pad) is
+    packed into one integer and appended with one ``to_bytes``.
+    """
+    count = len(parent_codes)
+    # code | internal flag (0 for now); a child's code is its rank in
+    # the parent's code-ordered descendant list, plus one.
+    value = ((parent_mask & ((1 << elem.code) - 1)).bit_count() + 1) << 1
+    bits = bits_for_count(count + 1) + 1
+    mask = elem.mask
+    if mask:
+        value |= 1
+        for candidate in parent_codes:  # TagArray over the parent's list
+            value = (value << 1) | ((mask >> candidate) & 1)
+        value = (value << size_bits) | elem.size
+        bits += count + size_bits
+    header = (bits + 7) >> 3
+    out += (value << (header * 8 - bits)).to_bytes(header, "big")
+    if not mask:
+        text = elem.text
+        put_varint(out, len(text))
+        out += text
+        return len(text)
+    start = len(out)
+    codes = elem.codes
+    child_size_bits = bits_for(elem.size)
+    text_header = bytes((bits_for_count(len(codes) + 1) + 7) >> 3)
+    text_bytes = 0
+    for item in elem.items:
+        if item.__class__ is bytes:
+            out += text_header
+            put_varint(out, len(item))
+            out += item  # type: ignore[operator]
+            text_bytes += len(item)
         else:
-            _emit(  # type: ignore[arg-type]
-                item, writer, desc, child_size_bits, dictionary, stats
-            )
-    emitted = writer.tell() - start
-    if emitted != elem.content_size:
+            text_bytes += _emit(item, out, codes, mask, child_size_bits)
+    emitted = len(out) - start
+    if emitted != elem.size:
         raise AssertionError(
-            "size mismatch for <%s>: planned %d, emitted %d"
-            % (elem.tag, elem.content_size, emitted)
+            "size mismatch for tag code %d: planned %d, emitted %d"
+            % (elem.code, elem.size, emitted)
         )
+    return text_bytes
 
 
 def encode_document(
@@ -288,28 +263,30 @@ def encode_document(
     """Encode a DOM tree into the TCSBR Skip-index format.
 
     ``dictionary`` defaults to the tree's own tag dictionary (first-seen
-    order).  Raises ``KeyError`` if a supplied dictionary misses tags.
+    order, built during the analysis walk).  Raises ``KeyError`` if a
+    supplied dictionary misses tags.
     """
-    if dictionary is None:
-        dictionary = TagDictionary.from_tree(root)
     stats = EncodingStats()
-    analyzed = _analyze(root)
-    _compute_sizes(analyzed, dictionary, stats)
+    if dictionary is None:
+        dictionary = TagDictionary()
+        analyzed = _analyze(root, dictionary.add, stats)
+    else:
+        analyzed = _analyze(root, dictionary.code, stats)
 
-    writer = BitWriter()
-    writer.write_bytes(MAGIC)
-    writer.write_bytes(bytes([VERSION]))
-    writer.write_varint(len(dictionary))
-    for tag in dictionary.tags():
+    out = bytearray(MAGIC)
+    out.append(VERSION)
+    put_varint(out, len(dictionary))
+    for tag in dictionary:
         encoded = tag.encode("utf-8")
-        writer.write_varint(len(encoded))
-        writer.write_bytes(encoded)
-    stats.dictionary_bytes = writer.tell()
-    root_offset = writer.tell()
+        put_varint(out, len(encoded))
+        out += encoded
+    root_offset = len(out)
+    stats.dictionary_bytes = root_offset
 
-    all_tags = frozenset(dictionary.tags())
-    root_parent_desc = _order_desc_list(all_tags, dictionary)
-    _emit(analyzed, writer, root_parent_desc, ROOT_SIZE_BITS, dictionary, stats)
-    data = writer.getvalue()
+    count = len(dictionary)
+    stats.text_bytes = _emit(
+        analyzed, out, list(range(count)), (1 << count) - 1, ROOT_SIZE_BITS
+    )
+    data = bytes(out)
     stats.total_bytes = len(data)
     return EncodedDocument(data, dictionary, stats, root_offset)

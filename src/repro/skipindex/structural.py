@@ -5,8 +5,8 @@ skip-pruning, visiting a sibling's header decrypts the whole chunk the
 header lives in, so query cost stays linear in document size.  This
 module builds, at publish time (over the plaintext TCSBR encoding), a
 flat table of every item in the document — offsets, sizes, tags and
-descendant-tag bitmaps — plus the classic ``(pre, post, level)``
-numbering over elements.
+descendant-tag bitmaps — plus dense ``pre`` numbers and parent links
+over elements.
 
 Because the TCSBR encoding is self-delimiting, byte-interval nesting
 and pre/post containment coincide: element ``a`` is an ancestor of
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accesscontrol.navigation import SubtreeMeta
 from repro.metrics import Meter
-from repro.skipindex.bitio import BitReader, bits_for, bits_for_count
+from repro.skipindex.bitio import bits_for, bits_for_count, put_varints
 from repro.skipindex.decoder import SkipIndexNavigator, _OpenFrame
 from repro.skipindex.encoder import ROOT_SIZE_BITS, EncodedDocument
 from repro.xmlkit.dictionary import TagDictionary
@@ -60,19 +60,6 @@ ITEM_INTERNAL = 2
 
 class StructuralIndexError(ValueError):
     """Raised on malformed or inconsistent index blobs."""
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varint must be non-negative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
 
 
 class _BlobReader:
@@ -120,8 +107,9 @@ class StructuralIndex:
         descs[i]     descendant-tag bitmap over global codes (internal)
 
     Elements additionally get dense ``pre`` numbers (index into the
-    ``elem_*`` arrays), ``post`` numbers (close order) and ``level``
-    (root = 0) — derived from the byte intervals, never persisted.
+    ``elem_*`` arrays) and their parent's ``pre`` (-1 for the root) —
+    derived from the byte intervals, never persisted.  Post order needs
+    no array: the byte intervals already give it.
 
     ``total_size`` / ``root_offset`` / ``tag_count`` fingerprint the
     encoding the index was built from; :meth:`matches_document` is the
@@ -140,8 +128,6 @@ class StructuralIndex:
         "descs",
         "elem_items",
         "elem_parent",
-        "elem_level",
-        "elem_post",
         "_elems_by_tag",
     )
 
@@ -171,33 +157,27 @@ class StructuralIndex:
 
     # ------------------------------------------------------------------
     def _derive_elements(self) -> None:
-        """Replay the item table once to assign pre/post/level/parent."""
+        """Replay the item table once to assign pre numbers and parents."""
         elem_items: List[int] = []
         elem_parent: List[int] = []
-        elem_level: List[int] = []
-        elem_post: List[int] = []
-        open_stack: List[Tuple[int, int]] = []  # (pre, end)
-        post = 0
+        open_pres: List[int] = []
+        open_ends: List[int] = []
+        starts = self.starts
+        contents = self.contents
+        sizes = self.sizes
         for item, kind in enumerate(self.kinds):
-            start = self.starts[item]
-            while open_stack and start >= open_stack[-1][1]:
-                elem_post[open_stack.pop()[0]] = post
-                post += 1
+            start = starts[item]
+            while open_ends and start >= open_ends[-1]:
+                open_ends.pop()
+                open_pres.pop()
             if kind == ITEM_TEXT:
                 continue
-            pre = len(elem_items)
+            elem_parent.append(open_pres[-1] if open_pres else -1)
+            open_pres.append(len(elem_items))
+            open_ends.append(contents[item] + sizes[item])
             elem_items.append(item)
-            elem_parent.append(open_stack[-1][0] if open_stack else -1)
-            elem_level.append(len(open_stack))
-            elem_post.append(-1)
-            open_stack.append((pre, self.contents[item] + self.sizes[item]))
-        while open_stack:
-            elem_post[open_stack.pop()[0]] = post
-            post += 1
         self.elem_items = elem_items
         self.elem_parent = elem_parent
-        self.elem_level = elem_level
-        self.elem_post = elem_post
 
     # ------------------------------------------------------------------
     @property
@@ -259,7 +239,7 @@ class StructuralIndex:
             if position == 0:
                 if axis == "/":
                     candidates = {
-                        pre for pre in with_tag if self.elem_level[pre] == 0
+                        pre for pre in with_tag if self.elem_parent[pre] < 0
                     }
                 else:
                     candidates = set(with_tag)
@@ -339,22 +319,21 @@ class StructuralIndex:
         out = bytearray()
         out += INDEX_MAGIC
         out.append(INDEX_VERSION)
-        _write_varint(out, self.total_size)
-        _write_varint(out, self.root_offset)
-        _write_varint(out, self.tag_count)
-        _write_varint(out, len(self.kinds))
+        # Every field is a varint; an item's kind (< 0x80) is its own
+        # one-byte varint.
+        fields = [self.total_size, self.root_offset, self.tag_count, len(self.kinds)]
+        starts = self.starts
         previous_start = 0
         for item, kind in enumerate(self.kinds):
-            start = self.starts[item]
-            out.append(kind)
-            _write_varint(out, start - previous_start)
-            _write_varint(out, self.contents[item] - start)
-            _write_varint(out, self.sizes[item])
+            start = starts[item]
+            fields += (kind, start - previous_start, self.contents[item] - start)
+            fields.append(self.sizes[item])
             if kind != ITEM_TEXT:
-                _write_varint(out, self.tags[item])
-            if kind == ITEM_INTERNAL:
-                _write_varint(out, self.descs[item])
+                fields.append(self.tags[item])
+                if kind == ITEM_INTERNAL:
+                    fields.append(self.descs[item])
             previous_start = start
+        put_varints(out, fields)
         return bytes(out)
 
     def __eq__(self, other) -> bool:
@@ -423,19 +402,36 @@ def parse_structural_index(blob: bytes) -> StructuralIndex:
 
 
 # ----------------------------------------------------------------------
+def _read_varint(data, pos: int) -> Tuple[int, int]:
+    """LEB128 varint at ``pos`` → ``(value, next position)``."""
+    value = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise EOFError("varint exhausted")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+
+
 def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
     """One forward walk of the (plaintext) encoding → item table.
 
     Mirrors the decoder's SkipStack exactly, but records offsets instead
-    of emitting events.  Runs at publish/update time over plaintext
-    bytes — never against the ciphertext.
+    of emitting events.  Each item header is byte-aligned and at most
+    ``code | flag | TagArray | SubtreeSize`` wide for its parent, so it
+    is read as one integer from that many bytes.  Runs at
+    publish/update time over plaintext bytes — never against the
+    ciphertext.
     """
     data = encoded.data
     if not isinstance(data, (bytes, bytearray, memoryview)):
         data = bytes(data)
     dictionary = encoded.dictionary
     root_offset = encoded.root_offset
-    root_desc = tuple(range(len(dictionary)))
 
     kinds: List[int] = []
     starts: List[int] = []
@@ -444,29 +440,32 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
     tags: List[int] = []
     descs: List[int] = []
 
-    # Frames: (desc codes, code width, size width, content end).
-    stack: List[Tuple[Tuple[int, ...], int, int, int]] = []
-    root_frame = (
-        root_desc,
-        bits_for_count(len(root_desc) + 1),
-        ROOT_SIZE_BITS,
-        -1,
-    )
+    def frame(desc: Tuple[int, ...], size_width: int, end: int):
+        # (desc codes, code width, size width, content end, bytes of
+        # an internal child's header)
+        code_width = bits_for_count(len(desc) + 1)
+        header = (code_width + 1 + len(desc) + size_width + 7) >> 3
+        return desc, code_width, size_width, end, header
+
+    stack: List[Tuple[Tuple[int, ...], int, int, int, int]] = []
+    top = frame(tuple(range(len(dictionary))), ROOT_SIZE_BITS, -1)
     offset = root_offset
     while True:
         while stack and offset >= stack[-1][3]:
             stack.pop()
+            top = stack[-1] if stack else top
         if not stack and kinds:
             break
-        desc_list, code_width, size_width, _end = (
-            stack[-1] if stack else root_frame
-        )
+        desc_list, code_width, size_width, _end, header = top
         start = offset
-        reader = BitReader(data, offset)
-        code = reader.read_bits(code_width)
+        window = data[offset : offset + header]
+        bits = len(window) * 8 - code_width  # window bits after the code
+        if bits < 0:
+            raise EOFError("bit stream exhausted")
+        value = int.from_bytes(window, "big")
+        code = value >> bits
         if code == 0:
-            length = reader.read_varint()
-            content = reader.tell()
+            length, content = _read_varint(data, offset + ((code_width + 7) >> 3))
             kinds.append(ITEM_TEXT)
             starts.append(start)
             contents.append(content)
@@ -476,18 +475,22 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             offset = content + length
             continue
         tag_code = desc_list[code - 1]
-        internal = reader.read_bit()
-        if internal:
+        if not bits:
+            raise EOFError("bit stream exhausted")
+        bits -= 1
+        if (value >> bits) & 1:
             width = len(desc_list)
-            bitmap = reader.read_bits(width)
+            pad = bits - width - size_width
+            if pad < 0:
+                raise EOFError("bit stream exhausted")
+            size = (value >> pad) & ((1 << size_width) - 1)
+            bitmap = value >> (pad + size_width)
             desc = tuple(
                 candidate
                 for index, candidate in enumerate(desc_list)
                 if bitmap & (1 << (width - 1 - index))
             )
-            size = reader.read_bits(size_width)
-            reader.align()
-            content = reader.tell()
+            content = offset + header
             mask = 0
             for candidate in desc:
                 mask |= 1 << candidate
@@ -497,14 +500,11 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             sizes.append(size)
             tags.append(tag_code)
             descs.append(mask)
-            stack.append(
-                (desc, bits_for_count(len(desc) + 1), bits_for(size),
-                 content + size)
-            )
+            top = frame(desc, bits_for(size), content + size)
+            stack.append(top)
             offset = content
         else:
-            length = reader.read_varint()
-            content = reader.tell()
+            length, content = _read_varint(data, offset + ((code_width + 8) >> 3))
             kinds.append(ITEM_LEAF)
             starts.append(start)
             contents.append(content)

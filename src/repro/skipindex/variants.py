@@ -23,18 +23,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.skipindex.bitio import bits_for, bits_for_count
+from repro.skipindex.bitio import bits_for, bits_for_count, varint_size
 from repro.skipindex.encoder import EncodingStats, encode_document
 from repro.xmlkit.dom import Node
 from repro.xmlkit.serializer import serialize
-
-
-def _varint_size(value: int) -> int:
-    size = 1
-    while value >= 0x80:
-        value >>= 7
-        size += 1
-    return size
 
 
 def _text_bytes(tree: Node) -> int:
@@ -68,7 +60,7 @@ def size_tc(tree: Node) -> EncodingStats:
         for child in node.children:
             if isinstance(child, str):
                 encoded = child.encode("utf-8")
-                total += code_bytes + _varint_size(len(encoded)) + len(encoded)
+                total += code_bytes + varint_size(len(encoded)) + len(encoded)
                 text_total += len(encoded)
             else:
                 visit(child)
@@ -106,7 +98,7 @@ def _size_with_subtree_sizes(tree: Node, bitmap_bits: int) -> EncodingStats:
                     encoded = child.encode("utf-8")
                     total += (
                         (code_bits + 7) // 8
-                        + _varint_size(len(encoded))
+                        + varint_size(len(encoded))
                         + len(encoded)
                     )
                 else:

@@ -883,11 +883,10 @@ class LogStore(ChunkStore):
             self._states[document_id] = state
             # Leave the handle cache cold: a bulk load (bench corpus,
             # cluster seeding) would otherwise pin a scheme + pager
-            # object per document.  The first ``get`` warms it.
-            state.handle = None
-            served = self._handle(state)
-            state.handle = None
-            return served.prepared
+            # object per document.  The first ``get`` warms it.  The
+            # caller's scheme serves the returned view, so a publish
+            # builds one scheme, not two.
+            return self._served(state, prepared.scheme)
 
     def put_stream(
         self,
@@ -998,26 +997,32 @@ class LogStore(ChunkStore):
             return self._handle(state)
 
     def _handle(self, state: _DocState) -> StoredDocument:
-        if state.handle is not None:
-            return state.handle
-        chunk_size, fragment_size, block_size, digest_size = state.layout
-        layout = ChunkLayout(
-            chunk_size=chunk_size,
-            fragment_size=fragment_size,
-            block_size=block_size,
-            digest_size=digest_size,
-        )
-        from repro.crypto.integrity import _CIPHER_FACTORIES
+        if state.handle is None:
+            from repro.crypto.integrity import _CIPHER_FACTORIES
 
-        scheme = make_scheme(
-            state.scheme_name,
-            key=state.key,
-            cipher_factory=_CIPHER_FACTORIES[state.cipher_kind],
-            layout=layout,
-            backend=self._backend,
-        )
+            chunk_size, fragment_size, block_size, digest_size = state.layout
+            scheme = make_scheme(
+                state.scheme_name,
+                key=state.key,
+                cipher_factory=_CIPHER_FACTORIES[state.cipher_kind],
+                layout=ChunkLayout(
+                    chunk_size=chunk_size,
+                    fragment_size=fragment_size,
+                    block_size=block_size,
+                    digest_size=digest_size,
+                ),
+                backend=self._backend,
+            )
+            state.handle = StoredDocument(
+                self._served(state, scheme), state.key, state.version
+            )
+        return state.handle
+
+    def _served(self, state: _DocState, scheme) -> PreparedDocument:
+        """``state``'s document on ``scheme``, its records paged from
+        the log and its plaintext decrypted on first use."""
         record_size = self._record_size_of(state)
-        chunk_count = layout.chunk_count(state.plaintext_size)
+        chunk_count = scheme.layout.chunk_count(state.plaintext_size)
         pager = ChunkPager(
             self, state.runs, record_size, chunk_count * record_size
         )
@@ -1053,9 +1058,7 @@ class LogStore(ChunkStore):
                 # document: null the span so we stop retrying.
                 state.index_span = None
                 self.counters["index_blobs_dropped"] += 1
-        prepared = PreparedDocument(encoded, scheme, secure, index=index)
-        state.handle = StoredDocument(prepared, state.key, state.version)
-        return state.handle
+        return PreparedDocument(encoded, scheme, secure, index=index)
 
     def __contains__(self, document_id: str) -> bool:
         with self._lock:

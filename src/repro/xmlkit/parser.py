@@ -17,7 +17,7 @@ behaviour can be disabled with ``attributes="ignore"``.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
 from repro.xmlkit.events import CLOSE, OPEN, TEXT, Event
 
@@ -80,6 +80,8 @@ def iter_events(
     length = len(text)
     stack: List[str] = []
     seen_root = False
+    # Attribute-free opening-tag bodies already validated -> their tag.
+    known: Dict[str, str] = {}
     while i < length:
         lt = text.find("<", i)
         if lt < 0:
@@ -95,7 +97,50 @@ def iter_events(
             elif chunk.strip():
                 raise XmlSyntaxError("text outside the root element", i)
         i = lt
-        if text.startswith("<!--", i):
+        marker = text[i + 1 : i + 2]
+        if marker == "/":
+            gt = text.find(">", i + 2)
+            if gt < 0:
+                raise XmlSyntaxError("unterminated closing tag", i)
+            tag = text[i + 2 : gt].strip()
+            if not stack:
+                raise XmlSyntaxError("closing tag %r without open" % tag, i)
+            expected = stack.pop()
+            if expected != tag:
+                raise XmlSyntaxError(
+                    "mismatched closing tag: expected %r, got %r" % (expected, tag), i
+                )
+            yield Event(CLOSE, tag)
+            i = gt + 1
+        elif marker != "!" and marker != "?":
+            gt = text.find(">", i + 1)
+            if gt < 0:
+                raise XmlSyntaxError("unterminated opening tag", i)
+            self_closing = text[gt - 1] == "/"
+            body = text[i + 1 : gt - 1 if self_closing else gt]
+            tag = known.get(body)
+            if tag is None:
+                tag, attrs = _parse_tag_body(body, i)
+                if not attrs:
+                    known[body] = tag
+            else:
+                attrs = []
+            if not stack and seen_root:
+                raise XmlSyntaxError("multiple root elements", i)
+            seen_root = True
+            yield Event(OPEN, tag)
+            if attributes == "elements":
+                for name, value in attrs:
+                    yield Event(OPEN, ATTRIBUTE_PREFIX + name)
+                    if value:
+                        yield Event(TEXT, value)
+                    yield Event(CLOSE, ATTRIBUTE_PREFIX + name)
+            if self_closing:
+                yield Event(CLOSE, tag)
+            else:
+                stack.append(tag)
+            i = gt + 1
+        elif text.startswith("<!--", i):
             end = text.find("-->", i + 4)
             if end < 0:
                 raise XmlSyntaxError("unterminated comment", i)
@@ -113,44 +158,8 @@ def iter_events(
             if end < 0:
                 raise XmlSyntaxError("unterminated processing instruction", i)
             i = end + 2
-        elif text.startswith("<!", i):
+        else:  # "<!"
             i = _skip_declaration(text, i)
-        elif text.startswith("</", i):
-            gt = text.find(">", i + 2)
-            if gt < 0:
-                raise XmlSyntaxError("unterminated closing tag", i)
-            tag = text[i + 2 : gt].strip()
-            if not stack:
-                raise XmlSyntaxError("closing tag %r without open" % tag, i)
-            expected = stack.pop()
-            if expected != tag:
-                raise XmlSyntaxError(
-                    "mismatched closing tag: expected %r, got %r" % (expected, tag), i
-                )
-            yield Event(CLOSE, tag)
-            i = gt + 1
-        else:
-            gt = text.find(">", i + 1)
-            if gt < 0:
-                raise XmlSyntaxError("unterminated opening tag", i)
-            self_closing = text[gt - 1] == "/"
-            body = text[i + 1 : gt - 1 if self_closing else gt]
-            tag, attrs = _parse_tag_body(body, i)
-            if not stack and seen_root:
-                raise XmlSyntaxError("multiple root elements", i)
-            seen_root = True
-            yield Event(OPEN, tag)
-            if attributes == "elements":
-                for name, value in attrs:
-                    yield Event(OPEN, ATTRIBUTE_PREFIX + name)
-                    if value:
-                        yield Event(TEXT, value)
-                    yield Event(CLOSE, ATTRIBUTE_PREFIX + name)
-            if self_closing:
-                yield Event(CLOSE, tag)
-            else:
-                stack.append(tag)
-            i = gt + 1
     if stack:
         raise XmlSyntaxError("unclosed elements: %s" % "/".join(stack), length)
     if not seen_root:

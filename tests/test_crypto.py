@@ -53,6 +53,22 @@ class TestDes:
         expected = bytes.fromhex("8CA64DE9C1B123A7")
         assert cipher.encrypt_block(plain) == expected
 
+    @pytest.mark.parametrize(
+        "name, width, table",
+        [("_IP_BYTES", 64, "_IP"), ("_FP_BYTES", 64, "_FP"), ("_E_BYTES", 32, "_E")],
+    )
+    def test_byte_tables_equal_bitwise_permutation(self, name, width, table):
+        from repro.crypto import des
+
+        rows = getattr(des, name)
+        assert len(rows) == width // 8
+        for byte_index, row in enumerate(rows):
+            shift = width - 8 * (byte_index + 1)
+            assert len(row) == 256
+            for value in range(256):
+                expected = des._permute(value << shift, width, getattr(des, table))
+                assert row[value] == expected, (name, byte_index, value)
+
     def test_triple_des_round_trip(self):
         cipher = TripleDes(bytes(range(24)))
         block = b"8bytes!!"

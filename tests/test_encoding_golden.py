@@ -201,3 +201,11 @@ def test_random_trees_match_golden():
     rng = random.Random(20240417)
     encodings = (encode_document(_random_tree(rng)) for _ in range(150))
     assert _digest_all(encodings) == GOLDEN_RANDOM
+
+
+def test_power_of_two_crossing_iterates_the_local_fixpoint():
+    # Width 0 -> 8 (255 bytes) settles; above 256 a third round moves the
+    # root's width to 9 bits and grows <c>'s header by a byte.
+    below = encode_document(_power_of_two_tree(241))
+    above = encode_document(_power_of_two_tree(242))
+    assert (below.stats.fixpoint_rounds, above.stats.fixpoint_rounds) == (2, 3)

@@ -23,7 +23,7 @@ import pytest
 
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.integrity import SCHEMES, IntegrityError
-from repro.engine import SecureStation, prepare_document
+from repro.engine import SecureStation, evaluate_document, prepare_document
 from repro.skipindex.updates import UpdateOp
 from repro.store import LogStore, MemoryStore, StoreError, open_store
 from repro.xmlkit.serializer import serialize_events
@@ -67,6 +67,43 @@ def test_log_store_parity_all_schemes(tmp_path, scheme):
     # Byte-identical after a clean restart.
     with SecureStation(store=LogStore(str(tmp_path))) as restarted:
         assert view_of(restarted) == expected
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_log_publish_builds_one_scheme(tmp_path, monkeypatch, scheme):
+    import repro.engine.pipeline
+    import repro.engine.station
+    import repro.store.log
+
+    calls = []
+
+    def counting(original):
+        def make_scheme(*args, **kwargs):
+            calls.append(args[0] if args else kwargs["name"])
+            return original(*args, **kwargs)
+
+        return make_scheme
+
+    for module in (repro.engine.station, repro.engine.pipeline, repro.store.log):
+        monkeypatch.setattr(module, "make_scheme", counting(module.make_scheme))
+
+    with SecureStation(store=LogStore(str(tmp_path))) as station:
+        for document_id in ("a", "b"):
+            calls.clear()
+            returned = station.publish(document_id, DOC, scheme=scheme, key=KEY)
+            assert calls == [scheme]
+            calls.clear()
+            stored = station.document(document_id)
+            assert stored is not returned
+            assert len(calls) == 1  # the store's own handle, built on first read
+            assert bytes(returned.secure.stored) == bytes(stored.secure.stored)
+            assert bytes(returned.encoded.data) == bytes(stored.encoded.data)
+            station.grant(document_id, POLICY)
+            views = [
+                serialize_events(evaluate_document(prepared, POLICY).events)
+                for prepared in (returned, stored)
+            ]
+            assert views[0] == views[1] == view_of(station, document_id)
 
 
 def test_stored_bytes_identical_across_restart(tmp_path):
