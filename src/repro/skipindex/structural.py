@@ -62,6 +62,21 @@ class StructuralIndexError(ValueError):
     """Raised on malformed or inconsistent index blobs."""
 
 
+def _read_varint(data, pos: int) -> Tuple[int, int]:
+    """LEB128 varint at ``pos`` → ``(value, next position)``."""
+    value = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise EOFError("varint exhausted")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+
+
 class _BlobReader:
     __slots__ = ("data", "pos")
 
@@ -70,20 +85,11 @@ class _BlobReader:
         self.pos = pos
 
     def varint(self) -> int:
-        value = 0
-        shift = 0
-        data = self.data
-        pos = self.pos
-        while True:
-            if pos >= len(data):
-                raise StructuralIndexError("truncated index blob")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self.pos = pos
-                return value
-            shift += 7
+        try:
+            value, self.pos = _read_varint(self.data, self.pos)
+        except EOFError:
+            raise StructuralIndexError("truncated index blob") from None
+        return value
 
     def byte(self) -> int:
         if self.pos >= len(self.data):
@@ -402,21 +408,6 @@ def parse_structural_index(blob: bytes) -> StructuralIndex:
 
 
 # ----------------------------------------------------------------------
-def _read_varint(data, pos: int) -> Tuple[int, int]:
-    """LEB128 varint at ``pos`` → ``(value, next position)``."""
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise EOFError("varint exhausted")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return value, pos
-        shift += 7
-
-
 def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
     """One forward walk of the (plaintext) encoding → item table.
 

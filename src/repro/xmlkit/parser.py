@@ -80,8 +80,11 @@ def iter_events(
     length = len(text)
     stack: List[str] = []
     seen_root = False
-    # Attribute-free opening-tag bodies already validated -> their tag.
-    known: Dict[str, str] = {}
+    # Attribute-free opening-tag body already validated -> its OPEN
+    # event; tag -> its CLOSE event.  Events are immutable, so each is
+    # built once per distinct tag and yielded again.
+    opens: Dict[str, Event] = {}
+    closes: Dict[str, Event] = {}
     while i < length:
         lt = text.find("<", i)
         if lt < 0:
@@ -110,7 +113,10 @@ def iter_events(
                 raise XmlSyntaxError(
                     "mismatched closing tag: expected %r, got %r" % (expected, tag), i
                 )
-            yield Event(CLOSE, tag)
+            close = closes.get(tag)
+            if close is None:
+                close = closes[tag] = Event(CLOSE, tag)
+            yield close
             i = gt + 1
         elif marker != "!" and marker != "?":
             gt = text.find(">", i + 1)
@@ -118,17 +124,19 @@ def iter_events(
                 raise XmlSyntaxError("unterminated opening tag", i)
             self_closing = text[gt - 1] == "/"
             body = text[i + 1 : gt - 1 if self_closing else gt]
-            tag = known.get(body)
-            if tag is None:
+            event = opens.get(body)
+            if event is None:
                 tag, attrs = _parse_tag_body(body, i)
+                event = Event(OPEN, tag)
                 if not attrs:
-                    known[body] = tag
+                    opens[body] = event
             else:
+                tag = event[1]
                 attrs = []
             if not stack and seen_root:
                 raise XmlSyntaxError("multiple root elements", i)
             seen_root = True
-            yield Event(OPEN, tag)
+            yield event
             if attributes == "elements":
                 for name, value in attrs:
                     yield Event(OPEN, ATTRIBUTE_PREFIX + name)
