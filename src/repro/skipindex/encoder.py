@@ -35,7 +35,7 @@ size depends on its own subtree and on ``bits_for(own content size)``
 (the width of its internal children's size fields).
 :func:`encode_document` therefore sizes each element once, bottom-up,
 iterating that one width from 0 to its least fixpoint (sizes grow
-monotonically, so it settles in a round or two).
+monotonically, so it settles in a few rounds).
 
 Byte alignment: every item header is padded to a byte frontier before
 raw bytes follow, matching the paper's size accounting; the encoder
