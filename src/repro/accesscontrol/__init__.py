@@ -15,7 +15,8 @@ Modules:
 * :mod:`repro.accesscontrol.pending` — the pending-result builder and
   reassembly (Section 5);
 * :mod:`repro.accesscontrol.reference` — a non-streaming DOM oracle used
-  for differential testing;
+  for differential testing (imported from the submodule, or as
+  ``repro.reference_authorized_view``);
 * :mod:`repro.accesscontrol.optimizer` — static policy minimization via
   containment (Section 3.3).
 """
@@ -30,7 +31,6 @@ from repro.accesscontrol.model import (
     positive,
 )
 from repro.accesscontrol.evaluator import StreamingEvaluator, evaluate_events
-from repro.accesscontrol.reference import reference_authorized_view
 
 __all__ = [
     "PERMIT",
@@ -42,5 +42,4 @@ __all__ = [
     "negative",
     "StreamingEvaluator",
     "evaluate_events",
-    "reference_authorized_view",
 ]

@@ -18,13 +18,11 @@ from repro.datasets import (
     HospitalConfig,
     doctor_policy,
     generate_hospital,
-    generate_sigmod,
-    generate_treebank,
-    generate_wsu,
-    random_policy_for,
     researcher_policy,
     secretary_policy,
 )
+from repro.datasets.policies import random_policy_for
+from repro.datasets.real import generate_sigmod, generate_treebank, generate_wsu
 from repro.datasets.hospital import GROUPS
 from repro.engine.plans import PolicyPlan, compile_policy
 from repro.skipindex.encoder import EncodedDocument, encode_document

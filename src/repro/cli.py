@@ -42,7 +42,6 @@ from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.chunks import ChunkLayout
 from repro.crypto.integrity import SCHEMES, SecureDocument, make_scheme
 from repro.engine import encode_source, evaluate_document, prepare_document
-from repro.skipindex.variants import encoding_report
 from repro.soe.costmodel import CONTEXTS
 from repro.soe.session import PreparedDocument
 from repro.skipindex.decoder import decode_document, EncodedDocument
@@ -89,6 +88,8 @@ def cmd_inspect(args) -> int:
     print("  max depth:     %d" % tree.max_depth())
     print("  avg depth:     %.2f" % tree.average_depth())
     print("  distinct tags: %d" % len(tree.distinct_tags()))
+    from repro.skipindex.variants import encoding_report
+
     print("encodings (structure/text %):")
     for name, stats in encoding_report(tree).items():
         print(

@@ -20,10 +20,11 @@ wire protocol, so existing clients work unchanged:
   the failover tests.
 
 Layering: ``repro.cluster`` sits above :mod:`repro.server`; nothing
-below imports it.
+below imports it.  The gateway is imported from its submodule (the
+topology loads it in ``start_gateway``), so a process that serves a
+plain station never loads it.
 """
 
-from repro.cluster.gateway import BackendRefused, ClusterGateway
 from repro.cluster.ring import HashRing, stable_hash
 from repro.cluster.topology import (
     ClusterError,
@@ -35,8 +36,6 @@ from repro.cluster.topology import (
 __all__ = [
     "HashRing",
     "stable_hash",
-    "ClusterGateway",
-    "BackendRefused",
     "StationCluster",
     "ClusterNode",
     "ClusterError",

@@ -24,18 +24,20 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.accesscontrol.model import Policy
-from repro.cluster.gateway import ClusterGateway
 from repro.cluster.ring import HashRing
 from repro.engine.pipeline import prepare_document
 from repro.engine.station import SecureStation, StationConfig, StationError
-from repro.server.client import RemoteSession
 from repro.server.service import ServerThread, StationServer
 from repro.soe.session import PreparedDocument
 from repro.store import open_store
 from repro.xmlkit.dom import Node
+
+if TYPE_CHECKING:
+    from repro.cluster.gateway import ClusterGateway
+    from repro.server.client import RemoteSession
 
 
 class ClusterError(RuntimeError):
@@ -257,6 +259,10 @@ class StationCluster:
     # Gateway
     # ------------------------------------------------------------------
     def start_gateway(self) -> Tuple[str, int]:
+        # The gateway (and the admin client below) only loads in the
+        # processes that run one; a plain station server never does.
+        from repro.cluster.gateway import ClusterGateway
+
         if self.gateway is not None:
             raise ClusterError("gateway already started")
         versions: Dict[str, int] = {}
@@ -376,6 +382,8 @@ class StationCluster:
 
     def control_session(self) -> RemoteSession:
         """An admin session against the gateway (topology/rebalance)."""
+        from repro.server.client import RemoteSession
+
         if self.gateway_address is None:
             raise ClusterError("gateway not started")
         host, port = self.gateway_address

@@ -37,9 +37,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 import threading
 from pathlib import Path
 from typing import Optional
@@ -343,23 +340,16 @@ _LIB_LOCK = threading.Lock()
 
 
 def _cache_dir() -> Path:
+    # tempfile.gettempdir()'s choice, minus its writability probe: a
+    # launch that finds the cached library never imports tempfile.
+    names = ("TMPDIR", "TEMP", "TMP")
+    base = next((os.environ[name] for name in names if os.environ.get(name)), "/tmp")
     uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / ("repro-native-%d" % uid)
-
-
-def _compiler() -> Optional[str]:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
+    return Path(os.path.abspath(base)) / ("repro-native-%d" % uid)
 
 
 def _build_library() -> Optional[ctypes.CDLL]:
     if os.environ.get(NO_NATIVE_ENV):
-        return None
-    cc = _compiler()
-    if cc is None:
         return None
     digest = hashlib.sha256(C_SOURCE.encode("utf-8")).hexdigest()[:16]
     directory = _cache_dir()
@@ -369,6 +359,14 @@ def _build_library() -> Optional[ctypes.CDLL]:
         return None
     lib_path = directory / ("repro_kernels_%s.so" % digest)
     if not lib_path.exists():
+        # Build-only imports: a launch that finds the cached library
+        # never loads them.
+        import shutil
+        import subprocess
+
+        cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+        if cc is None:
+            return None
         source_path = directory / ("repro_kernels_%s.c" % digest)
         build_path = directory / (
             "repro_kernels_%s.%d.tmp" % (digest, os.getpid())

@@ -550,134 +550,6 @@ class _CbcShacReader(BaseReader):
 
 
 # ----------------------------------------------------------------------
-# CBC-SHA-DOC: one CBC chain over the whole document (compat variant)
-# ----------------------------------------------------------------------
-class CbcShaDocScheme(BaseScheme):
-    """CBC-SHA with a single document-wide CBC chain.
-
-    The per-chunk CBC schemes restart the chain at every chunk, which
-    is what makes their encryption parallelizable; this variant keeps
-    the classic whole-document chain — chunk ``i``'s IV is the last
-    ciphertext block of chunk ``i-1`` — for interoperability with
-    stores written that way.  The price is inherent: encryption is
-    sequential and any update cascades re-encryption from the first
-    dirty chunk to the end of the document.
-    """
-
-    name = "CBC-SHA-DOC"
-
-    def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
-        return plaintext_chunk
-
-    def record_stream(self, plaintext: bytes, version: int = 0):
-        count = self.layout.chunk_count(len(plaintext))
-        previous = make_iv(versioned_position(0, version))
-        return self._iter_records(plaintext, 0, count, version, previous)
-
-    def _iter_records(self, plaintext: bytes, first: int, count: int,
-                      version: int, previous: bytes):
-        """Records for chunks ``[first, count)`` given the chain state
-        ``previous`` (the IV for chunk ``first``)."""
-        layout = self.layout
-        for chunk_index in range(first, count):
-            start, end = layout.chunk_range(chunk_index, len(plaintext))
-            chunk = layout.pad_chunk(plaintext[start:end])
-            cipher_chunk = encrypt_cbc(self.cipher, chunk, previous)
-            digest = self._chunk_digest(chunk, cipher_chunk)
-            yield self._encrypt_digest(digest, chunk_index, version) + cipher_chunk
-            previous = cipher_chunk[-layout.block_size :]
-
-    def protect(self, plaintext: bytes, version: int = 0) -> SecureDocument:
-        layout = self.layout
-        stored = bytearray()
-        count = layout.chunk_count(len(plaintext))
-        previous = make_iv(versioned_position(0, version))
-        for record in self._iter_records(plaintext, 0, count, version, previous):
-            stored.extend(record)
-        return SecureDocument(self, bytes(stored), len(plaintext), version=version)
-
-    def reencrypt(
-        self,
-        document: SecureDocument,
-        new_plaintext: bytes,
-        dirty_chunks: Set[int],
-        version: int,
-    ) -> Tuple[SecureDocument, int]:
-        layout = self.layout
-        record = layout.digest_size + layout.chunk_size
-        old_count = layout.chunk_count(document.plaintext_size)
-        new_count = layout.chunk_count(len(new_plaintext))
-        keep = min(old_count, new_count)
-        dirty = {index for index in dirty_chunks if 0 <= index < new_count}
-        dirty.update(range(keep, new_count))
-        # The chain makes every chunk after the first dirty one depend
-        # on re-encrypted ciphertext, so the rewrite cascades to the
-        # end of the document.
-        first = min(dirty) if dirty else new_count
-        stored = bytearray(document.stored[: first * record])
-        versions = list(document.chunk_versions[:first])
-        if first == 0:
-            previous = make_iv(versioned_position(0, version))
-        else:
-            previous = bytes(
-                document.stored[first * record - layout.block_size : first * record]
-            )
-        for rec in self._iter_records(new_plaintext, first, new_count,
-                                      version, previous):
-            stored.extend(rec)
-            versions.append(version)
-        updated = SecureDocument(
-            self,
-            bytes(stored),
-            len(new_plaintext),
-            version=version,
-            chunk_versions=versions,
-        )
-        return updated, new_count - first
-
-    def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        return _CbcShaDocReader(
-            self, document, meter if meter is not None else Meter()
-        )
-
-
-class _CbcShaDocReader(BaseReader):
-    def _prepare_chunk(self, chunk_index: int) -> None:
-        layout = self.layout
-        version = self.document.chunk_version(chunk_index)
-        encrypted_digest, payload = self.document.chunk_record(chunk_index)
-        self.meter.bytes_transferred += layout.digest_size + layout.chunk_size
-        if chunk_index == 0:
-            iv = make_iv(
-                versioned_position(0, self.document.chunk_version(0))
-            )
-        else:
-            # The chain IV is the previous chunk's last ciphertext
-            # block, fetched from the (untrusted) store; tampering with
-            # it garbles this chunk's first block and fails the digest.
-            _prev_digest, prev_payload = self.document.chunk_record(
-                chunk_index - 1
-            )
-            iv = prev_payload[-layout.block_size :]
-            self.meter.bytes_transferred += layout.block_size
-        plain = decrypt_cbc(self.scheme.cipher, payload, iv)
-        self.meter.bytes_decrypted += layout.chunk_size
-        self.meter.bytes_hashed += layout.chunk_size
-        digest = self.scheme._decrypt_digest(
-            encrypted_digest, chunk_index, version
-        )
-        self.meter.bytes_decrypted += layout.digest_size
-        self.meter.digest_decrypts += 1
-        if sha1(plain) != digest:
-            raise IntegrityError("chunk %d digest mismatch" % chunk_index)
-        self.cache.plain = bytearray(plain)
-        self.cache.have_blocks = set(range(layout.chunk_size // layout.block_size))
-
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        pass  # the whole chunk was materialized in _prepare_chunk
-
-
-# ----------------------------------------------------------------------
 # ECB-MHT: the paper's proposal
 # ----------------------------------------------------------------------
 class EcbMhtScheme(BaseScheme):
@@ -821,7 +693,6 @@ SCHEMES = {
     "ECB": EcbScheme,
     "CBC-SHA": CbcShaScheme,
     "CBC-SHAC": CbcShacScheme,
-    "CBC-SHA-DOC": CbcShaDocScheme,
     "ECB-MHT": EcbMhtScheme,
 }
 

@@ -14,6 +14,10 @@ ratios in Fig. 8, throughput in Fig. 12).
 * :mod:`repro.datasets.real` — WSU / Sigmod / Treebank substitutes;
 * :mod:`repro.datasets.policies` — random access-control policies for
   the Fig. 12 experiment.
+
+Only the Hospital names are re-exported: the serving process loads
+this package, and the two benchmark-only modules are imported from
+their submodules.
 """
 
 from repro.datasets.hospital import (
@@ -23,8 +27,6 @@ from repro.datasets.hospital import (
     researcher_policy,
     secretary_policy,
 )
-from repro.datasets.real import generate_sigmod, generate_treebank, generate_wsu
-from repro.datasets.policies import random_policy_for
 
 __all__ = [
     "HospitalConfig",
@@ -32,8 +34,4 @@ __all__ = [
     "secretary_policy",
     "doctor_policy",
     "researcher_policy",
-    "generate_wsu",
-    "generate_sigmod",
-    "generate_treebank",
-    "random_policy_for",
 ]

@@ -29,13 +29,15 @@ wall-clock reality around them — observable while the system runs:
     ``repro top`` terminal dashboard (per-backend rps, p50/p95/p99,
     view-cache hit rate, native kernels, ring health).
 
+Only the registry and tracer are re-exported: the serving process
+loads them, while ``http`` (which pulls in ``http.server``) and
+``dashboard`` are ops tools imported from their submodules.
+
 Everything here is stdlib-only and cheap enough to stay on by default:
 the cached hot path with tracing enabled is ratio-guarded (≤ 5%
 overhead) by ``benchmarks/test_obs_bench.py``.
 """
 
-from repro.obs.dashboard import render_stats, render_top
-from repro.obs.http import MetricsServer
 from repro.obs.registry import (
     BYTE_BUCKETS,
     LATENCY_BUCKETS_MS,
@@ -53,12 +55,9 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS_MS",
     "MetricsRegistry",
-    "MetricsServer",
     "Span",
     "TraceRecord",
     "Tracer",
     "format_span_tree",
     "new_trace_id",
-    "render_stats",
-    "render_top",
 ]

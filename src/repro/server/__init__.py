@@ -20,10 +20,11 @@ boundary:
   throughput / latency percentiles, ``BENCH_server.json``.
 
 Layering: ``repro.server`` sits beside the applications, *above* the
-engine; nothing below imports it.
+engine; nothing below imports it.  The client SDK and the load
+generator are imported from their submodules, so a serving process
+never loads them.
 """
 
-from repro.server.client import RemoteError, RemoteResult, RemoteSession
 from repro.server.protocol import Frame, FrameDecoder, ProtocolError
 from repro.server.service import ServerThread, StationServer, hospital_station
 
@@ -34,7 +35,4 @@ __all__ = [
     "StationServer",
     "ServerThread",
     "hospital_station",
-    "RemoteSession",
-    "RemoteResult",
-    "RemoteError",
 ]

@@ -22,7 +22,8 @@ Modules:
   :class:`~repro.skipindex.decoder.SkipIndexNavigator` feeding the
   evaluator with events, metadata and physical skips;
 * :mod:`repro.skipindex.variants` — the NC, TC, TCS and TCSB encodings
-  compared against TCSBR in Fig. 8;
+  compared against TCSBR in Fig. 8 (benchmark-only: import it from
+  the submodule);
 * :mod:`repro.skipindex.structural` — the publish-time pre/post
   structural index and the :class:`~repro.skipindex.structural.
   IndexedNavigator` that serves queries without decrypting structure.
@@ -41,13 +42,6 @@ from repro.skipindex.structural import (
     build_structural_index,
     parse_structural_index,
 )
-from repro.skipindex.variants import (
-    encoding_report,
-    size_nc,
-    size_tc,
-    size_tcs,
-    size_tcsb,
-)
 
 __all__ = [
     "EncodedDocument",
@@ -60,9 +54,4 @@ __all__ = [
     "StructuralIndexError",
     "build_structural_index",
     "parse_structural_index",
-    "encoding_report",
-    "size_nc",
-    "size_tc",
-    "size_tcs",
-    "size_tcsb",
 ]

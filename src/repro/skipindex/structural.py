@@ -36,6 +36,7 @@ Components:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +57,11 @@ INDEX_VERSION = 1
 ITEM_TEXT = 0
 ITEM_LEAF = 1
 ITEM_INTERNAL = 2
+
+
+def _offset_code(total_size: int) -> str:
+    """``array`` typecode for byte offsets/sizes within ``total_size``."""
+    return "I" if total_size < 1 << 32 else "Q"
 
 
 class StructuralIndexError(ValueError):
@@ -102,20 +108,29 @@ class _BlobReader:
 class StructuralIndex:
     """Flat item table + pre/post element numbering of one document.
 
-    Parallel per-item arrays (document order)::
+    Parallel per-item columns (document order), each a typed
+    ``array.array`` (typecode in brackets; ``I`` widens to ``Q`` for
+    encodings of 4 GiB and more) so a resident index holds no boxed
+    ints::
 
-        kinds[i]     ITEM_TEXT | ITEM_LEAF | ITEM_INTERNAL
-        starts[i]    byte offset of the item header (aligned)
-        contents[i]  first content byte (after code/bitmap/size fields)
-        sizes[i]     content bytes (subtree size internal, text length
-                     for leaf/text items); item ends at contents+sizes
-        tags[i]      global dictionary code of the element (-1 for text)
-        descs[i]     descendant-tag bitmap over global codes (internal)
+        kinds[i]     [B] ITEM_TEXT | ITEM_LEAF | ITEM_INTERNAL
+        starts[i]    [I] byte offset of the item header (aligned)
+        contents[i]  [I] first content byte (after code/bitmap/size)
+        sizes[i]     [I] content bytes (subtree size internal, text
+                     length for leaf/text items); item ends at
+                     contents+sizes
+        tags[i]      [i] global dictionary code of the element (-1 for
+                     text)
+        descs[i]     descendant-tag bitmap over global codes (internal;
+                     0 otherwise) — a plain ``list`` of Python ints,
+                     since a dictionary past 64 tags needs wider masks
 
     Elements additionally get dense ``pre`` numbers (index into the
-    ``elem_*`` arrays) and their parent's ``pre`` (-1 for the root) —
-    derived from the byte intervals, never persisted.  Post order needs
-    no array: the byte intervals already give it.
+    ``elem_*`` arrays, both ``[i]``) and their parent's ``pre`` (-1 for
+    the root) — derived while building or parsing, never persisted.
+    The lazy per-tag table maps a tag code to an ``[i]`` array of its
+    elements' ``pre`` numbers.  Post order needs no array: the byte
+    intervals already give it.
 
     ``total_size`` / ``root_offset`` / ``tag_count`` fingerprint the
     encoding the index was built from; :meth:`matches_document` is the
@@ -142,12 +157,14 @@ class StructuralIndex:
         total_size: int,
         root_offset: int,
         tag_count: int,
-        kinds: List[int],
-        starts: List[int],
-        contents: List[int],
-        sizes: List[int],
-        tags: List[int],
+        kinds: array,
+        starts: array,
+        contents: array,
+        sizes: array,
+        tags: array,
         descs: List[int],
+        elem_items: array,
+        elem_parent: array,
     ):
         self.total_size = total_size
         self.root_offset = root_offset
@@ -158,32 +175,9 @@ class StructuralIndex:
         self.sizes = sizes
         self.tags = tags
         self.descs = descs
-        self._elems_by_tag: Optional[Dict[int, List[int]]] = None
-        self._derive_elements()
-
-    # ------------------------------------------------------------------
-    def _derive_elements(self) -> None:
-        """Replay the item table once to assign pre numbers and parents."""
-        elem_items: List[int] = []
-        elem_parent: List[int] = []
-        open_pres: List[int] = []
-        open_ends: List[int] = []
-        starts = self.starts
-        contents = self.contents
-        sizes = self.sizes
-        for item, kind in enumerate(self.kinds):
-            start = starts[item]
-            while open_ends and start >= open_ends[-1]:
-                open_ends.pop()
-                open_pres.pop()
-            if kind == ITEM_TEXT:
-                continue
-            elem_parent.append(open_pres[-1] if open_pres else -1)
-            open_pres.append(len(elem_items))
-            open_ends.append(contents[item] + sizes[item])
-            elem_items.append(item)
         self.elem_items = elem_items
         self.elem_parent = elem_parent
+        self._elems_by_tag: Optional[Dict[int, array]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -213,12 +207,16 @@ class StructuralIndex:
         )
 
     # ------------------------------------------------------------------
-    def _by_tag(self) -> Dict[int, List[int]]:
+    def _by_tag(self) -> Dict[int, array]:
         table = self._elems_by_tag
         if table is None:
             table = {}
+            tags = self.tags
             for pre, item in enumerate(self.elem_items):
-                table.setdefault(self.tags[item], []).append(pre)
+                pres = table.get(tags[item])
+                if pres is None:
+                    pres = table[tags[item]] = array("i")
+                pres.append(pre)
             self._elems_by_tag = table
         return table
 
@@ -355,6 +353,8 @@ class StructuralIndex:
             and self.sizes == other.sizes
             and self.tags == other.tags
             and self.descs == other.descs
+            and self.elem_items == other.elem_items
+            and self.elem_parent == other.elem_parent
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -378,32 +378,45 @@ def parse_structural_index(blob: bytes) -> StructuralIndex:
     root_offset = reader.varint()
     tag_count = reader.varint()
     count = reader.varint()
-    kinds: List[int] = []
-    starts: List[int] = []
-    contents: List[int] = []
-    sizes: List[int] = []
-    tags: List[int] = []
+    typecode = _offset_code(total_size)
+    kinds, tags = array("B"), array("i")
+    starts, contents, sizes = array(typecode), array(typecode), array(typecode)
+    elem_items, elem_parent = array("i"), array("i")
     descs: List[int] = []
+    # Elements still open at the current item: their pre and end byte.
+    open_pres: List[int] = []
+    open_ends: List[int] = []
     previous_start = 0
-    for _ in range(count):
-        kind = reader.byte()
-        if kind not in (ITEM_TEXT, ITEM_LEAF, ITEM_INTERNAL):
-            raise StructuralIndexError("bad item kind %d" % kind)
-        start = previous_start + reader.varint()
-        header = reader.varint()
-        size = reader.varint()
-        tag = reader.varint() if kind != ITEM_TEXT else -1
-        desc = reader.varint() if kind == ITEM_INTERNAL else 0
-        kinds.append(kind)
-        starts.append(start)
-        contents.append(start + header)
-        sizes.append(size)
-        tags.append(tag)
-        descs.append(desc)
-        previous_start = start
+    try:
+        for item in range(count):
+            kind = reader.byte()
+            if kind not in (ITEM_TEXT, ITEM_LEAF, ITEM_INTERNAL):
+                raise StructuralIndexError("bad item kind %d" % kind)
+            start = previous_start + reader.varint()
+            content = start + reader.varint()
+            size = reader.varint()
+            tag = reader.varint() if kind != ITEM_TEXT else -1
+            descs.append(reader.varint() if kind == ITEM_INTERNAL else 0)
+            kinds.append(kind)
+            starts.append(start)
+            contents.append(content)
+            sizes.append(size)
+            tags.append(tag)
+            previous_start = start
+            while open_ends and start >= open_ends[-1]:
+                open_ends.pop()
+                open_pres.pop()
+            if kind != ITEM_TEXT:
+                elem_parent.append(open_pres[-1] if open_pres else -1)
+                open_pres.append(len(elem_items))
+                open_ends.append(content + size)
+                elem_items.append(item)
+    except OverflowError:
+        # A field too wide for its typed column: not a blob we wrote.
+        raise StructuralIndexError("index field out of range") from None
     return StructuralIndex(
         total_size, root_offset, tag_count, kinds, starts, contents, sizes,
-        tags, descs,
+        tags, descs, elem_items, elem_parent,
     )
 
 
@@ -424,22 +437,21 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
     dictionary = encoded.dictionary
     root_offset = encoded.root_offset
 
-    kinds: List[int] = []
-    starts: List[int] = []
-    contents: List[int] = []
-    sizes: List[int] = []
-    tags: List[int] = []
+    typecode = _offset_code(len(data))
+    kinds, tags = array("B"), array("i")
+    starts, contents, sizes = array(typecode), array(typecode), array(typecode)
+    elem_items, elem_parent = array("i"), array("i")
     descs: List[int] = []
 
-    def frame(desc: Tuple[int, ...], size_width: int, end: int):
+    def frame(desc: Tuple[int, ...], size_width: int, end: int, pre: int):
         # (desc codes, code width, size width, content end, bytes of
-        # an internal child's header)
+        # an internal child's header, the element's pre number)
         code_width = bits_for_count(len(desc) + 1)
         header = (code_width + 1 + len(desc) + size_width + 7) >> 3
-        return desc, code_width, size_width, end, header
+        return desc, code_width, size_width, end, header, pre
 
-    stack: List[Tuple[Tuple[int, ...], int, int, int, int]] = []
-    top = frame(tuple(range(len(dictionary))), ROOT_SIZE_BITS, -1)
+    stack: List[Tuple[Tuple[int, ...], int, int, int, int, int]] = []
+    top = frame(tuple(range(len(dictionary))), ROOT_SIZE_BITS, -1, -1)
     offset = root_offset
     while True:
         while stack and offset >= stack[-1][3]:
@@ -447,7 +459,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             top = stack[-1] if stack else top
         if not stack and kinds:
             break
-        desc_list, code_width, size_width, _end, header = top
+        desc_list, code_width, size_width, _end, header, parent = top
         start = offset
         window = data[offset : offset + header]
         bits = len(window) * 8 - code_width  # window bits after the code
@@ -469,6 +481,9 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
         if not bits:
             raise EOFError("bit stream exhausted")
         bits -= 1
+        pre = len(elem_items)
+        elem_items.append(len(kinds))
+        elem_parent.append(parent)
         if (value >> bits) & 1:
             width = len(desc_list)
             pad = bits - width - size_width
@@ -491,7 +506,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             sizes.append(size)
             tags.append(tag_code)
             descs.append(mask)
-            top = frame(desc, bits_for(size), content + size)
+            top = frame(desc, bits_for(size), content + size, pre)
             stack.append(top)
             offset = content
         else:
@@ -505,7 +520,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             offset = content + length
     return StructuralIndex(
         len(data), root_offset, len(dictionary), kinds, starts, contents,
-        sizes, tags, descs,
+        sizes, tags, descs, elem_items, elem_parent,
     )
 
 

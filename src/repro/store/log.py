@@ -922,10 +922,8 @@ class LogStore(ChunkStore):
         """Commit a copy-on-write update: append only the changed records.
 
         The changed set is derived from the per-chunk version stamps,
-        not from the caller's dirty estimate — a chained scheme
-        (CBC-SHA-DOC) cascades re-encryption past the dirtied chunks,
-        and every cascaded record carries the bumped version, so the
-        diff is exact.
+        not from the caller's dirty estimate: every re-encrypted record
+        carries the bumped version, so the diff is exact.
         """
         with self._lock:
             if self._closed:

@@ -7,13 +7,11 @@ from repro.datasets import (
     HospitalConfig,
     doctor_policy,
     generate_hospital,
-    generate_sigmod,
-    generate_treebank,
-    generate_wsu,
-    random_policy_for,
     researcher_policy,
     secretary_policy,
 )
+from repro.datasets.policies import random_policy_for
+from repro.datasets.real import generate_sigmod, generate_treebank, generate_wsu
 from repro.xmlkit.events import TEXT
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets.hospital import HospitalConfig, generate_hospital
 from repro.skipindex.encoder import encode_document
-from repro.skipindex.structural import build_structural_index
+from repro.skipindex.structural import build_structural_index, parse_structural_index
 from repro.skipindex.updates import reencode_after
 from repro.xmlkit.dom import Node
 from repro.xmlkit.parser import parse_document
@@ -167,6 +167,8 @@ GOLDEN_CORPUS = (
     735967,
     31679,
 )
+#: sha256 over the 128 cold-corpus structural-index blobs, in order.
+GOLDEN_CORPUS_INDEX = "86c108945160ba91e20dac9359f2f7d39330e1a3498700ee5af6beb858e4ef05"
 GOLDEN_RANDOM = (
     "b79f5e01918d2fd941ea97836f9d66a44af67768bd89baa3caeac5f525507981",
     120572,
@@ -195,6 +197,18 @@ def test_cold_corpus_matches_golden():
     # All 128 document shapes of the cold-corpus workload.
     encodings = (encode_document(_hospital(4, 7 + index)) for index in range(128))
     assert _digest_all(encodings) == GOLDEN_CORPUS
+
+
+def test_cold_corpus_index_blobs_match_golden():
+    # The blob a cold-corpus document persists, whether its index was
+    # built at publish or parsed back from the store.
+    digest = hashlib.sha256()
+    for index in range(128):
+        encoded = encode_document(_hospital(4, 7 + index))
+        blob = build_structural_index(encoded).to_bytes()
+        assert parse_structural_index(blob).to_bytes() == blob
+        digest.update(blob)
+    assert digest.hexdigest() == GOLDEN_CORPUS_INDEX
 
 
 def test_random_trees_match_golden():

@@ -4,10 +4,12 @@ The serving benchmark (``perfbench/``) wraps named functions of the
 program to time each layer; a rename or deletion here would otherwise
 break only the traced benchmark run, and silently.  The publish test
 pins that those wrappers actually sit on the path they time.  The
-import check keeps the serving process free of ``multiprocessing``.
+import checks keep the serving process free of ``multiprocessing`` and
+of every module only the CLI, ops tools or datasets use.
 """
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +41,58 @@ def test_server_import_leaves_out_multiprocessing():
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert result.returncode == 0, result.stderr.decode()
+
+
+#: Modules a serving process must not load: the gateway (loaded only by
+#: the processes that start one) and ops- or benchmark-only tools.
+NOT_SERVED = (
+    "repro.cluster.gateway",
+    "repro.obs.http",
+    "repro.obs.dashboard",
+    "http.server",
+    "repro.datasets.real",
+    "repro.skipindex.variants",
+    "repro.server.client",
+    "repro.server.loadgen",
+)
+
+
+def _fresh_interpreter(probe, *flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
+    return subprocess.run(
+        [sys.executable, *flags, "-c", probe], capture_output=True, cwd=ROOT, env=env
+    )
+
+
+def test_serving_process_imports_only_the_serve_path():
+    # perfbench/serving.py is the serving process; importing it imports
+    # exactly what it does.
+    probe = (
+        "import sys, perfbench.serving; "
+        "print(','.join(m for m in %r if m in sys.modules))" % (NOT_SERVED,)
+    )
+    result = _fresh_interpreter(probe)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().strip() == ""
+
+
+def test_cached_native_library_loads_without_build_imports():
+    from repro.compute.native import load_library
+
+    if load_library() is None:
+        pytest.skip("native kernels unavailable")
+    # The library is cached now.  -S keeps site hooks, which may import
+    # these modules themselves, out of the probe.
+    probe = (
+        "import sys; from repro.compute.native import load_library; "
+        "assert load_library() is not None; "
+        "print(','.join(m for m in ('subprocess', 'shutil', 'tempfile') "
+        "if m in sys.modules))"
+    )
+    result = _fresh_interpreter(probe, "-S")
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().strip() == ""
 
 
 @pytest.mark.parametrize("persistent", [False, True], ids=["memory", "log"])

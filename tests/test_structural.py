@@ -15,6 +15,7 @@ Three layers under test, each against its streaming oracle:
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -35,7 +36,6 @@ from repro.skipindex.decoder import SkipIndexNavigator
 from repro.skipindex.encoder import encode_document
 from repro.skipindex.structural import (
     IndexedNavigator,
-    StructuralIndex,
     build_structural_index,
     parse_structural_index,
 )
@@ -167,8 +167,32 @@ def test_blob_round_trip(seed):
     encoded = encode_document(random_tree(random.Random(seed)))
     index = build_structural_index(encoded)
     restored = parse_structural_index(index.to_bytes())
+    # __eq__ covers every column, the element ones too: building derives
+    # them from the decoder's frames, parsing from the byte intervals.
     assert restored == index
+    assert restored.to_bytes() == index.to_bytes()
     assert restored.matches_document(encoded)
+
+
+def test_parse_rejects_malformed_blobs():
+    from repro.skipindex.bitio import put_varints
+    from repro.skipindex.structural import INDEX_MAGIC, StructuralIndexError
+
+    def blob(*item):
+        out = bytearray(INDEX_MAGIC + b"\x01")
+        put_varints(out, [64, 1, 2, 1, *item])
+        return bytes(out)
+
+    assert parse_structural_index(blob(1, 1, 1, 1, 0)).item_count == 1
+    for bad in (
+        b"XSIY" + blob(1, 1, 1, 1, 0)[4:],  # magic
+        blob(1, 1, 1, 1, 0)[:-1],  # truncated
+        blob(7, 1, 1, 1, 0),  # item kind
+        blob(1, 1 << 40, 1, 1, 0),  # start wider than its column
+        blob(1, 1, 1, 1, 1 << 40),  # tag code wider than its column
+    ):
+        with pytest.raises(StructuralIndexError):
+            parse_structural_index(bad)
 
 
 def test_matches_document_rejects_other_encodings():
@@ -392,7 +416,7 @@ def test_refresh_modes_unit():
     index = build_structural_index(encoded)
     tree = decode_document(encoded)
     # Same-length text edit: reuse.
-    from repro.skipindex.updates import update_text
+    from repro.skipindex.updates import insert_element, update_text
 
     new_tree = update_text(tree, [40, 0], "goat")
     new_encoded, grew = reencode_after(encoded, new_tree)
@@ -401,6 +425,7 @@ def test_refresh_modes_unit():
     )
     refreshed, mode = refresh_structural_index(index, new_encoded, impact)
     assert mode == "incremental" and refreshed is index
+    assert refreshed == build_structural_index(new_encoded)
     # Different-length text edit: rebuild (offsets after the edit shift).
     longer = update_text(tree, [40, 0], "a-much-longer-value")
     long_encoded, grew = reencode_after(encoded, longer)
@@ -410,6 +435,64 @@ def test_refresh_modes_unit():
     refreshed, mode = refresh_structural_index(index, long_encoded, impact)
     assert mode == "rebuild" and refreshed is not index
     assert refreshed == build_structural_index(long_encoded)
+    # A new tag grows the dictionary: the worst case, rebuilt.
+    child = Node("brand-new")
+    child.add("fresh")
+    inserted = insert_element(tree, [40], child)
+    new_encoded, grew = reencode_after(encoded, inserted)
+    impact = impact_between(
+        encoded, new_encoded, tree, inserted, dictionary_grew=grew
+    )
+    refreshed, mode = refresh_structural_index(index, new_encoded, impact)
+    assert grew and mode == "rebuild"
+    assert refreshed == build_structural_index(new_encoded)
+
+
+# ----------------------------------------------------------------------
+# Layout: typed-array columns
+# ----------------------------------------------------------------------
+def test_index_columns_are_typed_arrays():
+    encoded = encode_document(selective_document())
+    index = build_structural_index(encoded)
+    typecodes = {
+        "kinds": "B", "starts": "I", "contents": "I", "sizes": "I",
+        "tags": "i", "elem_items": "i", "elem_parent": "i",
+    }
+    for name, typecode in typecodes.items():
+        column = getattr(index, name)
+        assert type(column) is array and column.typecode == typecode, name
+    assert type(index.descs) is list
+    # <rare> follows <folder> and 40 three-element records.
+    steps = [("/", "folder"), ("/", "rare")]
+    assert index.match(steps, encoded.dictionary) == (121,)
+    assert all(type(pres) is array for pres in index._by_tag().values())
+
+
+def test_descs_wider_than_64_bits_round_trip():
+    # 100 distinct tags under one root: its descendant bitmap needs 100
+    # bits, more than any fixed-width array slot holds.
+    root = Node("root")
+    for number in range(100):
+        child = Node("t%03d" % number)
+        child.add(str(number))
+        root.add(child)
+    wrapper = Node("top")
+    wrapper.add(root)
+    encoded = encode_document(wrapper)
+    index = build_structural_index(encoded)
+    assert max(index.descs).bit_length() > 64
+    restored = parse_structural_index(index.to_bytes())
+    assert restored == index
+    baseline = drain(
+        SkipIndexNavigator(
+            encoded.data,
+            dictionary=encoded.dictionary,
+            start_offset=encoded.root_offset,
+        )
+    )
+    assert drain(IndexedNavigator(encoded.data, restored, encoded.dictionary)) == (
+        baseline
+    )
 
 
 # ----------------------------------------------------------------------
