@@ -6,7 +6,7 @@ structure — a local same-length edit re-encrypts a couple of chunks, a
 worst-case edit (dictionary growth) rewrites the whole store — and
 that the cross-version replay defence holds on the benchmark document.
 The full report lands in ``BENCH_updates.json`` (next to
-``BENCH_engine.json`` / ``BENCH_server.json``).
+``BENCH_engine.json``).
 """
 
 import json

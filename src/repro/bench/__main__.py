@@ -27,7 +27,6 @@ from repro.bench.experiments import (
     fig12_real_datasets,
     hotpath_experiment,
     render,
-    server_load,
     table1_costs,
     table2_documents,
     updates_experiment,
@@ -42,9 +41,8 @@ EXPERIMENTS = {
     "fig10": ("Figure 10 - impact of queries", fig10_queries),
     "fig11": ("Figure 11 - impact of integrity control", fig11_integrity),
     "fig12": ("Figure 12 - performance on real datasets", fig12_real_datasets),
-    "server": ("Server load - repro.server over localhost TCP", server_load),
     "updates": ("Updates - live dirty-chunk re-encryption costs", updates_experiment),
-    "hotpath": ("Hot path - view cache, skip-pruned replay, vectorized crypto", hotpath_experiment),
+    "hotpath": ("Hot path - skip-pruned replay, vectorized crypto", hotpath_experiment),
 }
 
 

@@ -372,62 +372,6 @@ def fig12_real_datasets(
 
 
 # ----------------------------------------------------------------------
-# Server load (post-paper: the repro.server network layer)
-# ----------------------------------------------------------------------
-def server_load(
-    clients: int = 8, queries: int = 5, folders: int = 2
-) -> Dict[str, object]:
-    """Real wall-clock serving quality of the network layer.
-
-    Starts an in-process :class:`~repro.server.service.StationServer`
-    on an ephemeral port and drives it with the thread-based load
-    generator; the row reports measured throughput and latency
-    percentiles (not simulated seconds).
-    """
-    from repro.server.loadgen import run_load
-    from repro.server.service import ServerThread, StationServer, hospital_station
-
-    station, subjects = hospital_station(folders=folders)
-    server = StationServer(station)
-    thread = ServerThread(server)
-    host, port = thread.start()
-    try:
-        report = run_load(
-            host, port, clients=clients, queries=queries, subjects=subjects
-        )
-    finally:
-        thread.stop()
-        station.close()
-    latency = report["latency_ms"]
-    rows = [
-        (
-            clients,
-            queries,
-            report["requests"],
-            report["errors"],
-            "%.1f" % report["throughput_rps"],
-            "%.1f" % latency["p50"],
-            "%.1f" % latency["p95"],
-            human_bytes(report["bytes_received"]),
-        )
-    ]
-    return {
-        "headers": [
-            "Clients",
-            "Queries/client",
-            "Requests",
-            "Errors",
-            "Throughput (req/s)",
-            "p50 (ms)",
-            "p95 (ms)",
-            "Received",
-        ],
-        "rows": rows,
-        "report": report,
-    }
-
-
-# ----------------------------------------------------------------------
 # Updates (post-paper: the live update path of Section 4.1)
 # ----------------------------------------------------------------------
 def _first_text_path(tree) -> Tuple[List[int], str]:
@@ -767,14 +711,12 @@ def _evaluator_microbench(folders: int = 6) -> List[Dict[str, object]]:
 
 def hotpath_experiment(
     folders: int = 4,
-    clients: int = 4,
-    queries: int = 10,
     output: Optional[str] = "BENCH_hotpath.json",
     backend: Optional[str] = None,
 ) -> Dict[str, object]:
-    """End-to-end hot-path profile: crypto, pruning, view cache.
+    """Hot-path profile: crypto, compute backends, pruning.
 
-    Five coordinated measurements, one JSON report:
+    Four coordinated measurements, one JSON report:
 
     1. **crypto** — whole-buffer mode throughput vs the block-at-a-time
        reference (the seed path);
@@ -782,24 +724,20 @@ def hotpath_experiment(
     3. **evaluator** — cold vs skip-pruned replay on the hospital
        document (wall-clock + the deterministic pruning counters);
     4. **station cold path** — ``SecureStation.evaluate`` with the view
-       cache off, pruning off vs on;
-    5. **serving** — the repeated-query loadgen workload against a live
-       server with the view cache off vs on (real req/s), plus a mixed
-       workload on the cached server with per-class hit rates.
+       cache off, pruning off vs on.
 
-    ``backend`` selects the station compute backend of the serving runs
-    (``"all"`` leaves serving on auto — the per-backend comparison
+    ``backend`` selects the station compute backend of the station
+    runs (``"all"`` leaves them on auto — the per-backend comparison
     lives in the ``backends`` section either way) and is recorded in
-    the report.
+    the report.  Served end-to-end numbers (view cache, TCP, gateway)
+    are ``perfbench/run.py``'s job.
 
-    The paper-figure benches (fig8–fig12) are untouched by all three
-    optimizations: they run ``evaluate_document`` — the cold path — and
-    cached responses report the same simulated Table-1 seconds anyway.
+    The paper-figure benches (fig8–fig12) are untouched by these
+    optimizations: they run ``evaluate_document`` — the cold path.
     """
     import json as _json
 
-    from repro.server.loadgen import run_load
-    from repro.server.service import ServerThread, StationServer, hospital_station
+    from repro.server.service import hospital_station
 
     station_backend = None if backend in (None, "all", "auto") else backend
     crypto = _crypto_microbench()
@@ -833,62 +771,6 @@ def hotpath_experiment(
         )
     prune_speedup = max(row["speedup"] for row in station_rows)
 
-    # --- serving: repeated-query loadgen, cache off vs on --------------
-    serving: Dict[str, object] = {}
-    for label, cache in [("uncached", False), ("cached", True)]:
-        station, subjects = hospital_station(
-            folders=folders, backend=station_backend
-        )
-        station.cache_views = cache
-        thread = ServerThread(StationServer(station))
-        host, port = thread.start()
-        try:
-            report = run_load(
-                host, port, clients=clients, queries=queries, subjects=subjects
-            )
-        finally:
-            thread.stop()
-        serving[label] = {
-            "throughput_rps": report["throughput_rps"],
-            "p50_ms": report["latency_ms"]["p50"],
-            "p95_ms": report["latency_ms"]["p95"],
-            "requests": report["requests"],
-            "errors": report["errors"],
-            "cached_hits": report["cached_hits"],
-            "view_hits": station.stats.view_hits,
-            "view_misses": station.stats.view_misses,
-        }
-        station.close()
-    cached_speedup = (
-        serving["cached"]["throughput_rps"]
-        / serving["uncached"]["throughput_rps"]
-        if serving["uncached"]["throughput_rps"]
-        else 0.0
-    )
-
-    # --- mixed workload on a cached server (per-class honesty) ---------
-    station, subjects = hospital_station(folders=folders, backend=station_backend)
-    thread = ServerThread(StationServer(station))
-    host, port = thread.start()
-    try:
-        mix = [
-            (subjects[0], None, 4.0),
-            (subjects[1], None, 2.0),
-            (subjects[2], "//Folder[//Age > 60]", 1.0),
-        ]
-        mixed = run_load(
-            host,
-            port,
-            clients=clients,
-            queries=queries,
-            subjects=subjects,
-            mix=mix,
-            seed=7,
-        )
-    finally:
-        thread.stop()
-        station.close()
-
     parallel_speedups = [
         case["speedup"] for case in crypto if case["parallelizable"]
     ]
@@ -897,7 +779,6 @@ def hotpath_experiment(
         # encryption is chained by construction and reported separately.
         "crypto_speedup_min": min(parallel_speedups),
         "prune_speedup": prune_speedup,
-        "cached_speedup": round(cached_speedup, 2),
         # Backend ratios: None when that backend cannot run here (no
         # compiler for native); the CI guards skip accordingly.
         "native_vs_fast": backends["cipher"].get("native_vs_fast"),
@@ -905,21 +786,11 @@ def hotpath_experiment(
     report = {
         "bench": "hotpath",
         "folders": folders,
-        "clients": clients,
-        "queries_per_client": queries,
         "backend": backend or "auto",
         "crypto": crypto,
         "backends": backends,
         "evaluator": evaluator,
         "station_cold_path": station_rows,
-        "serving": serving,
-        "mixed_workload": {
-            "throughput_rps": mixed["throughput_rps"],
-            "cached_hits": mixed["cached_hits"],
-            "requests": mixed["requests"],
-            "errors": mixed["errors"],
-            "classes": mixed["classes"],
-        },
         "ratios": ratios,
     }
     if output:
@@ -936,24 +807,6 @@ def hotpath_experiment(
             else "unavailable (no C compiler)",
         ),
         ("station cold path (best prune speedup)", "x%.2f" % ratios["prune_speedup"]),
-        (
-            "serving throughput cached vs uncached",
-            "x%.1f (%.0f -> %.0f req/s)"
-            % (
-                ratios["cached_speedup"],
-                serving["uncached"]["throughput_rps"],
-                serving["cached"]["throughput_rps"],
-            ),
-        ),
-        (
-            "mixed workload",
-            "%.0f req/s, %d/%d cached"
-            % (
-                mixed["throughput_rps"],
-                mixed["cached_hits"],
-                mixed["requests"],
-            ),
-        ),
     ]
     return {
         "headers": ["Hot-path measurement", "Result"],

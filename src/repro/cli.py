@@ -6,7 +6,7 @@ Exposes the pipeline end to end::
     python -m repro encode   doc.xml doc.xskp
     python -m repro protect  doc.xml doc.store --scheme ECB-MHT --key 00112233445566778899aabbccddeeff
     python -m repro view     doc.store --key 001122... --rule "+://book" --rule "-://internal" [--query "//book[price < 20]"]
-    python -m repro bench    [table1 table2 fig8 fig9 fig10 fig11 fig12 server updates hotpath]
+    python -m repro bench    [table1 table2 fig8 fig9 fig10 fig11 fig12 updates hotpath]
     python -m repro serve    --port 8471 [--hospital 3]
     python -m repro serve    --port 8471 --store ./station-data --cache-mb 64   # persistent chunk log
     python -m repro cluster  --backends 3 --replicas 2 [--documents 2 --port 8470] [--store ./cluster-data]
@@ -14,8 +14,6 @@ Exposes the pipeline end to end::
     python -m repro store    compact ./station-data
     python -m repro remote-view 127.0.0.1:8471 hospital --subject secretary [--query ...]
     python -m repro update   127.0.0.1:8471 hospital --subject secretary --kind update-text --path 0,1 --text "new value"
-    python -m repro loadgen  127.0.0.1:8471 --clients 8 --queries 5 [--mix "subject[:weight[:query]]" ...]
-    python -m repro loadgen  --cluster 3 --replicas 2 --kill-one --output BENCH_cluster.json
     python -m repro stats    127.0.0.1:8470 [--format table|csv|json]
     python -m repro top      127.0.0.1:8470 [--interval 2] [--once]
 
@@ -36,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.chunks import ChunkLayout
@@ -451,29 +449,48 @@ def cmd_store(args) -> int:
     return 0
 
 
+def parse_address(text: str) -> Tuple[str, int]:
+    """``HOST:PORT`` -> ``(host, port)``; the ``type=`` of every
+    ``address`` positional, so a malformed one is a usage error."""
+    host, _sep, port = text.rpartition(":")
+    if not host or not port.isdigit():
+        raise argparse.ArgumentTypeError(
+            "address must look like HOST:PORT, got %r" % text
+        )
+    return host, int(port)
+
+
+def _unreachable(address: Tuple[str, int], exc: Exception) -> SystemExit:
+    """A client verb pointed at a dead or unreachable station is an
+    operator typo, not a crash: one line, non-zero exit."""
+    return SystemExit("cannot reach station at %s:%d -- %s" % (*address, exc))
+
+
 def cmd_remote_view(args) -> int:
     from repro.server.client import RemoteError, RemoteSession
-    from repro.server.loadgen import parse_address
 
-    host, port = parse_address(args.address)
-    with RemoteSession(
-        host, port, args.subject or "", connect_retry=args.connect_retry
-    ) as session:
-        try:
+    host, port = args.address
+    try:
+        with RemoteSession(
+            host, port, args.subject or "", connect_retry=args.connect_retry
+        ) as session:
             result = session.evaluate(args.document, query=args.query)
-        except RemoteError as exc:
-            raise SystemExit("server refused the query -- %s" % exc)
-        sys.stdout.write(result.text)
-        if result.text and not result.text.endswith("\n"):
-            sys.stdout.write("\n")
-        if args.costs:
-            print(
-                "# %d bytes in %d chunks; simulated %.4f s on the SOE"
-                % (result.result_bytes, result.chunks, result.seconds),
-                file=sys.stderr,
-            )
-        if args.stats:
-            print(json.dumps(session.stats(), indent=2), file=sys.stderr)
+            stats = session.stats() if args.stats else None
+    except RemoteError as exc:
+        raise SystemExit("server refused the query -- %s" % exc)
+    except (ConnectionError, OSError) as exc:
+        raise _unreachable(args.address, exc)
+    sys.stdout.write(result.text)
+    if result.text and not result.text.endswith("\n"):
+        sys.stdout.write("\n")
+    if args.costs:
+        print(
+            "# %d bytes in %d chunks; simulated %.4f s on the SOE"
+            % (result.result_bytes, result.chunks, result.seconds),
+            file=sys.stderr,
+        )
+    if stats is not None:
+        print(json.dumps(stats, indent=2), file=sys.stderr)
     return 0
 
 
@@ -481,18 +498,15 @@ def cmd_stats(args) -> int:
     """One STATS round-trip, rendered as a table, CSV or JSON."""
     from repro.obs.dashboard import render_stats
     from repro.server.client import RemoteSession
-    from repro.server.loadgen import parse_address
 
-    host, port = parse_address(args.address)
+    host, port = args.address
     try:
         with RemoteSession(
             host, port, args.subject or "@stats", connect_retry=args.connect_retry
         ) as session:
             body = session.stats()
     except (ConnectionError, OSError) as exc:
-        raise SystemExit(
-            "cannot reach station at %s:%d -- %s" % (host, port, exc)
-        )
+        raise _unreachable(args.address, exc)
     print(render_stats(body, args.format))
     return 0
 
@@ -509,10 +523,9 @@ def cmd_top(args) -> int:
 
     from repro.obs.dashboard import render_top
     from repro.server.client import RemoteSession
-    from repro.server.loadgen import parse_address
 
-    host, port = parse_address(args.address)
-    address = "%s:%d" % (host, port)
+    host, port = args.address
+    address = "%s:%d" % args.address
     try:
         with RemoteSession(
             host,
@@ -538,11 +551,7 @@ def cmd_top(args) -> int:
             except KeyboardInterrupt:
                 print()
     except (ConnectionError, OSError) as exc:
-        # A dashboard pointed at a dead or unreachable server is an
-        # operator typo, not a crash: one line, non-zero exit.
-        raise SystemExit(
-            "cannot reach station at %s -- %s" % (address, exc)
-        )
+        raise _unreachable(args.address, exc)
     return 0
 
 
@@ -558,7 +567,6 @@ def _parse_index_path(text: str) -> List[int]:
 def cmd_update(args) -> int:
     """Apply one live edit to a document on a running station server."""
     from repro.server.client import RemoteError, RemoteSession
-    from repro.server.loadgen import parse_address
     from repro.skipindex.updates import UpdateError, UpdateOp
     from repro.xmlkit.parser import parse_document
 
@@ -576,14 +584,16 @@ def cmd_update(args) -> int:
         )
     except UpdateError as exc:
         raise SystemExit("bad update: %s" % exc)
-    host, port = parse_address(args.address)
-    with RemoteSession(
-        host, port, args.subject or "", connect_retry=args.connect_retry
-    ) as session:
-        try:
+    host, port = args.address
+    try:
+        with RemoteSession(
+            host, port, args.subject or "", connect_retry=args.connect_retry
+        ) as session:
             trailer = session.update(args.document, op)
-        except RemoteError as exc:
-            raise SystemExit("server refused the update -- %s" % exc)
+    except RemoteError as exc:
+        raise SystemExit("server refused the update -- %s" % exc)
+    except (ConnectionError, OSError) as exc:
+        raise _unreachable(args.address, exc)
     summary = trailer.get("update", {})
     print(
         "updated %r to version %s: re-encrypted %s/%s chunks (%.1f%%%s), "
@@ -599,38 +609,6 @@ def cmd_update(args) -> int:
         )
     )
     return 0
-
-
-def cmd_loadgen(args) -> int:
-    from repro.server.loadgen import main as loadgen_main
-
-    argv = ["--clients", str(args.clients),
-            "--queries", str(args.queries), "--document", args.document,
-            "--output", args.output]
-    if args.address:
-        argv.insert(0, args.address)
-    if args.cluster:
-        argv += ["--cluster", str(args.cluster),
-                 "--replicas", str(args.replicas),
-                 "--cluster-documents", str(args.cluster_documents),
-                 "--folders", str(args.folders)]
-        if args.kill_one:
-            argv += ["--kill-one"]
-    for subject in args.subjects or []:
-        argv += ["--subject", subject]
-    if args.query:
-        argv += ["--query", args.query]
-    for spec in args.mix or []:
-        argv += ["--mix", spec]
-    if args.seed:
-        argv += ["--seed", str(args.seed)]
-    if args.backend:
-        argv += ["--backend", args.backend]
-    if args.trace:
-        argv += ["--trace"]
-    if args.slow_ms is not None:
-        argv += ["--slow-ms", str(args.slow_ms)]
-    return loadgen_main(argv)
 
 
 # ----------------------------------------------------------------------
@@ -859,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser(
         "stats", help="one STATS snapshot from a server or gateway"
     )
-    p_stats.add_argument("address", help="HOST:PORT")
+    p_stats.add_argument("address", type=parse_address, help="HOST:PORT")
     p_stats.add_argument(
         "--format", choices=["table", "csv", "json"], default="table"
     )
@@ -870,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = sub.add_parser(
         "top", help="live terminal dashboard over a server or gateway"
     )
-    p_top.add_argument("address", help="HOST:PORT")
+    p_top.add_argument("address", type=parse_address, help="HOST:PORT")
     p_top.add_argument(
         "--interval", type=float, default=2.0, help="refresh period, seconds"
     )
@@ -884,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_remote = sub.add_parser(
         "remote-view", help="authorized view from a running station server"
     )
-    p_remote.add_argument("address", help="HOST:PORT")
+    p_remote.add_argument("address", type=parse_address, help="HOST:PORT")
     p_remote.add_argument("document", help="document id (e.g. 'hospital')")
     p_remote.add_argument("--subject", help="subject to connect as")
     p_remote.add_argument("--query", help="XPath query over the view")
@@ -900,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_update = sub.add_parser(
         "update", help="apply a live edit to a served document"
     )
-    p_update.add_argument("address", help="HOST:PORT")
+    p_update.add_argument("address", type=parse_address, help="HOST:PORT")
     p_update.add_argument("document", help="document id (e.g. 'hospital')")
     p_update.add_argument(
         "--kind",
@@ -922,61 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_update.add_argument("--connect-retry", type=float, default=5.0)
     p_update.set_defaults(func=cmd_update)
 
-    p_load = sub.add_parser(
-        "loadgen", help="drive N clients x M queries; writes BENCH_server.json"
-    )
-    p_load.add_argument(
-        "address", nargs="?", help="HOST:PORT (omit with --cluster)"
-    )
-    p_load.add_argument(
-        "--cluster",
-        type=int,
-        metavar="N",
-        help="boot an in-process N-backend cluster and load its gateway",
-    )
-    p_load.add_argument("--replicas", type=int, default=2)
-    p_load.add_argument("--cluster-documents", type=int, default=2)
-    p_load.add_argument("--folders", type=int, default=2)
-    p_load.add_argument(
-        "--kill-one",
-        action="store_true",
-        help="failover drill: kill the first document's primary mid-run",
-    )
-    p_load.add_argument("--clients", type=int, default=8)
-    p_load.add_argument("--queries", type=int, default=5)
-    p_load.add_argument("--document", default="hospital")
-    p_load.add_argument(
-        "--subject", action="append", dest="subjects", help="repeatable"
-    )
-    p_load.add_argument("--query")
-    p_load.add_argument(
-        "--mix",
-        action="append",
-        metavar="SUBJECT[:WEIGHT[:QUERY]]",
-        help="mixed workload: weighted (subject, query) classes "
-        "(repeatable; reports per-class latency + cache hits)",
-    )
-    p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument("--output", default="BENCH_server.json")
-    p_load.add_argument(
-        "--backend",
-        choices=["pure", "native", "auto"],
-        help="compute backend of the in-process server under load "
-        "(recorded in the report)",
-    )
-    p_load.add_argument(
-        "--trace",
-        action="store_true",
-        help="stamp every request with a reproducible trace id and "
-        "report server-side tracer counters",
-    )
-    p_load.add_argument(
-        "--slow-ms",
-        type=float,
-        metavar="MS",
-        help="slow-query threshold for the booted cluster gateway",
-    )
-    p_load.set_defaults(func=cmd_loadgen)
     return parser
 
 

@@ -16,8 +16,8 @@ wire protocol, so existing clients work unchanged:
   control frames and aggregated STATS;
 * :mod:`repro.cluster.topology` — :class:`StationCluster` /
   :func:`hospital_cluster`: the in-process N-backends-plus-gateway
-  bootstrap behind ``repro cluster``, ``repro loadgen --cluster`` and
-  the failover tests.
+  bootstrap behind ``repro cluster``, the ``gateway-views`` perfbench
+  workload and the failover tests.
 
 Layering: ``repro.cluster`` sits above :mod:`repro.server`; nothing
 below imports it.  The gateway is imported from its submodule (the

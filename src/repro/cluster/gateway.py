@@ -35,7 +35,7 @@ address, the gateway:
   REBALANCE (join/leave a backend at runtime, with deterministic
   re-placement), PING (gateway health) and an aggregated STATS that
   sums backend counters and reports per-backend request counts and
-  latency percentiles (the loadgen's skew report).
+  latency percentiles (the ``repro top`` per-backend skew view).
 
 Trust note: the gateway is part of the *untrusted server* tier of the
 paper — it never sees plaintext views in the seal-less configuration

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # Latency buckets in *milliseconds* — the unit every report in this repo
-# already uses (loadgen, gateway STATS, bench tables).
+# already uses (gateway STATS, bench tables, perfbench).
 LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     1.0,
     2.5,

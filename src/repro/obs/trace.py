@@ -42,14 +42,8 @@ __all__ = [
 _TRACE_MASK = (1 << 64) - 1
 
 
-def new_trace_id(rng: Optional[Any] = None) -> int:
-    """Mint a nonzero 64-bit trace id.
-
-    Pass a seeded ``random.Random`` as ``rng`` for reproducible ids
-    (loadgen stamps deterministic trace ids under ``--seed``).
-    """
-    if rng is not None:
-        return (rng.getrandbits(64) & _TRACE_MASK) | 1
+def new_trace_id() -> int:
+    """Mint a nonzero 64-bit trace id."""
     return (int.from_bytes(os.urandom(8), "big") & _TRACE_MASK) | 1
 
 

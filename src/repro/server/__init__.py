@@ -15,14 +15,13 @@ boundary:
   evaluation, bounded-queue chunk streaming, per-session limits and a
   STATS endpoint; :class:`ServerThread` runs it from blocking code;
 * :mod:`repro.server.client` — :class:`RemoteSession`, the blocking
-  SDK mirroring the in-process evaluate API;
-* :mod:`repro.server.loadgen` — N clients x M queries, real
-  throughput / latency percentiles, ``BENCH_server.json``.
+  SDK mirroring the in-process evaluate API.
+
+Served throughput and latency are measured by ``perfbench/run.py``.
 
 Layering: ``repro.server`` sits beside the applications, *above* the
-engine; nothing below imports it.  The client SDK and the load
-generator are imported from their submodules, so a serving process
-never loads them.
+engine; nothing below imports it.  The client SDK is imported from its
+submodule, so a serving process never loads it.
 """
 
 from repro.server.protocol import Frame, FrameDecoder, ProtocolError

@@ -9,6 +9,15 @@ from repro.cli import main
 DOC = "<shop><item><name>x</name><cost>5</cost></item><secret>k</secret></shop>"
 KEY = "00112233445566778899aabbccddeeff"
 
+#: The verbs that talk to a running station, with the arguments each
+#: needs after its ``HOST:PORT`` address.
+CLIENT_VERBS = {
+    "stats": [],
+    "top": ["--once"],
+    "remote-view": ["hospital"],
+    "update": ["hospital", "--kind", "update-text", "--path", "0", "--text", "x"],
+}
+
 
 @pytest.fixture()
 def xml_file(tmp_path):
@@ -170,12 +179,17 @@ class TestOperatorErrorPaths:
             holder.close()
         assert "cannot open store" in str(info.value)
 
-    def test_stats_unreachable_server(self):
+    @pytest.mark.parametrize("verb", sorted(CLIENT_VERBS))
+    def test_unreachable_server(self, verb):
         with pytest.raises(SystemExit) as info:
-            main(["stats", "127.0.0.1:1", "--connect-retry", "0"])
-        assert "cannot reach station at 127.0.0.1:1" in str(info.value)
+            main(
+                [verb, "127.0.0.1:1", *CLIENT_VERBS[verb], "--connect-retry", "0"]
+            )
+        assert "cannot reach station at 127.0.0.1:1 -- " in str(info.value)
 
-    def test_top_unreachable_server(self):
+    @pytest.mark.parametrize("verb", sorted(CLIENT_VERBS))
+    def test_malformed_address_is_usage_error(self, verb, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["top", "127.0.0.1:1", "--once", "--connect-retry", "0"])
-        assert "cannot reach station at 127.0.0.1:1" in str(info.value)
+            main([verb, "localhost", *CLIENT_VERBS[verb]])
+        assert info.value.code == 2
+        assert "address must look like HOST:PORT" in capsys.readouterr().err

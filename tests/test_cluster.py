@@ -20,6 +20,7 @@ bootstrapped by :func:`hospital_cluster`.  The headline properties:
 """
 
 import socket
+import threading
 import time
 
 import pytest
@@ -235,6 +236,82 @@ class TestFailover:
                     )
 
                 assert wait_until(repaired)
+        finally:
+            cluster.stop()
+
+    def test_kill_primary_under_concurrent_load_loses_no_request(self):
+        cluster, docs, subjects = make_cluster(backends=3, replicas=2)
+        workers, queries, kill_after = 4, 12, 4
+        try:
+            host, port = cluster.gateway_address
+            expected = {}
+            for subject in subjects:
+                with RemoteSession(host, port, subject) as session:
+                    for doc in docs:
+                        expected[doc, subject] = session.evaluate(doc).data
+            primary = cluster.primary_of(docs[0])
+            barrier = threading.Barrier(workers)
+            failures, served_by = [], []
+
+            def worker(index):
+                sessions = {
+                    subject: RemoteSession(
+                        host, port, subject, auto_reconnect=True
+                    )
+                    for subject in subjects
+                }
+                try:
+                    for i in range(queries):
+                        if i == kill_after:
+                            # Every worker is mid-run; one kills the
+                            # primary while the others resume querying.
+                            barrier.wait(timeout=30)
+                            if index == 0:
+                                cluster.kill_backend(primary)
+                        # i -> (document, subject) covers all six pairs.
+                        doc = docs[i % len(docs)]
+                        subject = subjects[(index + i) % len(subjects)]
+                        result = sessions[subject].evaluate(doc)
+                        if result.data != expected[doc, subject]:
+                            failures.append((index, i, doc, subject))
+                        served_by.append(result.trailer["backend"])
+                except Exception as exc:  # noqa: BLE001 - collected for assert
+                    barrier.abort()
+                    failures.append((index, repr(exc)))
+                finally:
+                    for session in sessions.values():
+                        session.close()
+
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+            # A backend died mid-run and no client ever saw it.
+            assert not failures
+            assert len(served_by) == workers * queries
+            assert not cluster.nodes[primary].alive
+            gateway_stats = cluster.gateway.gateway_stats
+            assert gateway_stats["backends_lost"] >= 1
+            assert gateway_stats["errors"] == 0
+            # Routing spread the two documents over at least two backends.
+            assert len(set(served_by)) >= 2
+
+            # Repair restored full replication on the survivors.
+            def repaired():
+                with RemoteSession(host, port, "@admin") as admin:
+                    placement = admin.topology()["documents"]
+                return all(
+                    len(placement[doc]["nodes"]) == 2
+                    and primary not in placement[doc]["nodes"]
+                    for doc in docs
+                )
+
+            assert wait_until(repaired)
         finally:
             cluster.stop()
 

@@ -53,7 +53,6 @@ NOT_SERVED = (
     "repro.datasets.real",
     "repro.skipindex.variants",
     "repro.server.client",
-    "repro.server.loadgen",
 )
 
 

@@ -245,13 +245,10 @@ class TestRegistry:
 # Tracer
 # ----------------------------------------------------------------------
 class TestTracer:
-    def test_trace_ids_are_nonzero_and_seeded_runs_reproduce(self):
-        rng_a, rng_b = random.Random(42), random.Random(42)
-        ids_a = [new_trace_id(rng_a) for _ in range(10)]
-        ids_b = [new_trace_id(rng_b) for _ in range(10)]
-        assert ids_a == ids_b
-        assert all(0 < t <= protocol.MAX_TRACE_ID for t in ids_a)
-        assert len(format_trace_id(ids_a[0])) == 16
+    def test_trace_ids_are_nonzero_and_well_formed(self):
+        ids = [new_trace_id() for _ in range(10)]
+        assert all(0 < t <= protocol.MAX_TRACE_ID for t in ids)
+        assert all(len(format_trace_id(t)) == 16 for t in ids)
 
     def test_span_tree_and_record(self):
         tracer = Tracer()

@@ -1,10 +1,10 @@
-"""Tests for the network layer: wire protocol, server, client, loadgen.
+"""Tests for the network layer: wire protocol, server, client.
 
 Covers the protocol round-trip fuzz (truncated frames, oversized
 payloads, unknown types), the asyncio server end to end over localhost
-(byte-identical to the in-process path), sealed-link streaming,
-structured errors, per-session limits, STATS, the thread-safe meter
-and a small loadgen pass.
+(byte-identical to the in-process path), concurrent sessions,
+sealed-link streaming, structured errors, per-session limits, STATS,
+the thread-safe meter and the latency percentile.
 """
 
 import random
@@ -14,10 +14,9 @@ import pytest
 
 from repro.datasets.hospital import doctor_policy, secretary_policy
 from repro.engine import SecureStation, evaluate_document
-from repro.metrics import Meter, ThreadSafeMeter
+from repro.metrics import Meter, ThreadSafeMeter, percentile
 from repro.server import protocol
 from repro.server.client import RemoteError, RemoteSession
-from repro.server.loadgen import percentile, run_load, write_report
 from repro.server.protocol import (
     CHUNK,
     HELLO,
@@ -319,35 +318,46 @@ class TestEndToEnd:
         assert stats["server"]["queries"] >= 1
         assert stats["meter"].get("bytes_decrypted", 0) > 0
 
-    def test_concurrent_sessions(self, live_server, hospital):
-        server, host, port, subjects = live_server
-        station, _ = hospital
+    def test_concurrent_sessions(self, hospital):
+        # Its own server, so the counters below are exactly this load.
+        station, subjects = hospital
+        server = StationServer(station, chunk_size=128)
         expected = {
             subject: serialize_events(
                 station.evaluate("hospital", subject).events
             ).encode("utf-8")
             for subject in subjects
         }
+        clients = subjects * 3
+        queries = 4
         failures = []
 
         def worker(subject):
             try:
                 with RemoteSession(host, port, subject) as session:
-                    for _ in range(3):
+                    for _ in range(queries):
                         result = session.evaluate("hospital")
                         assert result.data == expected[subject]
             except Exception as exc:  # noqa: BLE001 - collected for assert
                 failures.append((subject, exc))
 
-        threads = [
-            threading.Thread(target=worker, args=(subject,))
-            for subject in subjects * 2
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        with ServerThread(server) as (host, port):
+            threads = [
+                threading.Thread(target=worker, args=(subject,))
+                for subject in clients
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            served = dict(server.server_stats)
         assert not failures
+        # The server really served that traffic (not some other
+        # instance), one connection per client.
+        assert served["queries"] == len(clients) * queries
+        assert served["connections"] >= len(clients)
+        # Per-connection meters were merged into the shared one on close.
+        assert server.meter.bytes_decrypted > 0
 
 
 class TestSealedLink:
@@ -497,9 +507,9 @@ class TestThreadSafeMeter:
 
 
 # ----------------------------------------------------------------------
-# Load generator
+# Latency percentile (nearest rank)
 # ----------------------------------------------------------------------
-class TestLoadgen:
+class TestPercentile:
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
         assert percentile(values, 0) == 1.0
@@ -530,75 +540,6 @@ class TestLoadgen:
         with pytest.raises(ValueError):
             percentile([], 150)  # bounds beat the empty-input shortcut
 
-    def test_two_client_smoke(self, live_server, tmp_path):
-        server, host, port, subjects = live_server
-        report = run_load(
-            host, port, clients=2, queries=2, subjects=subjects
-        )
-        assert report["requests"] == 4
-        assert report["errors"] == 0
-        assert report["throughput_rps"] > 0
-        assert report["latency_ms"]["p50"] > 0
-        assert report["latency_ms"]["p95"] >= report["latency_ms"]["p50"]
-        out = tmp_path / "BENCH_server.json"
-        write_report(report, str(out))
-        import json
-
-        loaded = json.loads(out.read_text())
-        assert loaded["bench"] == "server_load"
-
-    def test_parse_mix_spec(self):
-        from repro.server.loadgen import parse_mix_spec
-
-        assert parse_mix_spec("secretary") == ("secretary", None, 1.0)
-        assert parse_mix_spec("doctor0:3") == ("doctor0", None, 3.0)
-        assert parse_mix_spec("researcher:2://Folder[//Age > 60]") == (
-            "researcher",
-            "//Folder[//Age > 60]",
-            2.0,
-        )
-        # Colons inside the query survive (only the first two split).
-        assert parse_mix_spec("s:1:a:b:c") == ("s", "a:b:c", 1.0)
-        import argparse
-
-        for bad in ("", ":2", "s:zero", "s:-1"):
-            with pytest.raises(argparse.ArgumentTypeError):
-                parse_mix_spec(bad)
-
-    def test_mixed_workload_reports_per_class(self, live_server):
-        server, host, port, subjects = live_server
-        mix = [
-            (subjects[0], None, 3.0),
-            (subjects[1], "//Folder", 1.0),
-        ]
-        report = run_load(
-            host, port, clients=2, queries=6, subjects=subjects, mix=mix, seed=5
-        )
-        assert report["requests"] == 12
-        assert report["errors"] == 0
-        classes = report["classes"]
-        assert sum(entry["requests"] for entry in classes.values()) == 12
-        # Weighted draw with seed 5 over 12 requests must exercise both
-        # classes, and repeats within a class hit the view cache.
-        assert len(classes) == 2
-        assert report["cached_hits"] == sum(
-            entry["cached"] for entry in classes.values()
-        )
-        assert report["cached_hits"] >= 12 - 2 * len(classes)
-
-    def test_mixed_workload_is_seed_reproducible(self, live_server):
-        server, host, port, subjects = live_server
-        mix = [(subjects[0], None, 1.0), (subjects[2], None, 1.0)]
-        first = run_load(
-            host, port, clients=2, queries=5, subjects=subjects, mix=mix, seed=9
-        )
-        second = run_load(
-            host, port, clients=2, queries=5, subjects=subjects, mix=mix, seed=9
-        )
-        assert {k: v["requests"] for k, v in first["classes"].items()} == {
-            k: v["requests"] for k, v in second["classes"].items()
-        }
-
 
 # ----------------------------------------------------------------------
 # CLI subcommands
@@ -624,31 +565,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert "<Hospital>" in captured.out
         assert "simulated" in captured.err
-
-    def test_loadgen_command(self, live_server, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-
-        server, host, port, subjects = live_server
-        out = tmp_path / "BENCH_server.json"
-        argv = [
-            "loadgen",
-            "%s:%d" % (host, port),
-            "--clients",
-            "2",
-            "--queries",
-            "2",
-            "--output",
-            str(out),
-        ]
-        for subject in subjects:
-            argv += ["--subject", subject]
-        assert main(argv) == 0
-        report = json.loads(out.read_text())
-        assert report["requests"] == 4
-        assert report["errors"] == 0
-        assert "req/s" in capsys.readouterr().out
 
     def test_serve_parser_accepts_options(self):
         from repro.cli import build_parser
