@@ -52,7 +52,7 @@ def selective_document(records: int = RECORDS) -> Node:
 
 
 def _station(index: bool) -> SecureStation:
-    station = SecureStation(StationConfig(cache_views=False, prune=True))
+    station = SecureStation(StationConfig(cache_views=False))
     station.publish(
         "doc", selective_document(), PublishOptions(scheme="ECB-MHT", index=index)
     )

@@ -120,7 +120,7 @@ def open_station(
     The one construction front door: the CLI, the server topology and
     the benchmarks all route through it, so every station in the system
     is describable as a config value.  Keyword ``overrides`` win over
-    the config's fields (``open_station(cfg, prune=False)``)::
+    the config's fields (``open_station(cfg, cache_views=False)``)::
 
         station = repro.open_station(repro.StationConfig(context="pc"))
         station.publish("doc", xml, repro.PublishOptions(index=True))
@@ -137,16 +137,7 @@ def connect(address: Union[str, tuple], subject: str, **options):
     ``auto_reconnect``, ``trace``...).  Imported lazily so the core
     library stays importable without the server package.
     """
-    from repro.server.client import RemoteSession
+    from repro.server.client import RemoteSession, parse_address
 
-    if isinstance(address, str):
-        host, _, port_text = address.rpartition(":")
-        if not host or not port_text.isdigit():
-            raise ValueError(
-                "address must be 'host:port' or a (host, port) tuple, got %r"
-                % (address,)
-            )
-        host, port = host, int(port_text)
-    else:
-        host, port = address
+    host, port = parse_address(address) if isinstance(address, str) else address
     return RemoteSession(host, int(port), subject, **options)

@@ -134,13 +134,6 @@ class StreamingEvaluator:
     enable_subtree_copy:
         Also bulk-copy fully authorized subtrees without evaluating
         their events (an optimization the skip sizes make possible).
-    enable_pruning:
-        Skip-pruned replay (the station's hot path): before any token
-        work, a subtree whose tag set is disjoint from the plan's (and
-        query's) *trigger labels* is decided wholesale from the current
-        stacks — skipped, bulk-copied or deferred — because no automaton
-        transition can fire at or below it.  Off by default so the
-        paper-figure benches keep their exact cold-path cost accounting.
     """
 
     __slots__ = (
@@ -149,11 +142,9 @@ class StreamingEvaluator:
         "meter",
         "enable_skipping",
         "enable_subtree_copy",
-        "enable_pruning",
         "automata",
         "rules",
         "query_index",
-        "_prune_labels",
         "tokens",
         "auth",
         "qstack",
@@ -171,7 +162,6 @@ class StreamingEvaluator:
         meter: Optional[Meter] = None,
         enable_skipping: bool = True,
         enable_subtree_copy: bool = True,
-        enable_pruning: bool = False,
     ):
         # Imported lazily: the engine layer sits above this module.
         from repro.engine.plans import PolicyPlan, compile_policy
@@ -182,28 +172,14 @@ class StreamingEvaluator:
         self.meter = meter if meter is not None else Meter()
         self.enable_skipping = enable_skipping
         self.enable_subtree_copy = enable_subtree_copy
-        self.enable_pruning = enable_pruning
         self.automata: List[Automaton] = list(plan.automata)
         self.rules: List[AccessRule] = list(plan.rules)
         self.query_index: Optional[int] = None
-        prune_labels = plan.trigger_labels
         if query is not None:
             query_plan = plan.query_plan(query)
             self.query_index = len(self.automata)
             self.automata.append(query_plan.automaton)
             self.rules.append(AccessRule("+", query_plan.path, "QUERY"))
-            if prune_labels is not None:
-                query_trigger = query_plan.trigger_labels
-                prune_labels = (
-                    None
-                    if query_trigger is None
-                    else prune_labels | query_trigger
-                )
-        # None either means pruning is disabled or that a wildcard step
-        # makes every label a trigger; both fall back to the cold path.
-        self._prune_labels = (
-            prune_labels if (enable_pruning and enable_skipping) else None
-        )
         # Run state (reset per run) ------------------------------------
         self.tokens = TokenStack()
         self.auth = AuthorizationStack()
@@ -278,21 +254,6 @@ class StreamingEvaluator:
     def _on_open(self, tag: str, meta) -> None:
         meter = self.meter
         meter.events += 1
-        prune_labels = self._prune_labels
-        if (
-            prune_labels is not None
-            and meta is not None
-            and meta.desc_tags is not None
-            and tag not in prune_labels
-            and prune_labels.isdisjoint(meta.desc_tags)
-        ):
-            navigator = self._navigator
-            if (
-                navigator is not None
-                and navigator.supports_skip()
-                and self._prune_subtree(tag, navigator)
-            ):
-                return
         self.depth += 1
         depth = self.depth
         self.auth.open_level(depth)
@@ -378,69 +339,6 @@ class StreamingEvaluator:
         self.result.open(tag, node_condition)
         if state == UNKNOWN:
             meter.pending_nodes += 1
-
-    def _prune_subtree(self, tag: str, navigator: Navigator) -> bool:
-        """Skip-pruned replay (the station's hot path).
-
-        Called for an open event whose tag and descendant-tag set are
-        disjoint from every automaton's trigger labels: no transition
-        can fire at or below this node, so no rule/predicate instance,
-        witness or text listener can be created inside, and every node
-        in the subtree shares the delivery condition readable from the
-        current stacks.  The whole subtree is therefore decided in one
-        step — skipped (denied), bulk-copied (authorized) or deferred
-        (pending) — without any token machinery.  Returns False when
-        the decision cannot be realized on this navigator (the caller
-        then falls back to the cold path, with no side effects done).
-        """
-        access_condition = self._access_condition()
-        if self.query_index is not None:
-            node_condition = and_condition(
-                [access_condition, self.qstack.coverage_condition()]
-            )
-        else:
-            node_condition = access_condition
-        state = node_condition.state()
-        if state == FALSE:
-            mode = 0  # skip outright
-        elif not navigator.supports_capture():
-            return False
-        elif state == UNKNOWN:
-            mode = 1  # defer
-        elif self.enable_subtree_copy:
-            mode = 2  # authorized bulk copy
-        else:
-            return False
-        self.depth += 1
-        depth = self.depth
-        self.auth.open_level(depth)
-        if self.query_index is not None:
-            self.qstack.open_level(depth)
-        frame = Frame(tag)
-        frame.access_condition = access_condition
-        self.tokens.push(frame)
-        meter = self.meter
-        meter.decisions += 1
-        meter.pruned_subtrees += 1
-        if mode == 0:
-            self.result.open(tag, NEVER)
-            navigator.skip_subtree()
-            meter.skipped_subtrees += 1
-            return True
-        if mode == 1:
-            fetch = navigator.skip_and_capture()
-            deferred = self.result.add_deferred(node_condition, fetch)
-            if deferred is not None:
-                self._outstanding.append(deferred)
-            self.result.open(tag, NEVER)  # placeholder paired with the close
-            meter.deferred_subtrees += 1
-            return True
-        # Authorized subtree: copy it without evaluation (fetch eagerly,
-        # the enclosing chunk is still in the SOE cache).
-        events = list(navigator.skip_and_capture()())
-        self.result.add_deferred(ALWAYS, lambda: events)
-        self.result.open(tag, NEVER)
-        return True
 
     def _on_text(self, value: str) -> None:
         self.meter.events += 1

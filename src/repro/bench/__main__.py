@@ -42,7 +42,7 @@ EXPERIMENTS = {
     "fig11": ("Figure 11 - impact of integrity control", fig11_integrity),
     "fig12": ("Figure 12 - performance on real datasets", fig12_real_datasets),
     "updates": ("Updates - live dirty-chunk re-encryption costs", updates_experiment),
-    "hotpath": ("Hot path - skip-pruned replay, vectorized crypto", hotpath_experiment),
+    "hotpath": ("Hot path - vectorized crypto, compute backends", hotpath_experiment),
 }
 
 
@@ -52,11 +52,6 @@ def main(argv) -> int:
     )
     parser.add_argument("experiments", nargs="*", metavar="experiment")
     parser.add_argument("--format", choices=FORMATS, default="table")
-    parser.add_argument(
-        "--backend",
-        choices=["pure", "native", "all", "auto"],
-        help="compute backend for the hotpath experiment",
-    )
     args = parser.parse_args(argv)
     fmt = args.format
     selected = args.experiments or list(EXPERIMENTS)
@@ -68,10 +63,7 @@ def main(argv) -> int:
     for key in selected:
         title, fn = EXPERIMENTS[key]
         start = time.time()
-        if key == "hotpath" and args.backend:
-            data = fn(backend=args.backend)
-        else:
-            data = fn()
+        data = fn()
         elapsed = time.time() - start
         if fmt == "json":
             collected[key] = json.loads(render(data, title=title, fmt="json"))

@@ -14,7 +14,6 @@ from repro.bench.reporting import format_output, human_bytes
 from repro.bench.workloads import Workloads
 from repro.engine.pipeline import evaluate_document
 from repro.engine.plans import compile_policy
-from repro.metrics import Meter
 from repro.skipindex.variants import encoding_report
 from repro.soe.costmodel import CONTEXTS
 from repro.soe.session import lwb_seconds
@@ -512,7 +511,7 @@ def updates_experiment(
 
 
 # ----------------------------------------------------------------------
-# Hot path (post-paper: view cache, skip-pruned replay, vectorized crypto)
+# Hot path (post-paper: vectorized crypto, compute backends)
 # ----------------------------------------------------------------------
 def _best_seconds(fn, repeats: int = 5) -> float:
     import time as _time
@@ -651,126 +650,24 @@ def _backend_microbench(buffer_bytes: int = 65536) -> Dict[str, object]:
     return out
 
 
-def _evaluator_microbench(folders: int = 6) -> List[Dict[str, object]]:
-    """Cold vs skip-pruned evaluator wall-clock + deterministic counters."""
-    from repro.accesscontrol.evaluator import StreamingEvaluator
-    from repro.accesscontrol.navigation import EventListNavigator
-    from repro.datasets.hospital import (
-        GROUPS,
-        HospitalConfig,
-        doctor_policy,
-        generate_hospital,
-        researcher_policy,
-        secretary_policy,
-    )
-    from repro.engine.plans import compile_policy
-
-    config = HospitalConfig(
-        folders=folders,
-        doctors=4,
-        acts_per_folder=3,
-        labresults_per_folder=2,
-        seed=7,
-    )
-    tree = generate_hospital(config)
-    events = list(tree.iter_events())
-    profiles = [
-        ("secretary", secretary_policy()),
-        ("doctor", doctor_policy(config.doctor_names()[0])),
-        ("researcher", researcher_policy(GROUPS[:3])),
-    ]
-    results = []
-    for name, policy in profiles:
-        plan = compile_policy(policy)
-        entry: Dict[str, object] = {"profile": name, "input_events": len(events)}
-        for label, prune in [("cold", False), ("pruned", True)]:
-            # Fresh meter per repeat: the reported counters are those
-            # of ONE evaluation, not the sum over the timing repeats.
-            last_meter = [Meter()]
-
-            def run(prune=prune, last_meter=last_meter):
-                meter = Meter()
-                last_meter[0] = meter
-                evaluator = StreamingEvaluator(
-                    plan, meter=meter, enable_pruning=prune
-                )
-                evaluator.run(
-                    EventListNavigator(events, provide_meta=True, meter=meter)
-                )
-
-            seconds = _best_seconds(run)
-            meter = last_meter[0]
-            entry["%s_ms" % label] = round(seconds * 1000, 3)
-            entry["%s_events_per_sec" % label] = round(len(events) / seconds)
-            entry["%s_killed_tokens" % label] = meter.killed_tokens
-            entry["%s_pruned_subtrees" % label] = meter.pruned_subtrees
-        entry["speedup"] = round(entry["cold_ms"] / entry["pruned_ms"], 2)
-        results.append(entry)
-    return results
-
-
 def hotpath_experiment(
-    folders: int = 4,
     output: Optional[str] = "BENCH_hotpath.json",
-    backend: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Hot-path profile: crypto, compute backends, pruning.
+    """Hot-path profile: vectorized crypto and compute backends.
 
-    Four coordinated measurements, one JSON report:
+    Two coordinated measurements, one JSON report:
 
     1. **crypto** — whole-buffer mode throughput vs the block-at-a-time
        reference (the seed path);
-    2. **backends** — native C kernel vs the pure fast path;
-    3. **evaluator** — cold vs skip-pruned replay on the hospital
-       document (wall-clock + the deterministic pruning counters);
-    4. **station cold path** — ``SecureStation.evaluate`` with the view
-       cache off, pruning off vs on.
+    2. **backends** — native C kernel vs the pure fast path.
 
-    ``backend`` selects the station compute backend of the station
-    runs (``"all"`` leaves them on auto — the per-backend comparison
-    lives in the ``backends`` section either way) and is recorded in
-    the report.  Served end-to-end numbers (view cache, TCP, gateway)
-    are ``perfbench/run.py``'s job.
-
-    The paper-figure benches (fig8–fig12) are untouched by these
-    optimizations: they run ``evaluate_document`` — the cold path.
+    Served end-to-end numbers (cold, view cache, TCP, gateway) are
+    ``perfbench/run.py``'s job.
     """
     import json as _json
 
-    from repro.server.service import hospital_station
-
-    station_backend = None if backend in (None, "all", "auto") else backend
     crypto = _crypto_microbench()
     backends = _backend_microbench()
-    evaluator = _evaluator_microbench()
-
-    # --- station cold path: pruning off/on, cache off ------------------
-    station_rows = []
-    prune_entries: Dict[str, Dict[str, float]] = {}
-    for prune in (False, True):
-        station, subjects = hospital_station(
-            folders=folders, backend=station_backend
-        )
-        station.cache_views = False
-        station.prune = prune
-        for subject in subjects:
-            seconds = _best_seconds(
-                lambda s=subject, st=station: st.evaluate("hospital", s)
-            )
-            entry = prune_entries.setdefault(subject, {})
-            entry["pruned" if prune else "cold"] = seconds
-        station.close()
-    for subject, entry in prune_entries.items():
-        station_rows.append(
-            {
-                "subject": subject,
-                "cold_ms": round(entry["cold"] * 1000, 3),
-                "pruned_ms": round(entry["pruned"] * 1000, 3),
-                "speedup": round(entry["cold"] / entry["pruned"], 3),
-            }
-        )
-    prune_speedup = max(row["speedup"] for row in station_rows)
-
     parallel_speedups = [
         case["speedup"] for case in crypto if case["parallelizable"]
     ]
@@ -778,19 +675,14 @@ def hotpath_experiment(
         # Minimum across the whole-buffer (parallelizable) modes; CBC
         # encryption is chained by construction and reported separately.
         "crypto_speedup_min": min(parallel_speedups),
-        "prune_speedup": prune_speedup,
         # Backend ratios: None when that backend cannot run here (no
         # compiler for native); the CI guards skip accordingly.
         "native_vs_fast": backends["cipher"].get("native_vs_fast"),
     }
     report = {
         "bench": "hotpath",
-        "folders": folders,
-        "backend": backend or "auto",
         "crypto": crypto,
         "backends": backends,
-        "evaluator": evaluator,
-        "station_cold_path": station_rows,
         "ratios": ratios,
     }
     if output:
@@ -806,7 +698,6 @@ def hotpath_experiment(
             if ratios["native_vs_fast"] is not None
             else "unavailable (no C compiler)",
         ),
-        ("station cold path (best prune speedup)", "x%.2f" % ratios["prune_speedup"]),
     ]
     return {
         "headers": ["Hot-path measurement", "Result"],

@@ -219,8 +219,6 @@ def cmd_bench(args) -> int:
     argv = list(args.experiments)
     if args.format != "table":
         argv += ["--format", args.format]
-    if args.backend:
-        argv += ["--backend", args.backend]
     return bench_main(argv)
 
 
@@ -452,12 +450,28 @@ def cmd_store(args) -> int:
 def parse_address(text: str) -> Tuple[str, int]:
     """``HOST:PORT`` -> ``(host, port)``; the ``type=`` of every
     ``address`` positional, so a malformed one is a usage error."""
-    host, _sep, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(
-            "address must look like HOST:PORT, got %r" % text
-        )
-    return host, int(port)
+    from repro.server.client import parse_address as split_address
+
+    try:
+        return split_address(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def port_number(text: str) -> int:
+    """``type=`` of every listening port: 0 (ephemeral) to 65535."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError("port must be 0-65535, got %s" % text)
+    return port
+
+
+def positive_int(text: str) -> int:
+    """``type=`` of sizes and depths, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
+    return value
 
 
 def _unreachable(address: Tuple[str, int], exc: Exception) -> SystemExit:
@@ -669,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format for the result tables",
     )
-    p_bench.add_argument(
-        "--backend",
-        choices=["pure", "native", "all", "auto"],
-        help="compute backend for the hotpath experiment "
-        "('all' measures every available one)",
-    )
     p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(
@@ -682,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
-        "--port", type=int, default=8471, help="0 binds an ephemeral port"
+        "--port", type=port_number, default=8471, help="0 binds an ephemeral port"
     )
     p_serve.add_argument(
         "--hospital",
@@ -700,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-mb",
-        type=int,
+        type=positive_int,
         metavar="N",
         help="page-cache budget for --store (default 64)",
     )
@@ -712,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default) or only on flush/close",
     )
     p_serve.add_argument("--context", default="smartcard", choices=sorted(CONTEXTS))
-    p_serve.add_argument("--chunk-size", type=int, default=4096)
-    p_serve.add_argument("--queue-depth", type=int, default=8)
+    p_serve.add_argument("--chunk-size", type=positive_int, default=4096)
+    p_serve.add_argument("--queue-depth", type=positive_int, default=8)
     p_serve.add_argument(
         "--seal",
         action="store_true",
@@ -739,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--metrics-port",
-        type=int,
+        type=port_number,
         metavar="PORT",
         help="expose Prometheus metrics over HTTP on this port "
         "(0 binds an ephemeral port)",
@@ -776,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--host", default="127.0.0.1")
     p_cluster.add_argument(
         "--port",
-        type=int,
+        type=port_number,
         default=8470,
         help="gateway port (0 binds an ephemeral port)",
     )
@@ -785,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--metrics-port",
-        type=int,
+        type=port_number,
         metavar="PORT",
         help="expose the gateway's Prometheus metrics over HTTP "
         "(0 binds an ephemeral port)",
@@ -810,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--cache-mb",
-        type=int,
+        type=positive_int,
         metavar="N",
         help="per-backend page-cache budget for --store (default 64)",
     )

@@ -83,22 +83,18 @@ def run_plan(
     query: Union[str, QueryPlan, None],
     meter: Meter,
     use_skip_index: bool = True,
-    prune: bool = False,
 ) -> List[Event]:
     """Run the streaming evaluator over ``navigator``; the authorized
     view's delivery is charged to ``meter``.
 
     ``use_skip_index=False`` is the Brute-Force strategy (no subtree is
-    ever skipped).  ``prune`` turns on skip-pruned replay (the serving
-    hot path); it stays off by default so the paper-figure benches keep
-    their exact cold-path cost accounting.
+    ever skipped).
     """
     evaluator = StreamingEvaluator(
         plan,
         query=query,
         meter=meter,
         enable_skipping=use_skip_index,
-        enable_pruning=prune,
     )
     view = evaluator.run(navigator)
     meter.bytes_delivered += delivered_bytes(view)
@@ -111,7 +107,6 @@ def evaluate_document(
     query: Union[str, QueryPlan, None] = None,
     context: Union[str, PlatformContext] = "smartcard",
     use_skip_index: bool = True,
-    prune: bool = False,
     index: Optional[StructuralIndex] = None,
 ) -> SessionResult:
     """SOE side: one cold pass over the protected store.
@@ -140,7 +135,7 @@ def evaluate_document(
             meter=meter,
             provide_meta=use_skip_index,
         )
-    view = run_plan(navigator, plan, query, meter, use_skip_index, prune)
+    view = run_plan(navigator, plan, query, meter, use_skip_index)
     return SessionResult(view, meter, CostModel(platform).breakdown(meter), platform)
 
 

@@ -87,16 +87,12 @@ class QueryPlan:
     many distinct queries without recompiling the policy.
     """
 
-    __slots__ = ("path", "automaton", "subject", "trigger_labels", "structural")
+    __slots__ = ("path", "automaton", "subject", "structural")
 
     def __init__(self, path: Path, automaton: Automaton, subject: str = ""):
         self.path = path
         self.automaton = automaton
         self.subject = subject
-        #: Labels that can fire any transition of the query automaton
-        #: (None when a wildcard makes every label a trigger) — feeds
-        #: the evaluator's skip-pruned replay.
-        self.trigger_labels = path.trigger_labels()
         #: ``(axis, tag)`` pairs when the path is free of wildcard
         #: ambiguity — the structural index resolves such a plan to
         #: candidate chunk ranges before any decryption (None: the plan
@@ -139,7 +135,6 @@ class PolicyPlan:
         "rules",
         "automata",
         "label_sets",
-        "trigger_labels",
         "digest",
         "_queries",
         "_queries_lock",
@@ -157,18 +152,6 @@ class PolicyPlan:
         self.label_sets: Tuple[frozenset, ...] = tuple(
             rule.object.required_labels() for rule in rules
         )
-        # Union of every rule's trigger labels (None when any rule
-        # carries a wildcard): a subtree disjoint from this set can
-        # never fire a transition in any of the policy's automata, so
-        # the evaluator's skip-pruned replay may decide it wholesale.
-        trigger: Optional[frozenset] = frozenset()
-        for rule in rules:
-            rule_trigger = rule.object.trigger_labels()
-            if rule_trigger is None:
-                trigger = None
-                break
-            trigger = trigger | rule_trigger
-        self.trigger_labels = trigger
         self.digest = policy_digest(policy)
         self._queries: "OrderedDict[str, QueryPlan]" = OrderedDict()
         # One plan backs many concurrent sessions (the station shares

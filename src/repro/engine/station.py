@@ -78,7 +78,6 @@ _EVALUATE_SPAN_ATTRS = (
     "events",
     "token_ops",
     "skipped_subtrees",
-    "pruned_subtrees",
 )
 
 
@@ -498,7 +497,6 @@ class StationConfig:
     use_skip_index: bool = True
     view_cache_size: int = 128
     cache_views: bool = True
-    prune: bool = True
     backend: Union[None, str, ComputeBackend] = None
     store: Optional[ChunkStore] = None
 
@@ -551,10 +549,6 @@ class SecureStation:
         :meth:`update`/:meth:`publish` guarantee a stale view is never
         served.  ``cache_views=False`` disables the cache (every
         request runs the full pipeline — the cold path).
-    prune:
-        Skip-pruned replay on the serving path (see
-        :class:`~repro.accesscontrol.evaluator.StreamingEvaluator`);
-        effective only with ``use_skip_index``.
     backend:
         Compute backend for the crypto hot paths: ``"pure"``,
         ``"native"``, ``"auto"``/``None`` (auto-detect), or a
@@ -574,8 +568,8 @@ class SecureStation:
     def __init__(self, config: Optional[StationConfig] = None, **overrides):
         """Settings are the ``config`` fields (defaults when ``None``)
         with any keyword ``overrides`` applied on top, so
-        ``SecureStation(cfg, prune=False)`` and
-        ``SecureStation(prune=False)`` both work."""
+        ``SecureStation(cfg, cache_views=False)`` and
+        ``SecureStation(cache_views=False)`` both work."""
         if config is not None and not isinstance(config, StationConfig):
             raise TypeError(
                 "config must be a StationConfig, not %s" % type(config).__name__
@@ -594,7 +588,6 @@ class SecureStation:
         self.plan_cache_size = cfg.plan_cache_size
         self.view_cache_size = cfg.view_cache_size
         self.cache_views = cfg.cache_views
-        self.prune = cfg.prune
         self.backend = resolve_backend(cfg.backend)
         self.store = cfg.store if cfg.store is not None else MemoryStore()
         # Disk stores rebuild cipher schemes at manifest-replay time;
@@ -1099,7 +1092,6 @@ class SecureStation:
                 query_plan,
                 self.platform,
                 self.use_skip_index,
-                self.prune,
                 index=index if serve_indexed else None,
             )
             if traced:
@@ -1270,7 +1262,6 @@ class SecureStation:
                     plan.query_plan(query),
                     meter,
                     self.use_skip_index,
-                    self.prune,
                 )
             except Exception as exc:
                 # The partial meter travels with the failure — counted

@@ -59,7 +59,6 @@ class Meter:
         "auth_pushes",  # Authorization Stack pushes
         "decisions",  # DecideNode computations
         "killed_tokens",  # tokens discarded by Skip-index filtering
-        "pruned_subtrees",  # subtrees decided wholesale by skip-pruned replay
         "skipped_subtrees",  # subtrees skipped outright (denied/irrelevant)
         "deferred_subtrees",  # pending subtrees skipped + read back later
         "readback_events",  # events re-fetched when pending parts resolve

@@ -46,6 +46,19 @@ from repro.server.protocol import (
 )
 
 
+def parse_address(text: str) -> Tuple[str, int]:
+    """``"HOST:PORT"`` -> ``(host, port)``.
+
+    A ``ValueError`` unless PORT is a number in 1-65535: left to the
+    resolver, an out-of-range port wraps modulo 65536 and dials a
+    different station.
+    """
+    host, _sep, port = text.rpartition(":")
+    if not host or not port.isdigit() or not 0 < int(port) < 65536:
+        raise ValueError("address must look like HOST:PORT, got %r" % text)
+    return host, int(port)
+
+
 class RemoteError(RuntimeError):
     """A structured ERROR frame from the server."""
 

@@ -1,7 +1,7 @@
 """Structural XPath accelerator: a publish-time pre/post index.
 
 The streaming evaluator pays for every byte it *looks at*: even with
-skip-pruning, visiting a sibling's header decrypts the whole chunk the
+subtree skipping, visiting a sibling's header decrypts the whole chunk the
 header lives in, so query cost stays linear in document size.  This
 module builds, at publish time (over the plaintext TCSBR encoding), a
 flat table of every item in the document — offsets, sizes, tags and

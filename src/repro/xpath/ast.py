@@ -236,28 +236,6 @@ class Path:
                 labels |= predicate.path.required_labels()
         return frozenset(labels)
 
-    def trigger_labels(self) -> Optional[frozenset]:
-        """Every concrete label that can fire *any* transition of the
-        automaton compiled from this path (navigational steps and all
-        predicate chains, recursively) — the dual of
-        :meth:`required_labels`, feeding the skip-pruned replay: a
-        subtree containing none of these labels can never advance the
-        rule.  Returns ``None`` when a wildcard step makes every label
-        a trigger (pruning is then impossible for this path).
-        """
-        labels = set()
-        for step in self.steps:
-            if step.test == WILDCARD:
-                return None
-            if step.test != SELF:
-                labels.add(step.test)
-            for predicate in step.predicates:
-                inner = predicate.path.trigger_labels()
-                if inner is None:
-                    return None
-                labels |= inner
-        return frozenset(labels)
-
     def to_string(self, relative: bool = False) -> str:
         parts: List[str] = []
         for index, step in enumerate(self.steps):

@@ -193,3 +193,42 @@ class TestOperatorErrorPaths:
             main([verb, "localhost", *CLIENT_VERBS[verb]])
         assert info.value.code == 2
         assert "address must look like HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", ["localhost:99999", "localhost:0"])
+    @pytest.mark.parametrize("verb", sorted(CLIENT_VERBS))
+    def test_out_of_range_address_is_usage_error(self, verb, address, capsys):
+        # The resolver would wrap 99999 to port 34463: refuse, never dial.
+        with pytest.raises(SystemExit) as info:
+            main([verb, address, *CLIENT_VERBS[verb]])
+        assert info.value.code == 2
+        assert "address must look like HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "99999"],
+            ["serve", "--port", "-1"],
+            ["serve", "--metrics-port", "65536"],
+            ["cluster", "--port", "99999"],
+            ["cluster", "--metrics-port", "70000"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_listen_port_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "port must be 0-65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [("--queue-depth", []), ("--chunk-size", []), ("--cache-mb", ["--store"])],
+    )
+    def test_serve_non_positive_size_is_usage_error(
+        self, flag, extra, tmp_path, capsys
+    ):
+        store = [str(tmp_path / "store")] if extra else []
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", flag, "0", *extra, *store])
+        assert info.value.code == 2
+        assert "%s: must be at least 1, got 0" % flag in capsys.readouterr().err

@@ -68,13 +68,12 @@ def random_policy(rng: random.Random) -> Policy:
 def check_agreement(tree: Node, policy: Policy, query=None) -> None:
     reference = reference_authorized_view(tree, policy, query=query)
     events = list(tree.iter_events())
-    for label, prune, make_navigator in [
-        ("brute-force", False, lambda: SimpleEventNavigator(events)),
-        ("indexed", False, lambda: EventListNavigator(events, provide_meta=True)),
-        ("skip-no-meta", False, lambda: EventListNavigator(events, provide_meta=False)),
-        ("skip-pruned", True, lambda: EventListNavigator(events, provide_meta=True)),
+    for label, make_navigator in [
+        ("brute-force", lambda: SimpleEventNavigator(events)),
+        ("indexed", lambda: EventListNavigator(events, provide_meta=True)),
+        ("skip-no-meta", lambda: EventListNavigator(events, provide_meta=False)),
     ]:
-        evaluator = StreamingEvaluator(policy, query=query, enable_pruning=prune)
+        evaluator = StreamingEvaluator(policy, query=query)
         streamed = evaluator.run(make_navigator())
         assert streamed == reference, (
             "divergence (%s):\n  policy=%s\n  query=%s\n  doc=%s\n"
@@ -154,14 +153,8 @@ def test_fuzz_engine_path_matches_reference(seed):
         reference = reference_authorized_view(tree, policy, query=query)
         events = list(tree.iter_events())
         query_plan = plan.query_plan(query)
-        for label, with_index, prune in [
-            ("indexed", True, False),
-            ("bare", False, False),
-            ("pruned", True, True),
-        ]:
-            evaluator = StreamingEvaluator(
-                plan, query=query_plan, enable_pruning=prune
-            )
+        for label, with_index in [("indexed", True), ("bare", False)]:
+            evaluator = StreamingEvaluator(plan, query=query_plan)
             streamed = evaluator.run_events(events, with_index=with_index)
             assert streamed == reference, (
                 "engine-path divergence (%s, seed=%d):\n  policy=%s\n"
@@ -207,10 +200,10 @@ def test_fuzz_engine_batch_matches_reference():
 
 
 @pytest.mark.parametrize("scheme", ["ECB", "CBC-SHAC", "ECB-MHT"])
-def test_fuzz_station_cold_pruned_cached_identical(scheme):
+def test_fuzz_station_cold_cached_identical(scheme):
     """Random (document, policy, query) triples through the station's
-    three serving strategies — cold, skip-pruned, cache-hit — must
-    produce byte-identical serialized views on every scheme."""
+    two streaming strategies — cold and cache-hit — must produce
+    byte-identical serialized views on every scheme."""
     from repro.engine import SecureStation, prepare_document
     from repro.xmlkit.parser import parse_document
     from repro.xmlkit.serializer import serialize
@@ -222,25 +215,17 @@ def test_fuzz_station_cold_pruned_cached_identical(scheme):
         query = random_path(rng) if rng.random() < 0.5 else None
         prepared = prepare_document(tree, scheme=scheme)
 
-        cold_station = SecureStation(cache_views=False, prune=False)
+        cold_station = SecureStation(cache_views=False)
         cold_station.publish("doc", prepared)
         cold = cold_station.evaluate("doc", policy, query=query)
 
-        pruned_station = SecureStation(cache_views=False, prune=True)
-        pruned_station.publish("doc", prepared)
-        pruned = pruned_station.evaluate("doc", policy, query=query)
-
-        cached_station = SecureStation(cache_views=True, prune=True)
+        cached_station = SecureStation(cache_views=True)
         cached_station.publish("doc", prepared)
         cached_station.evaluate("doc", policy, query=query)
         hit = cached_station.evaluate("doc", policy, query=query)
 
         assert hit.cache_hit, round_index
         cold_bytes = serialize_events(cold.events)
-        assert serialize_events(pruned.events) == cold_bytes, (
-            "pruned divergence (%s, round %d): policy=%s query=%s"
-            % (scheme, round_index, list(policy.rules), query)
-        )
         assert serialize_events(hit.events) == cold_bytes, (
             "cached divergence (%s, round %d): policy=%s query=%s"
             % (scheme, round_index, list(policy.rules), query)
@@ -248,7 +233,7 @@ def test_fuzz_station_cold_pruned_cached_identical(scheme):
 
 
 # ----------------------------------------------------------------------
-# Structural-index serving: indexed == streamed == pruned == cached
+# Structural-index serving: indexed == streamed == cached
 # ----------------------------------------------------------------------
 def random_structural_query(rng: random.Random) -> str:
     """A wildcard-free absolute path — always index-plan eligible."""
@@ -263,12 +248,12 @@ def random_structural_query(rng: random.Random) -> str:
 
 @pytest.mark.parametrize("scheme", ["ECB", "CBC-SHAC", "ECB-MHT"])
 def test_fuzz_indexed_station_matches_every_strategy(scheme):
-    """The indexed serving path against the three streaming strategies.
+    """The indexed serving path against the streaming strategies.
 
     Per round: one random document published with ``index=True`` and
     once without, served the same random (policy, query) — the indexed
-    view must be byte-identical to the cold, pruned and cached streamed
-    views on every scheme.  Wildcard queries ride along to exercise the
+    view and its cache hit must be byte-identical to the cold streamed
+    view on every scheme.  Wildcard queries ride along to exercise the
     fallback decision.
     """
     from repro.engine import (
@@ -292,13 +277,9 @@ def test_fuzz_indexed_station_matches_every_strategy(scheme):
         )
         prepared = prepare_document(tree, scheme=scheme)
 
-        cold_station = SecureStation(cache_views=False, prune=False)
+        cold_station = SecureStation(cache_views=False)
         cold_station.publish("doc", prepared)
         cold = cold_station.evaluate("doc", policy, query=query)
-
-        pruned_station = SecureStation(cache_views=False, prune=True)
-        pruned_station.publish("doc", prepared)
-        pruned = pruned_station.evaluate("doc", policy, query=query)
 
         indexed_station = SecureStation(StationConfig(cache_views=True))
         indexed_station.publish(
@@ -315,7 +296,6 @@ def test_fuzz_indexed_station_matches_every_strategy(scheme):
             list(policy.rules),
             query,
         )
-        assert serialize_events(pruned.events) == cold_bytes, context
         assert serialize_events(indexed.events) == cold_bytes, context
         assert serialize_events(hit.events) == cold_bytes, context
         assert hit.cache_hit and hit.indexed == indexed.indexed, context

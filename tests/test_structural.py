@@ -557,17 +557,21 @@ def test_cluster_repair_ships_index():
 # ----------------------------------------------------------------------
 class TestUnifiedAPI:
     def test_station_config_is_frozen_and_comparable(self):
-        config = StationConfig(context="sw-lan", prune=False)
+        config = StationConfig(context="sw-lan", cache_views=False)
         with pytest.raises(Exception):
-            config.prune = True
-        assert config == StationConfig(context="sw-lan", prune=False)
-        assert config.replace(prune=True).prune is True
+            config.cache_views = True
+        assert config == StationConfig(context="sw-lan", cache_views=False)
+        assert config.replace(cache_views=True).cache_views is True
         assert "master_secret" not in repr(config)
+        with pytest.raises(TypeError):
+            StationConfig(prune=True)  # the evaluator has one path
 
     def test_open_station_overrides_win(self):
-        station = open_station(StationConfig(prune=False), prune=True)
-        assert station.prune is True
-        assert station.config.prune is True
+        station = open_station(StationConfig(cache_views=False), cache_views=True)
+        assert station.cache_views is True
+        assert station.config.cache_views is True
+        with pytest.raises(TypeError):
+            open_station(prune=True)
 
     def test_legacy_positional_master_secret(self):
         """The secret is a keyword (or config field), never positional."""
@@ -601,6 +605,10 @@ class TestUnifiedAPI:
     def test_connect_parses_addresses(self):
         with pytest.raises(ValueError):
             connect("no-port-here", "s")
+        # Refused before dialling: the resolver would wrap 99999 to 34463.
+        for address in ("localhost:99999", "localhost:0"):
+            with pytest.raises(ValueError, match="HOST:PORT"):
+                connect(address, "s")
         with pytest.raises((ConnectionError, OSError)):
             # Unroutable in test environments: parsing succeeded, the
             # dial failed — which is all this asserts.

@@ -3,9 +3,10 @@
 Covers the tentpole guarantees: repeat requests hit the cache without
 changing a byte of the view *or* a microsecond of the simulated cost;
 updates invalidate (a stale view is never served and the INVALIDATED
-broadcast still fires); the LRU bound holds under churn; and the three
-serving strategies — cold, skip-pruned, cache-hit — are byte-identical
-across every protection scheme and subject.
+broadcast still fires); the LRU bound holds under churn; and a served
+request — cold or cache-hit — returns the paper-figure path's view
+bytes, Meter and simulated costs across every protection scheme and
+subject.
 """
 
 import threading
@@ -106,46 +107,53 @@ def test_stream_reuses_serialized_payload():
 
 
 # ----------------------------------------------------------------------
-# Cold vs pruned vs cached: byte-identical across schemes and subjects
+# Paper-figure path vs served request: one view, one Meter
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", ["ECB", "CBC-SHA", "CBC-SHAC", "ECB-MHT"])
-def test_cold_pruned_cached_views_identical(scheme):
-    tree = hospital_tree()
-    prepared = prepare_document(tree, scheme=scheme)
+def test_cold_cached_views_and_meters_identical(scheme):
+    """A served request runs the same evaluator as the paper-figure
+    benches: same view bytes, every Meter field and the same simulated
+    breakdown; a cache hit then returns the same bytes."""
+    prepared = prepare_document(hospital_tree(), scheme=scheme)
     for policy in profiles():
         plan = compile_policy(policy)
-        # The fig-bench path: evaluate_document, cold (no pruning, no cache).
-        cold = evaluate_document(prepared, plan)
+        for query in (None, "//Folder/Admin/Age", "//MedActs//Diagnostic"):
+            # The fig-bench path: evaluate_document, no station.
+            figure = evaluate_document(prepared, plan, query)
+            figure_bytes = serialize_events(figure.events).encode("utf-8")
 
-        pruned_station = SecureStation(cache_views=False, prune=True)
-        pruned_station.publish("hospital", prepared)
-        pruned = pruned_station.evaluate("hospital", plan)
+            cold_station = SecureStation(cache_views=False)
+            cold_station.publish("hospital", prepared)
+            served = cold_station.evaluate("hospital", plan, query=query)
+            assert not served.cache_hit
+            assert serialize_events(served.events).encode("utf-8") == figure_bytes
+            assert served.meter.as_dict() == figure.meter.as_dict(), (
+                policy.subject,
+                query,
+            )
+            assert served.breakdown.as_dict() == figure.breakdown.as_dict()
 
-        cached_station = SecureStation(cache_views=True, prune=True)
-        cached_station.publish("hospital", prepared)
-        cached_station.evaluate("hospital", plan)  # warm
-        hit = cached_station.evaluate("hospital", plan)
-
-        assert hit.cache_hit
-        cold_bytes = serialize_events(cold.events).encode("utf-8")
-        assert serialize_events(pruned.events).encode("utf-8") == cold_bytes
-        assert serialize_events(hit.events).encode("utf-8") == cold_bytes
+            cached_station = SecureStation(cache_views=True)
+            cached_station.publish("hospital", prepared)
+            cached_station.evaluate("hospital", plan, query=query)  # warm
+            hit = cached_station.evaluate("hospital", plan, query=query)
+            assert hit.cache_hit
+            assert serialize_events(hit.events).encode("utf-8") == figure_bytes
 
 
 def test_fig_bench_cold_path_unaffected_by_station_features():
     """The paper-figure benches run evaluate_document — enabling the view
-    cache and pruning on a station serving the same prepared document
-    must not move a single simulated-cost counter on that path."""
+    cache on a station serving the same prepared document must not move
+    a single simulated-cost counter on that path."""
     prepared = prepare_document(hospital_tree(), scheme="ECB")
     plan = compile_policy(secretary_policy())
     before = evaluate_document(prepared, plan)
-    station = make_station()  # cache + pruning on, same document content
+    station = make_station()  # cache on, same document content
     station.evaluate("hospital", "secretary")
     station.evaluate("hospital", "secretary")
     after = evaluate_document(prepared, plan)
     assert after.meter.as_dict() == before.meter.as_dict()
     assert after.seconds == before.seconds
-    assert after.meter.pruned_subtrees == 0  # evaluate_document never prunes
 
 
 # ----------------------------------------------------------------------
