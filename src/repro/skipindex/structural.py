@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.accesscontrol.navigation import SubtreeMeta
 from repro.metrics import Meter
-from repro.skipindex.bitio import bits_for, bits_for_count, put_varints
+from repro.skipindex.bitio import bits_for, bits_for_count, put_varints, varint_size
 from repro.skipindex.decoder import SkipIndexNavigator, _OpenFrame
 from repro.skipindex.encoder import ROOT_SIZE_BITS, EncodedDocument
 from repro.xmlkit.dictionary import TagDictionary
@@ -50,7 +50,7 @@ from repro.xmlkit.events import CLOSE, OPEN, TEXT
 
 #: Blob magic + version ("X Structural IndeX").
 INDEX_MAGIC = b"XSIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 #: Item kinds in the flat table (document order, strictly increasing
 #: start offsets).
@@ -62,6 +62,24 @@ ITEM_INTERNAL = 2
 def _offset_code(total_size: int) -> str:
     """``array`` typecode for byte offsets/sizes within ``total_size``."""
     return "I" if total_size < 1 << 32 else "Q"
+
+
+def _header_bytes(desc_count: int, size_width: int) -> Tuple[int, int, int]:
+    """Header bytes of a text, leaf and internal child item (indexed by
+    item kind) of a parent with ``desc_count`` descendant tags and
+    ``size_width``-bit SubtreeSize fields: ``code | pad``, ``code | flag
+    | pad`` and ``code | flag | TagArray | SubtreeSize | pad``."""
+    code_width = bits_for_count(desc_count + 1)
+    return (
+        (code_width + 7) >> 3,
+        (code_width + 8) >> 3,
+        (code_width + 1 + desc_count + size_width + 7) >> 3,
+    )
+
+
+def _fingerprint(encoded: EncodedDocument) -> Tuple[int, int, int]:
+    """Total size, root offset and tag count of an encoding."""
+    return len(encoded.data), encoded.root_offset, len(encoded.dictionary)
 
 
 class StructuralIndexError(ValueError):
@@ -95,13 +113,6 @@ class _BlobReader:
             value, self.pos = _read_varint(self.data, self.pos)
         except EOFError:
             raise StructuralIndexError("truncated index blob") from None
-        return value
-
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise StructuralIndexError("truncated index blob")
-        value = self.data[self.pos]
-        self.pos += 1
         return value
 
 
@@ -200,11 +211,8 @@ class StructuralIndex:
         ``len()`` on a lazily loaded plaintext is metadata-only, so the
         check never forces decryption or a disk read.
         """
-        return (
-            self.total_size == len(encoded.data)
-            and self.root_offset == encoded.root_offset
-            and self.tag_count == len(encoded.dictionary)
-        )
+        fingerprint = (self.total_size, self.root_offset, self.tag_count)
+        return fingerprint == _fingerprint(encoded)
 
     # ------------------------------------------------------------------
     def _by_tag(self) -> Dict[int, array]:
@@ -319,24 +327,19 @@ class StructuralIndex:
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize to the compact persistent blob."""
-        out = bytearray()
-        out += INDEX_MAGIC
+        """Serialize to the persistent blob (format version 2): per item
+        a ``head`` varint (0 for text, else ``2 * (tag + 1) + internal``),
+        its size and, if internal, its descendant-tag count — nothing the
+        encoding's header arithmetic re-derives."""
+        out = bytearray(INDEX_MAGIC)
         out.append(INDEX_VERSION)
-        # Every field is a varint; an item's kind (< 0x80) is its own
-        # one-byte varint.
-        fields = [self.total_size, self.root_offset, self.tag_count, len(self.kinds)]
-        starts = self.starts
-        previous_start = 0
+        fields = [self.total_size, self.root_offset, self.tag_count]
+        tags, sizes = self.tags, self.sizes
         for item, kind in enumerate(self.kinds):
-            start = starts[item]
-            fields += (kind, start - previous_start, self.contents[item] - start)
-            fields.append(self.sizes[item])
-            if kind != ITEM_TEXT:
-                fields.append(self.tags[item])
-                if kind == ITEM_INTERNAL:
-                    fields.append(self.descs[item])
-            previous_start = start
+            head = 2 * (tags[item] + 1) + kind - ITEM_LEAF if kind else 0
+            fields += (head, sizes[item])
+            if kind == ITEM_INTERNAL:
+                fields.append(self.descs[item].bit_count())
         put_varints(out, fields)
         return bytes(out)
 
@@ -365,55 +368,85 @@ class StructuralIndex:
         )
 
 
-def parse_structural_index(blob: bytes) -> StructuralIndex:
-    """Parse a blob produced by :meth:`StructuralIndex.to_bytes`."""
+def parse_structural_index(
+    blob: bytes, encoded: Optional[EncodedDocument] = None
+) -> StructuralIndex:
+    """Parse a blob produced by :meth:`StructuralIndex.to_bytes`.
+
+    One forward pass re-derives what the blob leaves out: each item
+    starts where the previous one ends (an internal one: its header),
+    header widths follow from the parent's tag count and size, and a
+    bitmap is the OR of its children's, checked against the stored
+    count when the element closes.  :class:`StructuralIndexError` marks
+    items that do not tile the encoding exactly, or a blob describing
+    another encoding than ``encoded`` (checked before any item, so the
+    real dictionary bounds every derived bitmap).
+    """
     blob = bytes(blob)
     if blob[:4] != INDEX_MAGIC:
         raise StructuralIndexError("bad index magic")
     reader = _BlobReader(blob, 4)
-    version = reader.byte()
+    version = reader.varint()  # one byte: versions stay below 0x80
     if version != INDEX_VERSION:
         raise StructuralIndexError("unsupported index version %d" % version)
     total_size = reader.varint()
     root_offset = reader.varint()
     tag_count = reader.varint()
-    count = reader.varint()
+    header = (total_size, root_offset, tag_count)
+    if encoded is not None and header != _fingerprint(encoded):
+        raise StructuralIndexError("index describes another encoding")
     typecode = _offset_code(total_size)
     kinds, tags = array("B"), array("i")
     starts, contents, sizes = array(typecode), array(typecode), array(typecode)
     elem_items, elem_parent = array("i"), array("i")
     descs: List[int] = []
-    # Elements still open at the current item: their pre and end byte.
-    open_pres: List[int] = []
-    open_ends: List[int] = []
-    previous_start = 0
+    # Open elements, innermost last, over a root-level frame: [pre, end,
+    # stored tag count, derived bitmap, a child's header bytes by kind].
+    stack = [[-1, total_size, 0, 0, _header_bytes(tag_count, ROOT_SIZE_BITS)]]
+    offset = root_offset
     try:
-        for item in range(count):
-            kind = reader.byte()
-            if kind not in (ITEM_TEXT, ITEM_LEAF, ITEM_INTERNAL):
-                raise StructuralIndexError("bad item kind %d" % kind)
-            start = previous_start + reader.varint()
-            content = start + reader.varint()
+        while True:
+            head = reader.varint()
             size = reader.varint()
-            tag = reader.varint() if kind != ITEM_TEXT else -1
-            descs.append(reader.varint() if kind == ITEM_INTERNAL else 0)
+            kind = ITEM_LEAF + (head & 1) if head else ITEM_TEXT
+            tag = (head >> 1) - 1
+            top = stack[-1]
+            if tag >= tag_count or (kind == ITEM_TEXT and len(stack) == 1):
+                raise StructuralIndexError("bad item head %d" % head)
+            content = offset + top[4][kind]
+            if kind != ITEM_INTERNAL:
+                content += varint_size(size)
+            if content + size > top[1]:
+                raise StructuralIndexError("item overruns its parent")
             kinds.append(kind)
-            starts.append(start)
+            starts.append(offset)
             contents.append(content)
             sizes.append(size)
             tags.append(tag)
-            previous_start = start
-            while open_ends and start >= open_ends[-1]:
-                open_ends.pop()
-                open_pres.pop()
+            descs.append(0)
+            offset = content + size
             if kind != ITEM_TEXT:
-                elem_parent.append(open_pres[-1] if open_pres else -1)
-                open_pres.append(len(elem_items))
-                open_ends.append(content + size)
-                elem_items.append(item)
+                top[3] |= 1 << tag
+                elem_parent.append(top[0])
+                elem_items.append(len(kinds) - 1)
+            if kind == ITEM_INTERNAL:
+                count = reader.varint()
+                headers = _header_bytes(count, bits_for(size))
+                stack.append([len(elem_items) - 1, offset, count, 0, headers])
+                offset = content
+            while len(stack) > 1 and offset == stack[-1][1]:
+                pre, _end, count, mask, _headers = stack.pop()
+                if not mask or mask.bit_count() != count:
+                    raise StructuralIndexError("descendant tag count mismatch")
+                descs[elem_items[pre]] = mask
+                stack[-1][3] |= mask
+            if len(stack) == 1:
+                break
     except OverflowError:
         # A field too wide for its typed column: not a blob we wrote.
         raise StructuralIndexError("index field out of range") from None
+    if offset != total_size or reader.pos != len(blob):
+        raise StructuralIndexError("index does not tile the encoding")
     return StructuralIndex(
         total_size, root_offset, tag_count, kinds, starts, contents, sizes,
         tags, descs, elem_items, elem_parent,
@@ -444,13 +477,13 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
     descs: List[int] = []
 
     def frame(desc: Tuple[int, ...], size_width: int, end: int, pre: int):
-        # (desc codes, code width, size width, content end, bytes of
-        # an internal child's header, the element's pre number)
+        # (desc codes, code width, size width, content end, a child's
+        # header bytes by kind, the element's pre number)
         code_width = bits_for_count(len(desc) + 1)
-        header = (code_width + 1 + len(desc) + size_width + 7) >> 3
-        return desc, code_width, size_width, end, header, pre
+        headers = _header_bytes(len(desc), size_width)
+        return desc, code_width, size_width, end, headers, pre
 
-    stack: List[Tuple[Tuple[int, ...], int, int, int, int, int]] = []
+    stack: List[tuple] = []
     top = frame(tuple(range(len(dictionary))), ROOT_SIZE_BITS, -1, -1)
     offset = root_offset
     while True:
@@ -459,16 +492,16 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             top = stack[-1] if stack else top
         if not stack and kinds:
             break
-        desc_list, code_width, size_width, _end, header, parent = top
+        desc_list, code_width, size_width, _end, headers, parent = top
         start = offset
-        window = data[offset : offset + header]
+        window = data[offset : offset + headers[ITEM_INTERNAL]]
         bits = len(window) * 8 - code_width  # window bits after the code
         if bits < 0:
             raise EOFError("bit stream exhausted")
         value = int.from_bytes(window, "big")
         code = value >> bits
         if code == 0:
-            length, content = _read_varint(data, offset + ((code_width + 7) >> 3))
+            length, content = _read_varint(data, offset + headers[ITEM_TEXT])
             kinds.append(ITEM_TEXT)
             starts.append(start)
             contents.append(content)
@@ -496,7 +529,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
                 for index, candidate in enumerate(desc_list)
                 if bitmap & (1 << (width - 1 - index))
             )
-            content = offset + header
+            content = offset + headers[ITEM_INTERNAL]
             mask = 0
             for candidate in desc:
                 mask |= 1 << candidate
@@ -510,7 +543,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             stack.append(top)
             offset = content
         else:
-            length, content = _read_varint(data, offset + ((code_width + 8) >> 3))
+            length, content = _read_varint(data, offset + headers[ITEM_LEAF])
             kinds.append(ITEM_LEAF)
             starts.append(start)
             contents.append(content)

@@ -974,11 +974,12 @@ class LogStore(ChunkStore):
                     index = ordered_changed[first + position]
                     _extend_run(runs, index, offset + position * record_size)
             state.runs = _coalesce_runs(runs, record_size)
-            # The index describes plaintext offsets, which updates do
-            # not relocate retroactively: re-append the (possibly
-            # refreshed, possibly reused) blob so the newest manifest
-            # entry always owns a live span.
-            self._append_index_blob(state)
+            # A refreshed index appends its blob; a reused one (an
+            # equal-length text edit) keeps its span, as records do.
+            if state.index_cache is None or state.index_cache is not old.index_cache:
+                self._append_index_blob(state)
+            else:
+                state.index_span = old.index_span
             self._commit(state)
             self._drop_dead_pages(old, state)
             self._states[document_id] = state
@@ -1048,7 +1049,7 @@ class LogStore(ChunkStore):
         if index is None and state.index_span is not None:
             try:
                 index = parse_structural_index(
-                    self._read_span(self._generation, *state.index_span)
+                    self._read_span(self._generation, *state.index_span), encoded
                 )
                 state.index_cache = index
             except (StructuralIndexError, IntegrityError, StoreError):

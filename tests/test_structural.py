@@ -164,11 +164,20 @@ def test_indexed_navigator_random_skips_identity(seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(70, 90))
 def test_blob_round_trip(seed):
-    encoded = encode_document(random_tree(random.Random(seed)))
+    tree = random_tree(random.Random(seed))
+    if seed % 2:
+        # A dictionary past 64 tags: the parser ORs bitmaps wider than
+        # any fixed-width slot.
+        wide = Node("wide")
+        for number in range(70):
+            wide.add(Node("w%02d" % number, [str(number)]))
+        tree.add(wide)
+    encoded = encode_document(tree)
     index = build_structural_index(encoded)
+    assert (max(index.descs).bit_length() > 64) == bool(seed % 2)
     restored = parse_structural_index(index.to_bytes())
     # __eq__ covers every column, the element ones too: building derives
-    # them from the decoder's frames, parsing from the byte intervals.
+    # them from the decoder's frames, parsing from the blob's sizes.
     assert restored == index
     assert restored.to_bytes() == index.to_bytes()
     assert restored.matches_document(encoded)
@@ -178,20 +187,37 @@ def test_parse_rejects_malformed_blobs():
     from repro.skipindex.bitio import put_varints
     from repro.skipindex.structural import INDEX_MAGIC, StructuralIndexError
 
-    def blob(*item):
-        out = bytearray(INDEX_MAGIC + b"\x01")
-        put_varints(out, [64, 1, 2, 1, *item])
+    def blob(*fields, version=2):
+        out = bytearray(INDEX_MAGIC)
+        out.append(version)
+        put_varints(out, fields)
         return bytes(out)
 
-    assert parse_structural_index(blob(1, 1, 1, 1, 0)).item_count == 1
-    for bad in (
-        b"XSIY" + blob(1, 1, 1, 1, 0)[4:],  # magic
-        blob(1, 1, 1, 1, 0)[:-1],  # truncated
-        blob(7, 1, 1, 1, 0),  # item kind
-        blob(1, 1 << 40, 1, 1, 0),  # start wider than its column
-        blob(1, 1, 1, 1, 1 << 40),  # tag code wider than its column
+    # <a><b>xyz</b></a>: 20 bytes, root item at 10, 2 tags.  Internal
+    # <a> (head 3) holds 5 bytes and 1 descendant tag; leaf <b> (head 4)
+    # holds 3 text bytes and ends the encoding.
+    good = blob(20, 10, 2, 3, 5, 1, 4, 3)
+    encoded = encode_document(parse_document("<a><b>xyz</b></a>"))
+    assert build_structural_index(encoded).to_bytes() == good
+    assert parse_structural_index(good).item_count == 2
+    assert parse_structural_index(good, encoded).item_count == 2
+    other = encode_document(parse_document("<a><b>xyzw</b></a>"))
+    with pytest.raises(StructuralIndexError, match="another encoding"):
+        # Checked first: a forged tag count would otherwise size bitmaps.
+        parse_structural_index(good, other)
+    for bad, reason in (
+        (b"XSIY" + good[4:], "magic"),
+        (good[:-1], "truncated"),
+        (blob(20, 10, 2, 3, 5, 1, 4, 3, version=1), "version 1"),
+        (blob(20, 10, 2, 0, 5, 1, 4, 3), "head 0"),  # text item as the root
+        (blob(20, 10, 2, 3, 5, 1, 6, 3), "head 6"),  # tag 2 >= tag_count
+        (blob(1 << 70, 1 << 66, 1, 2, 0), "out of range"),  # start too wide
+        (good + b"\x05\x07junk", "tile"),  # trailing bytes
+        (blob(20, 10, 2, 3, 5, 1, 4, 4), "overruns"),  # <b> past <a>'s end
+        (blob(21, 10, 2, 3, 5, 1, 4, 3), "tile"),  # ends before total_size
+        (blob(20, 10, 2, 3, 5, 2, 4, 3), "count"),  # 2 != the bitmap's 1
     ):
-        with pytest.raises(StructuralIndexError):
+        with pytest.raises(StructuralIndexError, match=reason):
             parse_structural_index(bad)
 
 
@@ -537,6 +563,93 @@ def test_logstore_index_survives_update_and_compaction(tmp_path):
         result = restarted.evaluate("d", "s", query="/folder/rare/val")
         assert result.indexed
         assert serialize_events(result.events) == serialize_events(live.events)
+
+
+def _logstore_views(station):
+    """(indexed?, full view, query view) of document "d" for "s"."""
+    full = station.evaluate("d", "s")
+    query = station.evaluate("d", "s", query="/folder/rare/val")
+    return (
+        query.indexed,
+        serialize_events(full.events),
+        serialize_events(query.events),
+    )
+
+
+def test_logstore_equal_length_edit_appends_only_records(tmp_path):
+    from repro.store import LogStore
+
+    directory = str(tmp_path)
+    with SecureStation(StationConfig(store=LogStore(directory))) as station:
+        station.publish(
+            "d", serialize(selective_document()), PublishOptions(index=True)
+        )
+        station.grant("d", FOLDER_POLICY)
+        store = station.store
+        span = store._states["d"].index_span
+        first_new = len(store._segments)
+        station.update("d", UpdateOp.set_text([40, 0], "goat"))
+        assert station.stats.index_incrementals == 1
+        # The reused index keeps its span; only chunk records append.
+        state = store._states["d"]
+        assert state.index_span == span
+        appended = {segment.payload_offset for segment in store._segments[first_new:]}
+        runs = {store._segment_at(offset).payload_offset for *_, offset in state.runs}
+        assert appended and appended <= runs
+        live = _logstore_views(station)
+        assert live[0]
+    with SecureStation(StationConfig(store=LogStore(directory))) as restarted:
+        restarted.grant("d", FOLDER_POLICY)
+        assert _logstore_views(restarted) == live
+        restarted.store.compact()
+        assert _logstore_views(restarted) == live
+    with SecureStation(StationConfig(store=LogStore(directory))) as compacted:
+        compacted.grant("d", FOLDER_POLICY)
+        assert _logstore_views(compacted) == live
+        assert compacted.store.counters["index_blobs_dropped"] == 0
+
+
+def _version_1_blob(index):
+    """The version 1 layout: per item kind, start delta, header length,
+    size, tag and full descendant bitmap."""
+    from repro.skipindex.bitio import put_varints
+    from repro.skipindex.structural import INDEX_MAGIC, ITEM_TEXT, ITEM_INTERNAL
+
+    fields = [index.total_size, index.root_offset, index.tag_count, index.item_count]
+    previous = 0
+    for item, kind in enumerate(index.kinds):
+        start = index.starts[item]
+        fields += (kind, start - previous, index.contents[item] - start)
+        fields.append(index.sizes[item])
+        if kind != ITEM_TEXT:
+            fields.append(index.tags[item])
+            if kind == ITEM_INTERNAL:
+                fields.append(index.descs[item])
+        previous = start
+    out = bytearray(INDEX_MAGIC + b"\x01")
+    put_varints(out, fields)
+    return bytes(out)
+
+
+def test_logstore_drops_a_version_1_blob_and_streams(tmp_path, monkeypatch):
+    from repro.skipindex.structural import StructuralIndex
+    from repro.store import LogStore
+
+    directory = str(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(StructuralIndex, "to_bytes", _version_1_blob)
+        with SecureStation(StationConfig(store=LogStore(directory))) as station:
+            station.publish(
+                "d", serialize(selective_document()), PublishOptions(index=True)
+            )
+            station.grant("d", FOLDER_POLICY)
+            indexed = _logstore_views(station)
+            assert indexed[0]
+    with SecureStation(StationConfig(store=LogStore(directory))) as restarted:
+        restarted.grant("d", FOLDER_POLICY)
+        assert restarted.document("d").index is None
+        assert restarted.store.counters["index_blobs_dropped"] == 1
+        assert _logstore_views(restarted) == (False,) + indexed[1:]
 
 
 def test_cluster_repair_ships_index():
