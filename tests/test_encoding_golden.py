@@ -35,10 +35,6 @@ def _fingerprint(encoded):
     )
 
 
-def _blob(encoded) -> bytes:
-    return build_structural_index(encoded).to_bytes()
-
-
 def _hospital(folders: int, seed: int) -> Node:
     # The shape of the serving benchmark's documents.
     return generate_hospital(
@@ -248,7 +244,7 @@ def _digest_blobs(encodings):
     digest = hashlib.sha256()
     total = 0
     for encoded in encodings:
-        blob = _blob(encoded)
+        blob = build_structural_index(encoded).to_bytes()
         assert parse_structural_index(blob).to_bytes() == blob
         digest.update(blob)
         total += len(blob)

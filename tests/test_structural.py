@@ -601,6 +601,11 @@ def test_logstore_equal_length_edit_appends_only_records(tmp_path):
     with SecureStation(StationConfig(store=LogStore(directory))) as restarted:
         restarted.grant("d", FOLDER_POLICY)
         assert _logstore_views(restarted) == live
+        # The index parsed back from the log is reused the same way.
+        restarted.update("d", UpdateOp.set_text([40, 0], "gold"))
+        assert restarted.store._states["d"].index_span == span
+        live = _logstore_views(restarted)
+        assert live[0] and "gold" in live[2]
         restarted.store.compact()
         assert _logstore_views(restarted) == live
     with SecureStation(StationConfig(store=LogStore(directory))) as compacted:
