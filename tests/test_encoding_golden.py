@@ -239,13 +239,14 @@ def _digest_encodings(encodings):
 
 
 def _digest_blobs(encodings):
-    # The blob a document persists, whether its index was built at
-    # publish or parsed back from the store.
+    # The blob a document persists; it parses back to the index built
+    # at publish, every column, bitmap and parent link included.
     digest = hashlib.sha256()
     total = 0
     for encoded in encodings:
-        blob = build_structural_index(encoded).to_bytes()
-        assert parse_structural_index(blob).to_bytes() == blob
+        index = build_structural_index(encoded)
+        blob = index.to_bytes()
+        assert parse_structural_index(blob, encoded) == index
         digest.update(blob)
         total += len(blob)
     return digest.hexdigest(), total
