@@ -118,3 +118,46 @@ def test_publish_parses_through_the_benchmark_parse_span(
     with SecureStation(store=store) as station:
         station.publish("doc", "<a><b>x</b></a>")
     assert calls == ["<a><b>x</b></a>"]
+
+
+def test_ledger_wrappers_installed_after_start_see_a_query():
+    # The traced benchmark wraps the frame handlers on their classes and
+    # the frame builders on the service module *after* the servers are
+    # built.  A server that bound its handlers or builders at
+    # construction would bypass the wrappers, and the traced run would
+    # lose its request roots without failing.
+    from perfbench.ledger import Ledger
+    from repro.cluster.topology import hospital_cluster
+    from repro.server.client import RemoteSession
+    from repro.server.service import ServerThread, StationServer, hospital_station
+
+    wanted = (
+        "StationServer._on_query",
+        "ClusterGateway._on_query",
+        "json_frame",
+        "encode_frame_parts",
+    )
+    # Each wrapper records under its own attribute name.
+    targets = [
+        (module, attribute, attribute, flags)
+        for module, attribute, _name, flags in SERVER_SPANS
+        if attribute in wanted
+    ]
+    assert sorted(target[1] for target in targets) == sorted(wanted)
+    station, _subjects = hospital_station(folders=1)
+    thread = ServerThread(StationServer(station))
+    cluster, _documents, _subjects = hospital_cluster(
+        backends=2, replicas=1, documents=1, folders=1
+    )
+    ledger = Ledger()
+    try:
+        address = thread.start()
+        ledger.install(targets)
+        for host, port in (address, cluster.gateway_address):
+            with RemoteSession(host, port, "secretary") as session:
+                assert session.evaluate("hospital").data
+    finally:
+        ledger.uninstall()
+        thread.stop()
+        cluster.stop()
+    assert set(wanted) <= set(ledger.totals())
