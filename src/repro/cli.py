@@ -327,7 +327,7 @@ def cmd_serve(args) -> int:
             "cached_views": station.cached_views(),
             "backend": station.backend.describe(),
             "store": station.store.describe(),
-            "server": dict(server.server_stats),
+            "server": dict(server.stats),
             "meter": {
                 k: v for k, v in server.meter.as_dict().items() if v
             },
@@ -391,7 +391,7 @@ def cmd_cluster(args) -> int:
             print(
                 json.dumps(
                     {
-                        "gateway": dict(gateway.gateway_stats),
+                        "gateway": dict(gateway.stats),
                         "observability": gateway.tracer.stats(),
                     },
                     indent=2,

@@ -61,15 +61,20 @@ from repro.metrics import percentile
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer, format_trace_id, new_trace_id
 from repro.server import protocol
+from repro.server.frames import (
+    E_BAD_FRAME,
+    E_REBALANCE,
+    E_UNAVAILABLE,
+    E_UNKNOWN_DOCUMENT,
+    Connection,
+    FrameServer,
+)
 from repro.server.protocol import (
-    BYE,
     CHUNK,
     ERROR,
     FORWARD,
     HELLO,
     INVALIDATED,
-    PING,
-    PONG,
     QUERY,
     REBALANCE,
     RESULT,
@@ -85,12 +90,6 @@ from repro.server.protocol import (
     encode_frame_parts,
     json_frame,
 )
-
-#: Error codes specific to the gateway (backend codes pass through).
-E_BAD_FRAME = "bad-frame"
-E_PROTOCOL = "protocol"
-E_UNAVAILABLE = "unavailable"
-E_REBALANCE = "rebalance"
 
 #: Subject the gateway authenticates as on its upstream links.
 GATEWAY_SUBJECT = "@gateway"
@@ -208,19 +207,14 @@ class _Backend:
     def latency_ms(self, q: float) -> float:
         return round(percentile(list(self.latencies), q) * 1000, 3)
 
-
-class _ClientConn:
-    """Per-client-connection state on the gateway."""
-
-    __slots__ = ("subject", "session_id", "peer")
-
-    def __init__(self, peer: str):
-        self.subject: Optional[str] = None
-        self.session_id = 0
-        self.peer = peer
+    def close_pool(self) -> None:
+        """Close every idle pooled link."""
+        while not self.pool.empty():
+            self.pool.get_nowait().close()
+        self.created = 0
 
 
-class ClusterGateway:
+class ClusterGateway(FrameServer):
     """Consistent-hash routing gateway over N :class:`StationServer`
     backends, with R-way replication, read failover and repair.
 
@@ -257,6 +251,30 @@ class ClusterGateway:
         the Prometheus endpoint.
     """
 
+    HANDLERS = {
+        **FrameServer.HANDLERS,
+        QUERY: "_on_query",
+        UPDATE: "_on_update",
+        STATS_REQUEST: "_on_stats",
+        TOPOLOGY_REQUEST: "_on_topology",
+        REBALANCE: "_on_rebalance",
+    }
+    STATS = (
+        "connections",
+        "active",
+        "queries",
+        "updates",
+        "failovers",
+        "backends_lost",
+        "repairs",
+        "repair_failures",
+        "rebalances",
+        "invalidations_out",
+        "errors",
+    )
+    METRICS_PREFIX = "repro_gateway_"
+    UNEXPECTED = "unexpected %s frame at the gateway"
+
     def __init__(
         self,
         backends: Dict[str, Tuple[str, int]],
@@ -280,13 +298,19 @@ class ClusterGateway:
     ):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
+        super().__init__(
+            host,
+            port,
+            max_payload=max_payload,
+            slow_ms=slow_ms,
+            registry=registry,
+            tracer=tracer,
+            slow_sink=slow_sink,
+        )
         self.replicas = replicas
-        self.host = host
-        self.port = port
         self.pool_size = pool_size
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
-        self.max_payload = max_payload
         self.republisher = republisher
         self.ring = HashRing(backends, vnodes=vnodes)
         self.backends: Dict[str, _Backend] = {
@@ -300,23 +324,6 @@ class ClusterGateway:
             document_id: set(nodes)
             for document_id, nodes in (placement or {}).items()
         }
-        self.gateway_stats: Dict[str, int] = {
-            "connections": 0,
-            "active": 0,
-            "queries": 0,
-            "updates": 0,
-            "failovers": 0,
-            "backends_lost": 0,
-            "repairs": 0,
-            "repair_failures": 0,
-            "rebalances": 0,
-            "invalidations_out": 0,
-            "errors": 0,
-        }
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._tasks: set = set()
-        self._writers: Dict[_ClientConn, asyncio.StreamWriter] = {}
         self._session_counter = 0
         self._repair_lock: Optional[asyncio.Lock] = None
         #: Per-document write serialization: concurrent UPDATEs to one
@@ -328,63 +335,19 @@ class ClusterGateway:
         #: Highest version already announced per document (dedupe: R
         #: replicas each push INVALIDATED for the same update).
         self._announced: Dict[str, int] = {}
-        self.slow_ms = slow_ms
         self.trace = trace
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(slow_ms=slow_ms, slow_sink=slow_sink)
-        )
-        self._requests_metric = self.registry.counter(
-            "repro_requests_total",
-            "Frames dispatched by type.",
-            labelnames=("type",),
-        )
-        self._latency_metric = self.registry.histogram(
-            "repro_request_ms",
-            "End-to-end request latency as seen by the gateway.",
-        )
-        self.registry.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
     # Lifecycle (ServerThread-compatible: start/stop/address)
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.host, self.port
-
     async def start(self) -> Tuple[str, int]:
-        self._loop = asyncio.get_running_loop()
         self._repair_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.address
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        return await super().start()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        await super().stop()
         for backend in self.backends.values():
-            while True:
-                try:
-                    backend.pool.get_nowait().close()
-                except asyncio.QueueEmpty:
-                    break
-            backend.created = 0
+            backend.close_pool()
 
     # ------------------------------------------------------------------
     # Upstream links
@@ -469,43 +432,15 @@ class ClusterGateway:
         finally:
             self._release(backend, link, ok)
 
-    async def _forward_query(
-        self,
-        backend: _Backend,
-        subject: str,
-        document_id: str,
-        query: Optional[str],
-        trace: int = 0,
+    async def _forward(
+        self, backend: _Backend, body: Dict[str, Any], trace: int = 0
     ) -> Tuple[List[bytes], Dict[str, Any]]:
-        body = {
-            "kind": "query",
-            "subject": subject,
-            "document": document_id,
-            "query": query,
-        }
+        """FORWARD ``body`` to ``backend``; returns the CHUNK payloads
+        and the RESULT trailer."""
         chunks, frame = await self._request(
             backend, json_frame(FORWARD, 0, body, trace=trace), (RESULT,)
         )
         return chunks, frame.json()
-
-    async def _forward_update(
-        self,
-        backend: _Backend,
-        subject: str,
-        document_id: str,
-        op_body: Dict[str, Any],
-        trace: int = 0,
-    ) -> Dict[str, Any]:
-        body = {
-            "kind": "update",
-            "subject": subject,
-            "document": document_id,
-            "op": op_body,
-        }
-        _chunks, frame = await self._request(
-            backend, json_frame(FORWARD, 0, body, trace=trace), (RESULT,)
-        )
-        return frame.json()
 
     # ------------------------------------------------------------------
     # Routing
@@ -550,21 +485,14 @@ class ClusterGateway:
         backend.alive = False
         backend.errors += 1
         self.ring.remove(name)
-        self.gateway_stats["backends_lost"] += 1
-        while True:
-            try:
-                backend.pool.get_nowait().close()
-            except asyncio.QueueEmpty:
-                break
-        backend.created = 0
+        self.stats["backends_lost"] += 1
+        backend.close_pool()
         self._schedule_repair()
 
     def _schedule_repair(self) -> None:
         if self.republisher is None or self._loop is None:
             return
-        task = asyncio.ensure_future(self._repair())
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._spawn(self._repair())
 
     async def _repair(self) -> None:
         """Re-place every under-replicated document (idempotent).
@@ -598,13 +526,16 @@ class ClusterGateway:
                             version,
                         )
                     except Exception:
-                        self.gateway_stats["repair_failures"] += 1
+                        self.stats["repair_failures"] += 1
                         continue
                     holders.add(name)
                     self.placement[document_id] = holders
-                    self.gateway_stats["repairs"] += 1
+                    self.stats["repairs"] += 1
                     if new_version is not None:
                         self._note_version(document_id, int(new_version))
+
+    def _alive(self) -> int:
+        return sum(1 for backend in self.backends.values() if backend.alive)
 
     def _note_version(self, document_id: str, version: int) -> None:
         if version > self.documents.get(document_id, -1):
@@ -627,129 +558,31 @@ class ClusterGateway:
         if version <= self._announced.get(document_id, -1):
             return
         self._announced[document_id] = version
-        body = {"document": document_id, "version": version}
-        for conn, writer in list(self._writers.items()):
-            try:
-                writer.write(json_frame(INVALIDATED, conn.session_id, body))
-                self.gateway_stats["invalidations_out"] += 1
-            except Exception:
-                pass
+        sent = self._push_invalidated(document_id, version)
+        self.stats["invalidations_out"] += sent
 
     # ------------------------------------------------------------------
     # Client-facing server
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._tasks.add(task)
-        peername = writer.get_extra_info("peername")
-        conn = _ClientConn(
-            "%s:%s" % (peername[0], peername[1]) if peername else "?"
-        )
-        decoder = FrameDecoder(self.max_payload)
-        self.gateway_stats["connections"] += 1
-        self.gateway_stats["active"] += 1
-        self._writers[conn] = writer
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    await self._send_error(writer, conn, E_BAD_FRAME, str(exc))
-                    return
-                for frame in frames:
-                    if not await self._dispatch(frame, conn, writer):
-                        return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._tasks.discard(task)
-            self._writers.pop(conn, None)
-            self.gateway_stats["active"] -= 1
-            writer.close()
-
-    async def _dispatch(
-        self, frame: Frame, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
-        self._requests_metric.labels(type=frame.type_name).inc()
-        if frame.type == BYE:
-            return False
-        if frame.type == PING:
-            return await self._on_ping(conn, writer)
-        if frame.type == HELLO:
-            return await self._on_hello(frame, conn, writer)
-        if conn.subject is None:
-            await self._send_error(
-                writer, conn, E_PROTOCOL, "first frame must be HELLO"
-            )
-            return False
-        if frame.type == QUERY:
-            return await self._on_query(frame, conn, writer)
-        if frame.type == UPDATE:
-            return await self._on_update(frame, conn, writer)
-        if frame.type == STATS_REQUEST:
-            return await self._on_stats(conn, writer)
-        if frame.type == TOPOLOGY_REQUEST:
-            return await self._on_topology(conn, writer)
-        if frame.type == REBALANCE:
-            return await self._on_rebalance(frame, conn, writer)
-        await self._send_error(
-            writer,
-            conn,
-            E_PROTOCOL,
-            "unexpected %s frame at the gateway" % frame.type_name,
-        )
-        return False
-
-    async def _on_hello(
-        self, frame: Frame, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
-        if conn.subject is not None:
-            await self._send_error(writer, conn, E_PROTOCOL, "duplicate HELLO")
-            return False
-        try:
-            subject = str(frame.json()["subject"])
-        except (ProtocolError, KeyError):
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "HELLO payload must carry a subject"
-            )
-            return False
-        conn.subject = subject
+    async def _welcome(self, hello: Dict[str, Any], conn: Connection) -> dict:
         self._session_counter += 1
         conn.session_id = self._session_counter
-        alive = sum(1 for b in self.backends.values() if b.alive)
-        welcome = {
+        return {
             "session": conn.session_id,
-            "subject": subject,
+            "subject": hello["subject"],
             # The gateway terminates sessions itself; the key is a
             # fresh random link key (sealing is off gateway-side, so
             # it only keeps the WELCOME shape identical for clients).
             "key": os.urandom(16).hex(),
             "seal": False,
             "gateway": False,
-            "cluster": {"backends": alive, "replicas": self.replicas},
+            "cluster": {"backends": self._alive(), "replicas": self.replicas},
             "limits": {"max_payload": self.max_payload},
         }
-        await self._send(writer, json_frame(WELCOME, conn.session_id, welcome))
-        return True
 
-    async def _on_query(
-        self, frame: Frame, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
-        try:
-            body = frame.json()
-            document_id = body["document"]
-        except (ProtocolError, KeyError):
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "QUERY payload must carry a document"
-            )
-            return False
+    async def _on_query(self, frame: Frame, conn: Connection) -> bool:
+        body = frame.json()
+        document_id = body["document"]
         query = body.get("query") or None
         trace = frame.trace or (new_trace_id() if self.trace else 0)
         root = None
@@ -757,6 +590,12 @@ class ClusterGateway:
             root = self.tracer.start(
                 trace, "gateway.request", document=document_id
             )
+        forward = {
+            "kind": "query",
+            "subject": conn.subject,
+            "document": document_id,
+            "query": query,
+        }
         tried: Set[str] = set()
         attempts: List[str] = []
         request_started = time.perf_counter()
@@ -778,27 +617,22 @@ class ClusterGateway:
                     trace, "forward:%s" % name, parent=root.id
                 )
             try:
-                chunks, trailer = await self._forward_query(
-                    backend, conn.subject, document_id, query, trace=trace
-                )
+                chunks, trailer = await self._forward(backend, forward, trace)
             except BackendRefused as exc:
                 if fwd is not None:
                     self.tracer.finish(fwd, error=exc.code)
-                if exc.code == "unknown-document" and len(candidates) > 1:
+                if exc.code == E_UNKNOWN_DOCUMENT and len(candidates) > 1:
                     # Placement race: repair has not copied the
                     # document onto this preference node yet.  Another
                     # candidate may hold it.
                     attempts.append("%s: %s" % (name, exc.message))
                     continue
-                if trace:
-                    self.tracer.discard(trace)
-                await self._send_error(writer, conn, exc.code, exc.message)
-                return True
+                return await self._refuse(conn, trace, exc.code, exc.message)
             except self._TRANSPORT_ERRORS as exc:
                 if fwd is not None:
                     self.tracer.finish(fwd, error=type(exc).__name__)
                 attempts.append("%s: %s" % (name, exc))
-                self.gateway_stats["failovers"] += 1
+                self.stats["failovers"] += 1
                 await self._mark_dead(name)
                 continue
             backend.requests += 1
@@ -807,6 +641,7 @@ class ClusterGateway:
             # memoryview into the backend link's receive buffers) is
             # written behind a fresh header without re-concatenation,
             # and the whole response drains once — not per frame.
+            writer = conn.writer
             for chunk in chunks:
                 header, payload = encode_frame_parts(
                     CHUNK,
@@ -849,32 +684,24 @@ class ClusterGateway:
                 (time.perf_counter() - request_started) * 1000
             )
             await self._send(
-                writer,
-                json_frame(RESULT, conn.session_id, trailer, trace=trace),
+                conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
             )
-            self.gateway_stats["queries"] += 1
+            self.stats["queries"] += 1
             return True
-        if trace:
-            self.tracer.discard(trace)
-        await self._send_error(
-            writer,
-            conn,
-            E_UNAVAILABLE,
-            "no live replica can serve %r (%s)"
-            % (document_id, "; ".join(attempts) or "no candidates"),
+        message = "no live replica can serve %r (%s)" % (
+            document_id,
+            "; ".join(attempts) or "no candidates",
         )
-        return True
+        return await self._refuse(conn, trace, E_UNAVAILABLE, message)
 
-    async def _on_update(
-        self, frame: Frame, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_update(self, frame: Frame, conn: Connection) -> bool:
+        body = frame.json()
+        document_id = body["document"]
         try:
-            body = frame.json()
-            document_id = body["document"]
             op_body = dict(body.get("op") or {})
-        except (ProtocolError, KeyError, TypeError):
+        except (TypeError, ValueError):
             await self._send_error(
-                writer, conn, E_BAD_FRAME, "UPDATE payload must carry a document"
+                conn, E_BAD_FRAME, "UPDATE payload must carry a document"
             )
             return False
         lock = self._update_locks.get(document_id)
@@ -882,13 +709,12 @@ class ClusterGateway:
             lock = self._update_locks[document_id] = asyncio.Lock()
         async with lock:
             return await self._apply_routed_update(
-                conn, writer, document_id, op_body, trace=frame.trace
+                conn, document_id, op_body, trace=frame.trace
             )
 
     async def _apply_routed_update(
         self,
-        conn: _ClientConn,
-        writer: asyncio.StreamWriter,
+        conn: Connection,
         document_id: str,
         op_body: Dict[str, Any],
         trace: int = 0,
@@ -899,6 +725,12 @@ class ClusterGateway:
             root = self.tracer.start(
                 trace, "gateway.update", document=document_id
             )
+        forward = {
+            "kind": "update",
+            "subject": conn.subject,
+            "document": document_id,
+            "op": op_body,
+        }
         request_started = time.perf_counter()
         tried: Set[str] = set()
         trailer = None
@@ -910,15 +742,8 @@ class ClusterGateway:
                 if name not in tried
             ]
             if not candidates:
-                if trace:
-                    self.tracer.discard(trace)
-                await self._send_error(
-                    writer,
-                    conn,
-                    E_UNAVAILABLE,
-                    "no live replica can apply the update to %r" % document_id,
-                )
-                return True
+                message = "no live replica can apply the update to %r" % document_id
+                return await self._refuse(conn, trace, E_UNAVAILABLE, message)
             primary = candidates[0]
             tried.add(primary)
             fwd = None
@@ -927,22 +752,15 @@ class ClusterGateway:
                     trace, "forward:%s" % primary, parent=root.id
                 )
             try:
-                trailer = await self._forward_update(
-                    self.backends[primary],
-                    conn.subject,
-                    document_id,
-                    op_body,
-                    trace=trace,
+                _chunks, trailer = await self._forward(
+                    self.backends[primary], forward, trace
                 )
             except BackendRefused as exc:
-                if trace:
-                    self.tracer.discard(trace)
-                await self._send_error(writer, conn, exc.code, exc.message)
-                return True
+                return await self._refuse(conn, trace, exc.code, exc.message)
             except self._TRANSPORT_ERRORS:
                 if fwd is not None:
                     self.tracer.finish(fwd, error="transport")
-                self.gateway_stats["failovers"] += 1
+                self.stats["failovers"] += 1
                 await self._mark_dead(primary)
                 continue
             if trace:
@@ -962,8 +780,8 @@ class ClusterGateway:
         ]
         for name in targets:
             try:
-                replica_trailer = await self._forward_update(
-                    self.backends[name], conn.subject, document_id, op_body
+                _chunks, replica_trailer = await self._forward(
+                    self.backends[name], forward
                 )
             except BackendRefused as exc:
                 trailer.setdefault("replica_errors", []).append(
@@ -997,33 +815,27 @@ class ClusterGateway:
         self._latency_metric.observe(
             (time.perf_counter() - request_started) * 1000
         )
-        self.gateway_stats["updates"] += 1
+        self.stats["updates"] += 1
         await self._send(
-            writer, json_frame(RESULT, conn.session_id, trailer, trace=trace)
+            conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
         )
         return True
 
     # ------------------------------------------------------------------
     # Control frames
     # ------------------------------------------------------------------
-    async def _on_ping(
-        self, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
-        body = {
+    def _pong(self) -> dict:
+        return {
             "ok": True,
             "role": "gateway",
             "documents": dict(self.documents),
-            "active": self.gateway_stats["active"],
+            "active": self.stats["active"],
             "backends": {
                 name: backend.alive for name, backend in self.backends.items()
             },
         }
-        await self._send(writer, json_frame(PONG, conn.session_id, body))
-        return True
 
-    async def _on_topology(
-        self, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_topology(self, frame: Frame, conn: Connection) -> bool:
         documents = {}
         for document_id, version in self.documents.items():
             preference = self.ring.preference(document_id, self.replicas)
@@ -1045,57 +857,46 @@ class ClusterGateway:
             },
             "documents": documents,
         }
-        await self._send(writer, json_frame(TOPOLOGY, conn.session_id, body))
+        await self._send(conn, json_frame(TOPOLOGY, conn.session_id, body))
         return True
 
-    async def _on_rebalance(
-        self, frame: Frame, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_rebalance(self, frame: Frame, conn: Connection) -> bool:
         try:
             body = frame.json()
             action = body["action"]
             name = str(body["name"])
         except (ProtocolError, KeyError):
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "REBALANCE needs action and name"
-            )
+            await self._send_error(conn, E_BAD_FRAME, "REBALANCE needs action and name")
             return False
         if action == "join":
-            return await self._rebalance_join(body, name, conn, writer)
+            return await self._rebalance_join(body, name, conn)
         if action == "leave":
-            return await self._rebalance_leave(name, conn, writer)
+            return await self._rebalance_leave(name, conn)
         await self._send_error(
-            writer, conn, E_BAD_FRAME, "unknown REBALANCE action %r" % action
+            conn, E_BAD_FRAME, "unknown REBALANCE action %r" % action
         )
         return False
 
     async def _rebalance_join(
-        self,
-        body: Dict[str, Any],
-        name: str,
-        conn: _ClientConn,
-        writer: asyncio.StreamWriter,
+        self, body: Dict[str, Any], name: str, conn: Connection
     ) -> bool:
         existing = self.backends.get(name)
         if existing is not None and existing.alive:
             await self._send_error(
-                writer, conn, E_REBALANCE, "backend %r is already a member" % name
+                conn, E_REBALANCE, "backend %r is already a member" % name
             )
             return True
         host = str(body.get("host", "127.0.0.1"))
         try:
             port = int(body["port"])
         except (KeyError, TypeError, ValueError):
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "REBALANCE join needs a port"
-            )
+            await self._send_error(conn, E_BAD_FRAME, "REBALANCE join needs a port")
             return False
         backend = _Backend(name, host, port, self.pool_size)
         try:
             link = await self._open_link(backend)
         except Exception as exc:
             await self._send_error(
-                writer,
                 conn,
                 E_REBALANCE,
                 "cannot reach backend %r at %s:%d: %s" % (name, host, port, exc),
@@ -1105,40 +906,16 @@ class ClusterGateway:
         backend.pool.put_nowait(link)
         self.backends[name] = backend
         self.ring.add(name)
-        self.gateway_stats["rebalances"] += 1
         moved = sorted(
             document_id
             for document_id in self.placement
             if name in self.ring.preference(document_id, self.replicas)
         )
-        # Synchronous repair: the RESULT must describe the completed
-        # re-placement, so a test (or an operator script) can query the
-        # new node the moment the reply lands.
-        await self._repair()
-        await self._send(
-            writer,
-            json_frame(
-                RESULT,
-                conn.session_id,
-                {
-                    "action": "join",
-                    "backend": name,
-                    "documents_moved": moved,
-                    "backends_alive": sum(
-                        1 for b in self.backends.values() if b.alive
-                    ),
-                },
-            ),
-        )
-        return True
+        return await self._rebalanced(conn, "join", name, moved)
 
-    async def _rebalance_leave(
-        self, name: str, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _rebalance_leave(self, name: str, conn: Connection) -> bool:
         if name not in self.backends:
-            await self._send_error(
-                writer, conn, E_REBALANCE, "unknown backend %r" % name
-            )
+            await self._send_error(conn, E_REBALANCE, "unknown backend %r" % name)
             return True
         affected = sorted(
             document_id
@@ -1146,28 +923,26 @@ class ClusterGateway:
             if name in holders
         )
         await self._mark_dead(name)
-        self.gateway_stats["rebalances"] += 1
+        return await self._rebalanced(conn, "leave", name, affected)
+
+    async def _rebalanced(
+        self, conn: Connection, action: str, name: str, moved: List[str]
+    ) -> bool:
+        self.stats["rebalances"] += 1
+        # Synchronous repair: the RESULT must describe the completed
+        # re-placement, so a test (or an operator script) can query the
+        # new node the moment the reply lands.
         await self._repair()
-        await self._send(
-            writer,
-            json_frame(
-                RESULT,
-                conn.session_id,
-                {
-                    "action": "leave",
-                    "backend": name,
-                    "documents_moved": affected,
-                    "backends_alive": sum(
-                        1 for b in self.backends.values() if b.alive
-                    ),
-                },
-            ),
-        )
+        body = {
+            "action": action,
+            "backend": name,
+            "documents_moved": moved,
+            "backends_alive": self._alive(),
+        }
+        await self._send(conn, json_frame(RESULT, conn.session_id, body))
         return True
 
-    async def _on_stats(
-        self, conn: _ClientConn, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_stats(self, frame: Frame, conn: Connection) -> bool:
         station_totals: Dict[str, int] = {}
         server_totals: Dict[str, int] = {}
         per_backend: Dict[str, Dict[str, Any]] = {}
@@ -1223,17 +998,16 @@ class ClusterGateway:
         samples: List[float] = []
         for backend in self.backends.values():
             samples.extend(backend.latencies)
-        alive = sum(1 for b in self.backends.values() if b.alive)
         body = {
             "role": "gateway",
-            "gateway": dict(self.gateway_stats),
+            "gateway": dict(self.stats),
             "per_backend": per_backend,
             "station": station_totals,
             "server": server_totals,
             "cached_views": cached_views,
             "documents": dict(self.documents),
             "replicas": self.replicas,
-            "ring": {"alive": alive, "total": len(self.backends)},
+            "ring": {"alive": self._alive(), "total": len(self.backends)},
             "latency_ms": {
                 "p50": round(percentile(samples, 50) * 1000, 3),
                 "p95": round(percentile(samples, 95) * 1000, 3),
@@ -1244,22 +1018,15 @@ class ClusterGateway:
                 self.tracer.stats(), slow_log=self.tracer.slow_records()
             ),
         }
-        await self._send(writer, json_frame(STATS, conn.session_id, body))
+        await self._send(conn, json_frame(STATS, conn.session_id, body))
         return True
 
     # ------------------------------------------------------------------
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Pull-time collector: refresh gauges from the live gateway
-        state.  Nothing on the request path mirrors counters into the
-        registry — scrapes read them here, so tracing-off requests pay
-        zero metric bookkeeping beyond the dispatch counter."""
-        for key, value in self.gateway_stats.items():
-            registry.gauge(
-                "repro_gateway_%s" % key, "Gateway counter %r." % key
-            ).set(float(value))
+        super()._collect_metrics(registry)
         registry.gauge(
             "repro_ring_alive", "Backends currently on the hash ring."
-        ).set(float(sum(1 for b in self.backends.values() if b.alive)))
+        ).set(float(self._alive()))
         registry.gauge(
             "repro_ring_total", "Backends ever registered with the gateway."
         ).set(float(len(self.backends)))
@@ -1270,40 +1037,3 @@ class ClusterGateway:
         )
         for name, backend in self.backends.items():
             requests.labels(backend=name).set(float(backend.requests))
-        tracer_stats = self.tracer.stats()
-        registry.gauge(
-            "repro_traces_finished", "Traces completed end-to-end."
-        ).set(float(tracer_stats["finished"]))
-        registry.gauge(
-            "repro_slow_queries", "Traces at or above the slow threshold."
-        ).set(float(tracer_stats["slow_queries"]))
-
-    async def _send(self, writer: asyncio.StreamWriter, data: bytes) -> None:
-        writer.write(data)
-        await writer.drain()
-
-    async def _send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        conn: _ClientConn,
-        code: str,
-        message: str,
-    ) -> None:
-        self.gateway_stats["errors"] += 1
-        try:
-            await self._send(
-                writer,
-                json_frame(
-                    ERROR, conn.session_id, {"code": code, "message": message}
-                ),
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "ClusterGateway(%s:%d, %d/%d backends alive)" % (
-            self.host,
-            self.port,
-            sum(1 for b in self.backends.values() if b.alive),
-            len(self.backends),
-        )

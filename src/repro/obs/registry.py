@@ -392,7 +392,7 @@ class MetricsRegistry:
     ) -> None:
         """Register a pull-time hook, called once per ``render()`` /
         ``snapshot()``.  Collectors let existing ad-hoc counter dicts
-        (``StationStats``, ``server_stats``, ``gateway_stats``) surface
+        (``StationStats``, each frame server's ``stats``) surface
         as gauges with zero cost on the hot path: they are only read
         when someone scrapes."""
         with self._lock:

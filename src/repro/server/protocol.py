@@ -123,7 +123,7 @@ class Frame:
     version-1 frames).
     """
 
-    __slots__ = ("type", "session", "payload", "trace")
+    __slots__ = ("type", "session", "payload", "trace", "_json")
 
     def __init__(
         self,
@@ -136,13 +136,18 @@ class Frame:
         self.session = session
         self.payload = payload
         self.trace = trace
+        self._json: Optional[Dict[str, Any]] = None
 
     @property
     def type_name(self) -> str:
         return TYPE_NAMES.get(self.type, "0x%02x" % self.type)
 
     def json(self) -> Dict[str, Any]:
-        """Decode the payload as a JSON object."""
+        """Decode the payload as a JSON object (once: later calls return
+        the same dict, so a server checks a request's fields and its
+        handler reads them from one decode)."""
+        if self._json is not None:
+            return self._json
         try:
             obj = json.loads(bytes(self.payload).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -153,6 +158,7 @@ class Frame:
             raise ProtocolError(
                 "%s payload must be a JSON object" % self.type_name
             )
+        self._json = obj
         return obj
 
     def __eq__(self, other: object) -> bool:

@@ -10,6 +10,10 @@ Topology (the network form of Fig. 2)::
 
 Design points:
 
+* **One frame server.**  The decode loop, HELLO gate, dispatch table
+  and send helpers are :class:`~repro.server.frames.FrameServer`'s,
+  shared with the cluster gateway; this module supplies the station's
+  frame handlers.
 * **One event loop, CPU work off-loop.**  Policy evaluation is pure
   python and can take seconds on big documents; each QUERY runs in the
   default thread-pool executor, so the loop keeps accepting
@@ -47,70 +51,70 @@ import threading
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.station import SecureStation, StationError, StationSession
-from repro.metrics import Meter, ThreadSafeMeter
+from repro.engine.station import SecureStation, StationError
+from repro.metrics import ThreadSafeMeter
 from repro.obs.registry import BYTE_BUCKETS, MetricsRegistry
 from repro.obs.trace import Tracer, format_trace_id
 from repro.server import protocol
+from repro.server.frames import (
+    E_BAD_FRAME,
+    E_INTERNAL,
+    E_LIMIT,
+    E_NO_GRANT,
+    E_PROTOCOL,
+    E_UNKNOWN_DOCUMENT,
+    E_UPDATE,
+    Connection,
+    FrameServer,
+)
 from repro.server.protocol import (
-    BYE,
     CHUNK,
-    ERROR,
     FORWARD,
-    HELLO,
-    INVALIDATED,
-    PING,
-    PONG,
     QUERY,
     RESULT,
     STATS,
     STATS_REQUEST,
     UPDATE,
-    WELCOME,
     Frame,
-    FrameDecoder,
-    ProtocolError,
     encode_frame_parts,
     json_frame,
 )
 from repro.skipindex.updates import UpdateError, UpdateOp
-
-#: Error codes carried by ERROR frames.
-E_BAD_FRAME = "bad-frame"
-E_PROTOCOL = "protocol"
-E_UNKNOWN_DOCUMENT = "unknown-document"
-E_NO_GRANT = "no-grant"
-E_LIMIT = "limit"
-E_UPDATE = "update"
-E_INTERNAL = "internal"
 
 #: Worst-case growth of a sealed chunk over its plaintext: 4-byte
 #: length + 20-byte HMAC-SHA1 + up to 8 bytes of block padding.
 SEAL_OVERHEAD = 32
 
 
-class _Connection:
-    """Per-connection state living on the event loop."""
-
-    __slots__ = ("session", "meter", "queries", "peer", "gateway")
-
-    def __init__(self, peer: str):
-        self.session: Optional[StationSession] = None
-        self.meter = Meter()
-        self.queries = 0
-        self.peer = peer
-        #: Authenticated as a cluster gateway (HELLO {"gateway": true}
-        #: on a server started with ``allow_forward``)?  Only such
-        #: connections may issue FORWARD frames.
-        self.gateway = False
-
-    @property
-    def session_id(self) -> int:
-        return self.session.session_id if self.session else 0
+def _station_message(exc: StationError) -> str:
+    # StationError is a KeyError, whose str() would quote the message.
+    return exc.args[0] if exc.args else str(exc)
 
 
-class StationServer:
+class StationServer(FrameServer):
     """Serve a :class:`SecureStation` over TCP to many concurrent clients."""
+
+    HANDLERS = {
+        **FrameServer.HANDLERS,
+        QUERY: "_on_query",
+        UPDATE: "_on_update",
+        FORWARD: "_on_forward",
+        STATS_REQUEST: "_on_stats",
+    }
+    STATS = (
+        "connections",
+        "active",
+        "queries",
+        "updates",
+        "forwards",
+        "pings",
+        "invalidations",
+        "errors",
+        "chunks_streamed",
+        "bytes_streamed",
+    )
+    METRICS_PREFIX = "repro_server_"
+    UNEXPECTED = "unexpected %s frame from client"
 
     def __init__(
         self,
@@ -143,190 +147,53 @@ class StationServer:
                     max_payload,
                 )
             )
+        super().__init__(
+            host,
+            port,
+            max_payload=max_payload,
+            slow_ms=slow_ms,
+            registry=registry,
+            tracer=tracer,
+            slow_sink=slow_sink,
+        )
         self.station = station
-        self.host = host
-        self.port = port
         self.chunk_size = chunk_size
         self.queue_depth = queue_depth
         self.max_queries_per_session = max_queries_per_session
-        self.max_payload = max_payload
         self.seal = seal
         self.allow_updates = allow_updates
         self.allow_forward = allow_forward
         self.meter = ThreadSafeMeter()
-        self.server_stats: Dict[str, int] = {
-            "connections": 0,
-            "active": 0,
-            "queries": 0,
-            "updates": 0,
-            "forwards": 0,
-            "pings": 0,
-            "invalidations": 0,
-            "errors": 0,
-            "chunks_streamed": 0,
-            "bytes_streamed": 0,
-        }
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._tasks: set = set()
-        # Live connections (for INVALIDATED broadcast on update).
-        self._writers: Dict[_Connection, asyncio.StreamWriter] = {}
-        # Observability: one registry + tracer per server.  Traced
-        # requests (nonzero frame trace id) record span trees; the
-        # slow-query log keeps any trace over ``slow_ms``.  The ad-hoc
-        # counter dicts above stay the source of truth — a pull-time
-        # collector mirrors them into the registry only when scraped.
-        self.slow_ms = slow_ms
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = (
-            tracer
-            if tracer is not None
-            else Tracer(slow_ms=slow_ms, slow_sink=slow_sink)
-        )
-        self._requests_metric = self.registry.counter(
-            "repro_requests_total", "Wire frames handled, by frame type",
-            labelnames=("type",),
-        )
-        self._latency_metric = self.registry.histogram(
-            "repro_request_ms", "Query wall-clock latency in milliseconds"
-        )
         self._view_bytes_metric = self.registry.histogram(
             "repro_view_bytes",
             "Serialized view bytes per query",
             buckets=BYTE_BUCKETS,
         )
-        self.registry.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (resolves ephemeral port 0)."""
-        return self.host, self.port
-
     async def start(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self._loop = asyncio.get_running_loop()
+        address = await super().start()
         self.station.subscribe(self._on_station_update)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.address
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        return address
 
     async def stop(self) -> None:
         self.station.unsubscribe(self._on_station_update)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Wind down in-flight connections; their handlers catch the
-        # cancellation and run their meter-merging cleanup.
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        await super().stop()
+
+    def _closed(self, conn: Connection) -> None:
+        self.meter.merge(conn.meter)
 
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._tasks.add(task)
-        peername = writer.get_extra_info("peername")
-        conn = _Connection("%s:%s" % (peername[0], peername[1]) if peername else "?")
-        decoder = FrameDecoder(self.max_payload)
-        self.server_stats["connections"] += 1
-        self.server_stats["active"] += 1
-        self._writers[conn] = writer
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                try:
-                    frames = decoder.feed(data)
-                except ProtocolError as exc:
-                    await self._send_error(writer, conn, E_BAD_FRAME, str(exc))
-                    return
-                for frame in frames:
-                    if not await self._dispatch(frame, conn, writer):
-                        return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Deliberate swallow: the server is shutting down and the
-            # task must end cleanly (a cancelled client_connected_cb
-            # task makes the streams machinery log spurious errors).
-            pass
-        finally:
-            self._tasks.discard(task)
-            self._writers.pop(conn, None)
-            self.meter.merge(conn.meter)
-            self.server_stats["active"] -= 1
-            writer.close()
-
-    async def _dispatch(
-        self, frame: Frame, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Handle one frame; returns False to close the connection."""
-        self._requests_metric.labels(type=frame.type_name).inc()
-        if frame.type == BYE:
-            return False
-        if frame.type == PING:
-            # Health probes run before (or without) HELLO by design: a
-            # gateway must be able to check liveness and replica
-            # version lockstep without spending a session.
-            return await self._on_ping(conn, writer)
-        if frame.type == HELLO:
-            return await self._on_hello(frame, conn, writer)
-        if conn.session is None:
-            await self._send_error(
-                writer, conn, E_PROTOCOL, "first frame must be HELLO"
-            )
-            return False
-        if frame.type == QUERY:
-            return await self._on_query(frame, conn, writer)
-        if frame.type == UPDATE:
-            return await self._on_update(frame, conn, writer)
-        if frame.type == FORWARD:
-            return await self._on_forward(frame, conn, writer)
-        if frame.type == STATS_REQUEST:
-            return await self._on_stats(conn, writer)
-        await self._send_error(
-            writer,
-            conn,
-            E_PROTOCOL,
-            "unexpected %s frame from client" % frame.type_name,
-        )
-        return False
-
-    # ------------------------------------------------------------------
-    async def _on_hello(
-        self, frame: Frame, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
-        if conn.session is not None:
-            await self._send_error(writer, conn, E_PROTOCOL, "duplicate HELLO")
-            return False
-        try:
-            subject = frame.json()["subject"]
-        except (ProtocolError, KeyError):
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "HELLO payload must carry a subject"
-            )
-            return False
-        conn.gateway = bool(frame.json().get("gateway")) and self.allow_forward
+    async def _welcome(self, hello: Dict[str, object], conn: Connection) -> dict:
+        conn.gateway = bool(hello.get("gateway")) and self.allow_forward
         # The station is internally thread-safe, but connect still runs
         # off-loop: key derivation must never stall frame dispatch.
         loop = asyncio.get_running_loop()
         conn.session = await loop.run_in_executor(
-            None, self.station.connect, str(subject)
+            None, self.station.connect, hello["subject"]
         )
-        welcome = {
+        conn.session_id = conn.session.session_id
+        return {
             "session": conn.session.session_id,
             "subject": conn.session.subject,
             # The paper delivers session credentials over the secure
@@ -343,31 +210,30 @@ class StationServer:
                 "chunk_size": self.chunk_size,
             },
         }
-        await self._send(writer, json_frame(WELCOME, conn.session_id, welcome))
-        return True
 
-    async def _on_query(
-        self, frame: Frame, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
-        try:
-            body = frame.json()
-            document_id = body["document"]
-        except (ProtocolError, KeyError):
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "QUERY payload must carry a document"
-            )
-            return False
+    def _pong(self) -> dict:
+        """Health probe: liveness plus per-document version lockstep."""
+        self.stats["pings"] += 1
+        return {
+            "ok": True,
+            "role": "station",
+            "documents": self.station.document_versions(),
+            "active": self.stats["active"],
+        }
+
+    async def _on_query(self, frame: Frame, conn: Connection) -> bool:
+        body = frame.json()
+        document_id = body["document"]
         query = body.get("query") or None
         conn.queries += 1
         if conn.queries > self.max_queries_per_session:
             await self._send_error(
-                writer,
                 conn,
                 E_LIMIT,
                 "session exceeded %d queries" % self.max_queries_per_session,
             )
             return False
-        self.server_stats["queries"] += 1
+        self.stats["queries"] += 1
         session = conn.session
 
         def evaluate(tracer=None, trace=0, parent_span=0):
@@ -382,13 +248,12 @@ class StationServer:
             )
 
         return await self._run_query_stream(
-            conn, writer, evaluate, {"document": document_id}, trace=frame.trace
+            conn, evaluate, {"document": document_id}, trace=frame.trace
         )
 
     async def _run_query_stream(
         self,
-        conn: _Connection,
-        writer: asyncio.StreamWriter,
+        conn: Connection,
         evaluate,
         extra_trailer: Dict[str, object],
         trace: int = 0,
@@ -430,33 +295,45 @@ class StationServer:
             # executor thread actually picking the request up.
             nonlocal picked_up
             picked_up = perf_counter()
-            if not deferred:
-                tracer.record(trace, "queue", started, picked_up, parent=root.id)
             return evaluate(tracer, trace, root.id)
 
+        # Errors are recoverable: the session may query other documents.
         try:
             stream = await loop.run_in_executor(None, run_evaluate)
         except StationError as exc:
-            if trace:
-                tracer.discard(trace)
-            message = exc.args[0] if exc.args else str(exc)
+            message = _station_message(exc)
             code = E_NO_GRANT if "grant" in message else E_UNKNOWN_DOCUMENT
-            await self._send_error(writer, conn, code, message)
-            return True  # recoverable: the session may query other documents
+            return await self._refuse(conn, trace, code, message)
         except Exception as exc:
-            if trace:
-                tracer.discard(trace)
-            await self._send_error(writer, conn, E_INTERNAL, str(exc))
-            return True
+            return await self._refuse(conn, trace, E_INTERNAL, str(exc))
 
         stream_started = perf_counter()
-        sent = await self._stream_chunks(stream, conn, writer)
+        sent = await self._stream_chunks(stream, conn)
         if sent is None:
-            if trace:
-                tracer.discard(trace)
+            tracer.discard(trace)
             return False
         chunks, sent_bytes = sent
         conn.meter.merge(stream.result.meter)
+
+        def finish_trace():
+            """Record the queue and stream spans, close the root and
+            return the finished trace record."""
+            tracer.record(trace, "queue", started, picked_up, parent=root.id)
+            tracer.record(
+                trace,
+                "stream",
+                stream_started,
+                perf_counter(),
+                parent=root.id,
+                attrs={"chunks": chunks, "bytes": sent_bytes},
+            )
+            tracer.finish(
+                root,
+                cached=bool(stream.result.cache_hit),
+                bytes=stream.payload_bytes,
+            )
+            return tracer.end_trace(trace, root=root)
+
         trailer = {
             "chunks": chunks,
             "bytes": stream.payload_bytes,
@@ -465,8 +342,7 @@ class StationServer:
             # Served from the station's version-keyed view cache?  The
             # simulated seconds above are identical either way (the
             # cost model charges the original evaluation); this flag is
-            # what lets clients and the load generator report honest
-            # hit rates.
+            # what lets clients report honest hit rates.
             "cached": bool(stream.result.cache_hit),
             # Which serving path produced the view: "indexed" when the
             # structural index resolved the query to chunk-range plans
@@ -487,20 +363,7 @@ class StationServer:
         if root is not None:
             trailer["trace"] = format_trace_id(trace)
             if not deferred:
-                tracer.record(
-                    trace,
-                    "stream",
-                    stream_started,
-                    perf_counter(),
-                    parent=root.id,
-                    attrs={"chunks": chunks, "bytes": sent_bytes},
-                )
-                tracer.finish(
-                    root,
-                    cached=bool(stream.result.cache_hit),
-                    bytes=stream.payload_bytes,
-                )
-                record = tracer.end_trace(trace, root=root)
+                record = finish_trace()
                 if record is not None and (ship_spans or record.slow):
                     # The finished span tree rides the trailer so the
                     # hop upstream (gateway or client) can graft it
@@ -510,45 +373,25 @@ class StationServer:
         self._view_bytes_metric.observe(stream.payload_bytes)
         try:
             await self._send(
-                writer, json_frame(RESULT, conn.session_id, trailer, trace=trace)
+                conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
             )
         finally:
             if deferred:
-                ended = perf_counter()
-                tracer.record(trace, "queue", started, picked_up, parent=root.id)
-                tracer.record(
-                    trace,
-                    "stream",
-                    stream_started,
-                    ended,
-                    parent=root.id,
-                    attrs={"chunks": chunks, "bytes": sent_bytes},
-                )
-                tracer.finish(
-                    root,
-                    cached=bool(stream.result.cache_hit),
-                    bytes=stream.payload_bytes,
-                )
-                tracer.end_trace(trace, root=root)
-        self.server_stats["chunks_streamed"] += chunks
-        self.server_stats["bytes_streamed"] += sent_bytes
+                finish_trace()
+        self.stats["chunks_streamed"] += chunks
+        self.stats["bytes_streamed"] += sent_bytes
         return True
 
     # ------------------------------------------------------------------
-    async def _on_update(
-        self, frame: Frame, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_update(self, frame: Frame, conn: Connection) -> bool:
+        body = frame.json()
         try:
-            body = frame.json()
-            document_id = body["document"]
             op = UpdateOp.from_dict(body.get("op") or {})
-        except (ProtocolError, KeyError, UpdateError) as exc:
-            await self._send_error(
-                writer, conn, E_BAD_FRAME, "bad UPDATE frame: %s" % exc
-            )
+        except UpdateError as exc:
+            await self._send_error(conn, E_BAD_FRAME, "bad UPDATE frame: %s" % exc)
             return False
         return await self._apply_update(
-            document_id, op, conn.session.subject, conn, writer, trace=frame.trace
+            body["document"], op, conn.session.subject, conn, trace=frame.trace
         )
 
     async def _apply_update(
@@ -556,69 +399,46 @@ class StationServer:
         document_id: str,
         op: UpdateOp,
         subject: str,
-        conn: _Connection,
-        writer: asyncio.StreamWriter,
+        conn: Connection,
         trace: int = 0,
         ship_spans: bool = False,
     ) -> bool:
-        """Shared UPDATE/FORWARD-update path: grant check, apply, RESULT."""
+        """Shared UPDATE/FORWARD-update path: grant check, apply, RESULT.
+
+        Every refusal is recoverable: the connection stays open.
+        """
         root = None
         if trace:
             root = self.tracer.start(
                 trace, "backend.update", document=document_id, subject=subject
             )
         if not self.allow_updates:
-            if trace:
-                self.tracer.discard(trace)
-            await self._send_error(
-                writer, conn, E_LIMIT, "this server is read-only"
-            )
-            return True
+            return await self._refuse(conn, trace, E_LIMIT, "this server is read-only")
         try:
             self.station.document_version(document_id)
         except StationError as exc:
-            if trace:
-                self.tracer.discard(trace)
-            message = exc.args[0] if exc.args else str(exc)
-            await self._send_error(writer, conn, E_UNKNOWN_DOCUMENT, message)
-            return True
+            message = _station_message(exc)
+            return await self._refuse(conn, trace, E_UNKNOWN_DOCUMENT, message)
         # Writes require at least a read grant on the target document;
         # anything finer-grained (per-subtree write rules) would need
         # its own policy language, but an ungranted subject must never
         # be able to rewrite a document it cannot even read.
         if not self.station.has_grant(document_id, subject):
-            if trace:
-                self.tracer.discard(trace)
-            await self._send_error(
-                writer,
-                conn,
-                E_NO_GRANT,
-                "no grant for subject %r on document %r"
-                % (subject, document_id),
-            )
-            return True
+            message = "no grant for subject %r on document %r" % (subject, document_id)
+            return await self._refuse(conn, trace, E_NO_GRANT, message)
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
                 None, self.station.update, document_id, op
             )
         except StationError as exc:
-            if trace:
-                self.tracer.discard(trace)
-            message = exc.args[0] if exc.args else str(exc)
-            await self._send_error(writer, conn, E_UNKNOWN_DOCUMENT, message)
-            return True
+            message = _station_message(exc)
+            return await self._refuse(conn, trace, E_UNKNOWN_DOCUMENT, message)
         except UpdateError as exc:
-            if trace:
-                self.tracer.discard(trace)
-            await self._send_error(writer, conn, E_UPDATE, str(exc))
-            return True
+            return await self._refuse(conn, trace, E_UPDATE, str(exc))
         except Exception as exc:
-            if trace:
-                self.tracer.discard(trace)
-            await self._send_error(writer, conn, E_INTERNAL, str(exc))
-            return True
-        self.server_stats["updates"] += 1
+            return await self._refuse(conn, trace, E_INTERNAL, str(exc))
+        self.stats["updates"] += 1
         trailer = {
             "document": document_id,
             "version": result.version,
@@ -636,14 +456,12 @@ class StationServer:
                 if ship_spans or record.slow:
                     trailer["spans"] = record.wire_spans()
         await self._send(
-            writer, json_frame(RESULT, conn.session_id, trailer, trace=trace)
+            conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
         )
         return True
 
     # ------------------------------------------------------------------
-    async def _on_forward(
-        self, frame: Frame, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_forward(self, frame: Frame, conn: Connection) -> bool:
         """Gateway impersonation: run a query/update as another subject.
 
         Only honored on a connection whose HELLO declared
@@ -657,53 +475,35 @@ class StationServer:
         """
         if not conn.gateway:
             await self._send_error(
-                writer,
                 conn,
                 E_PROTOCOL,
                 "FORWARD requires a gateway session (allow_forward server)",
             )
             return False
-        try:
-            body = frame.json()
-            kind = body.get("kind", "query")
-            subject = str(body["subject"])
-            document_id = body["document"]
-        except (ProtocolError, KeyError):
-            await self._send_error(
-                writer,
-                conn,
-                E_BAD_FRAME,
-                "FORWARD payload must carry subject and document",
-            )
-            return False
-        self.server_stats["forwards"] += 1
+        body = frame.json()
+        kind = body.get("kind", "query")
+        subject = body["subject"]
+        document_id = body["document"]
+        self.stats["forwards"] += 1
         if kind == "update":
             try:
                 op = UpdateOp.from_dict(body.get("op") or {})
             except UpdateError as exc:
-                await self._send_error(
-                    writer, conn, E_BAD_FRAME, "bad FORWARD op: %s" % exc
-                )
+                await self._send_error(conn, E_BAD_FRAME, "bad FORWARD op: %s" % exc)
                 return False
             return await self._apply_update(
-                document_id,
-                op,
-                subject,
-                conn,
-                writer,
-                trace=frame.trace,
-                ship_spans=True,
+                document_id, op, subject, conn, trace=frame.trace, ship_spans=True
             )
         if kind != "query":
             await self._send_error(
-                writer, conn, E_BAD_FRAME, "unknown FORWARD kind %r" % kind
+                conn, E_BAD_FRAME, "unknown FORWARD kind %r" % kind
             )
             return False
         query = body.get("query") or None
         # No per-session query cap on gateway links, deliberately: the
         # gateway multiplexes many end-clients over one authenticated
         # connection, so the cap belongs gateway-side, per end-client.
-        self.server_stats["queries"] += 1
+        self.stats["queries"] += 1
 
         def evaluate(tracer=None, trace=0, parent_span=0):
             # Never link-sealed: the gateway terminates client sessions
@@ -720,64 +520,28 @@ class StationServer:
 
         return await self._run_query_stream(
             conn,
-            writer,
             evaluate,
             {"document": document_id, "subject": subject},
             trace=frame.trace,
             ship_spans=True,
         )
 
-    async def _on_ping(
-        self, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Health probe: liveness plus per-document version lockstep."""
-        self.server_stats["pings"] += 1
-        body = {
-            "ok": True,
-            "role": "station",
-            "documents": self.station.document_versions(),
-            "active": self.server_stats["active"],
-        }
-        await self._send(writer, json_frame(PONG, conn.session_id, body))
-        return True
-
     def _on_station_update(self, document_id: str, version: int) -> None:
-        """Station listener (any thread): broadcast INVALIDATED."""
+        """Station listener (any thread): push INVALIDATED on the loop."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
-
-        def schedule() -> None:
-            task = asyncio.ensure_future(
-                self._broadcast_invalidated(document_id, version)
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
         try:
-            loop.call_soon_threadsafe(schedule)
+            loop.call_soon_threadsafe(self._invalidate, document_id, version)
         except RuntimeError:  # loop already closed mid-shutdown
             pass
 
-    async def _broadcast_invalidated(self, document_id: str, version: int) -> None:
-        """Push one INVALIDATED frame to every live connection.
-
-        `write()` without `drain()` by design: the frame is small, the
-        transport flushes it on its own, and awaiting drain here could
-        interleave with a connection's own writer task.  A frame is
-        written atomically (one `write()` call), so it can land between
-        the CHUNK frames of an in-flight response but never inside one.
-        """
-        body = {"document": document_id, "version": version}
-        for conn, writer in list(self._writers.items()):
-            try:
-                writer.write(json_frame(INVALIDATED, conn.session_id, body))
-                self.server_stats["invalidations"] += 1
-            except Exception:  # connection is on its way down
-                pass
+    def _invalidate(self, document_id: str, version: int) -> None:
+        sent = self._push_invalidated(document_id, version)
+        self.stats["invalidations"] += sent
 
     async def _stream_chunks(
-        self, stream, conn: _Connection, writer: asyncio.StreamWriter
+        self, stream, conn: Connection
     ) -> Optional[Tuple[int, int]]:
         """Producer/consumer chunk streaming with a bounded queue.
 
@@ -785,6 +549,7 @@ class StationServer:
         died mid-stream.
         """
         loop = asyncio.get_running_loop()
+        writer = conn.writer
         # The producer thread blocks on this gate until the writer has
         # flushed earlier chunks: that *is* the backpressure.  A plain
         # threading primitive (not a cross-thread queue.put) so that
@@ -816,7 +581,7 @@ class StationServer:
                 if item is None:
                     break
                 if isinstance(item, Exception):
-                    await self._send_error(writer, conn, E_INTERNAL, str(item))
+                    await self._send_error(conn, E_INTERNAL, str(item))
                     return None
                 # writev-style send: header and payload go to the
                 # transport as separate buffers (no concatenated frame
@@ -852,9 +617,7 @@ class StationServer:
             gate.release()
         return chunks, sent_bytes
 
-    async def _on_stats(
-        self, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> bool:
+    async def _on_stats(self, frame: Frame, conn: Connection) -> bool:
         # Merge the live (not-yet-closed) connection's meter into the
         # snapshot so STATS reflects the caller's own traffic too.
         merged = self.meter.snapshot()
@@ -863,7 +626,7 @@ class StationServer:
             "station": self.station.stats.as_dict(),
             "cached_plans": self.station.cached_plans(),
             "cached_views": self.station.cached_views(),
-            "server": dict(self.server_stats),
+            "server": dict(self.stats),
             "meter": {k: v for k, v in merged.as_dict().items() if v},
             # Compute-backend health on the wire (not just station-
             # local): native-kernel availability is how a gateway or
@@ -877,19 +640,13 @@ class StationServer:
                 self.tracer.stats(), slow_log=self.tracer.slow_records()
             ),
         }
-        await self._send(writer, json_frame(STATS, conn.session_id, body))
+        await self._send(conn, json_frame(STATS, conn.session_id, body))
         return True
 
     def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Pull-time mirror of the ad-hoc counters into the registry.
-
-        Runs only when someone scrapes ``/metrics`` (or snapshots the
-        registry), so the serving hot path never pays for it.
-        """
+        super()._collect_metrics(registry)
         for key, value in self.station.stats.as_dict().items():
             registry.gauge("repro_station_" + key).set(value)
-        for key, value in self.server_stats.items():
-            registry.gauge("repro_server_" + key).set(value)
         for key, value in self.meter.as_dict().items():
             registry.gauge("repro_meter_" + key).set(value)
         registry.gauge("repro_cached_views").set(self.station.cached_views())
@@ -920,47 +677,13 @@ class StationServer:
         registry.gauge("repro_native_kernels").set(
             1 if backend.get("native_kernels") else 0
         )
-        trace_stats = self.tracer.stats()
-        registry.gauge("repro_traces_finished").set(trace_stats["finished"])
-        registry.gauge("repro_slow_queries").set(trace_stats["slow_queries"])
-
-    # ------------------------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, data: bytes) -> None:
-        writer.write(data)
-        await writer.drain()
-
-    async def _send_error(
-        self,
-        writer: asyncio.StreamWriter,
-        conn: _Connection,
-        code: str,
-        message: str,
-    ) -> None:
-        self.server_stats["errors"] += 1
-        try:
-            await self._send(
-                writer,
-                json_frame(
-                    ERROR,
-                    conn.session_id,
-                    {"code": code, "message": message},
-                ),
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "StationServer(%s:%d, %d active)" % (
-            self.host,
-            self.port,
-            self.server_stats["active"],
-        )
 
 
 class ServerThread:
-    """Run a :class:`StationServer` on a private loop in a daemon thread.
+    """Run a frame server (a :class:`StationServer` or a cluster
+    gateway) on a private loop in a daemon thread.
 
-    The blocking client SDK, the load generator and the tests all need
+    The serving benchmark, the cluster topology and the tests all need
     a live server without owning an event loop themselves; this is the
     bridge.  ``start()`` blocks until the port is bound and returns the
     address; ``stop()`` shuts the loop down and joins the thread.
@@ -1032,9 +755,9 @@ def hospital_station(
     """A station serving the Fig. 1 hospital document under the three
     paper profiles; returns ``(station, granted subjects)``.
 
-    Shared by ``repro serve``, the load generator's defaults, the
-    server benchmark and the end-to-end tests, so they all agree on
-    document id (``"hospital"``) and subjects.
+    Shared by ``repro serve``, the cluster topology, the benchmarks
+    and the end-to-end tests, so they all agree on document id
+    (``"hospital"``) and subjects.
 
     With a persistent ``store`` (see :mod:`repro.store`) that already
     holds ``"hospital"`` — a restarted station — the document is served

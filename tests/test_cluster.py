@@ -295,9 +295,9 @@ class TestFailover:
             assert not failures
             assert len(served_by) == workers * queries
             assert not cluster.nodes[primary].alive
-            gateway_stats = cluster.gateway.gateway_stats
-            assert gateway_stats["backends_lost"] >= 1
-            assert gateway_stats["errors"] == 0
+            stats = cluster.gateway.stats
+            assert stats["backends_lost"] >= 1
+            assert stats["errors"] == 0
             # Routing spread the two documents over at least two backends.
             assert len(set(served_by)) >= 2
 

@@ -27,6 +27,7 @@ from repro.server.protocol import (
     PONG,
     QUERY,
     TOPOLOGY_REQUEST,
+    UPDATE,
     WELCOME,
     FrameDecoder,
     json_frame,
@@ -151,3 +152,45 @@ class TestConversation:
             assert body["ok"] is True and body["role"] == role
             assert body["documents"] == {"hospital": 0}
 
+
+
+class TestMalformedFieldTypes:
+    """Fields of the wrong JSON type get ``bad-frame`` and a close on
+    both endpoints, never an internal error or a dropped socket."""
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (
+                json_frame(QUERY, 0, {"document": 7}),
+                "QUERY payload must carry a document",
+            ),
+            (
+                json_frame(QUERY, 0, {"document": "hospital", "query": 5}),
+                "QUERY payload must carry a document",
+            ),
+            (
+                json_frame(UPDATE, 0, {"document": [1], "op": {}}),
+                "UPDATE payload must carry a document",
+            ),
+        ],
+        ids=["query-document", "query-query", "update-document"],
+    )
+    def test_mistyped_request_field_is_bad_frame(self, endpoint, frame, message):
+        _role, address = endpoint
+        replies = converse(address, hello(), frame)
+        assert_closed(replies, 2)
+        assert replies[0].type == WELCOME
+        assert_error(replies[1], "bad-frame", message, replies[0].session)
+
+    def test_mistyped_subject_is_bad_frame(self, endpoint):
+        _role, address = endpoint
+        replies = converse(address, json_frame(HELLO, 0, {"subject": 7}))
+        assert_closed(replies, 1)
+        assert_error(replies[0], "bad-frame", "HELLO payload must carry a subject")
+
+    def test_server_keeps_serving_after_malformed_frames(self, endpoint):
+        _role, address = endpoint
+        converse(address, hello(), json_frame(QUERY, 0, {"document": 7}))
+        replies = converse(address, hello())
+        assert [frame.type for frame in replies] == [WELCOME, PONG]

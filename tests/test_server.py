@@ -350,7 +350,7 @@ class TestEndToEnd:
                 thread.start()
             for thread in threads:
                 thread.join()
-            served = dict(server.server_stats)
+            served = dict(server.stats)
         assert not failures
         # The server really served that traffic (not some other
         # instance), one connection per client.
@@ -441,11 +441,11 @@ class TestSessionLimits:
             sock.recv(64)  # a sliver of the stream, then vanish
             sock.close()
             deadline = time.monotonic() + 5
-            while server.server_stats["active"] and time.monotonic() < deadline:
+            while server.stats["active"] and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             thread.stop(timeout=5)
-        assert server.server_stats["active"] == 0
+        assert server.stats["active"] == 0
 
     def test_garbage_bytes_get_bad_frame_error(self, live_server):
         import socket

@@ -106,7 +106,7 @@ class TestRemoteUpdate:
             assert "CHANGED-05" in after.text
             assert "value-0005" not in after.text
         assert station.document_version("db") == 1
-        assert server.server_stats["updates"] == 1
+        assert server.stats["updates"] == 1
 
     def test_other_clients_get_invalidated_and_refetch(self, live_server):
         _station, server, host, port = live_server
@@ -115,9 +115,9 @@ class TestRemoteUpdate:
                 first = alice.evaluate("db")
                 # Second read is served from the client cache: the
                 # server sees no extra QUERY.
-                queries_before = server.server_stats["queries"]
+                queries_before = server.stats["queries"]
                 assert alice.evaluate("db") is first
-                assert server.server_stats["queries"] == queries_before
+                assert server.stats["queries"] == queries_before
 
                 bob.update("db", UpdateOp.set_text([7, 1], "HOT-UPDATE"))
                 # The INVALIDATED push arrives asynchronously; poll
@@ -133,7 +133,7 @@ class TestRemoteUpdate:
                 assert refreshed is not first
                 assert "HOT-UPDATE" in refreshed.text
                 assert alice.document_versions["db"] == 1
-        assert server.server_stats["invalidations"] >= 1
+        assert server.stats["invalidations"] >= 1
 
     def test_version_travels_in_result_trailer(self, live_server):
         _station, _server, host, port = live_server
@@ -154,7 +154,7 @@ class TestRemoteUpdate:
             assert err.value.code == "no-grant"
         assert station.document_version("db") == 0
         assert station.document("db").encoded.data == before
-        assert server.server_stats["updates"] == 0
+        assert server.stats["updates"] == 0
 
     def test_mid_query_invalidation_never_pins_a_stale_view(self, live_server):
         """A RESULT carrying an older version than an already-consumed
