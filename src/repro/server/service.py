@@ -489,8 +489,10 @@ class StationServer(FrameServer):
             try:
                 op = UpdateOp.from_dict(body.get("op") or {})
             except UpdateError as exc:
-                await self._send_error(conn, E_BAD_FRAME, "bad FORWARD op: %s" % exc)
-                return False
+                # The client's op, not the link, is bad: the gateway's
+                # pooled link stays open for its other clients.
+                message = "bad FORWARD op: %s" % exc
+                return await self._refuse(conn, 0, E_BAD_FRAME, message)
             return await self._apply_update(
                 document_id, op, subject, conn, trace=frame.trace, ship_spans=True
             )

@@ -204,6 +204,24 @@ class TestClusterUpdates:
         finally:
             cluster.stop()
 
+    def test_bad_update_op_keeps_every_backend(self):
+        # The op is checked by the backend, which answers on the
+        # gateway's pooled link; that link must stay usable, or the next
+        # request on it would mark a healthy backend dead.
+        cluster, docs, subjects = make_cluster(backends=2, documents=1)
+        try:
+            host, port = cluster.gateway_address
+            with RemoteSession(host, port, "secretary") as session:
+                with pytest.raises(RemoteError) as excinfo:
+                    session.update("hospital", {"kind": "bogus", "path": []})
+                assert excinfo.value.code == "bad-frame"
+                for _ in range(2 * cluster.gateway.pool_size):
+                    assert session.evaluate("hospital").trailer["failover"] == 0
+            assert cluster.gateway.stats["backends_lost"] == 0
+            assert all(b.alive for b in cluster.gateway.backends.values())
+        finally:
+            cluster.stop()
+
 
 # ----------------------------------------------------------------------
 # Failover: kill the primary mid-session
