@@ -23,8 +23,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     interpolation would invent latencies no request ever had and, at
     small sample counts, report a "p99" *below* the worst observed
     request; nearest-rank degrades honestly — with 5 samples, p99 is
-    the maximum.  Shared by the load generator's reports and the
-    cluster gateway's per-backend STATS.
+    the maximum.  Used by the cluster gateway's per-backend STATS.
     """
     if not 0 <= q <= 100:
         raise ValueError("percentile q must be in [0, 100], got %r" % (q,))

@@ -10,6 +10,10 @@ boundary:
   format (HELLO / WELCOME / QUERY / CHUNK / RESULT / ERROR / STATS /
   UPDATE / INVALIDATED), with an incremental decoder shared by both
   ends;
+* :mod:`repro.server.frames` — :class:`~repro.server.frames.FrameServer`,
+  the asyncio frame server (lifecycle, decode loop, HELLO gate,
+  dispatch table, error frames) under the station server and the
+  cluster gateway;
 * :mod:`repro.server.service` — :class:`StationServer`, an asyncio TCP
   server wrapping a station: concurrent clients, executor-offloaded
   evaluation, bounded-queue chunk streaming, per-session limits and a

@@ -167,15 +167,14 @@ class RemoteSession:
         after every live document update) drops the affected entries,
         so the next :meth:`evaluate` re-fetches transparently — callers
         never see stale data, they just see a cheaper round-trip while
-        the document is unchanged.  Off by default: benchmarks and the
-        load generator must measure real server work.
+        the document is unchanged.  Off by default: benchmarks must
+        measure real server work.
     trace:
         Stamp every request with a freshly minted 64-bit trace id
         (carried in the frame header, echoed in the RESULT trailer
         together with the server-side span tree).  Individual calls
         may also pass an explicit ``trace=`` id — e.g. one minted from
-        a seeded RNG by the load generator — which wins over the
-        session default.  A transparent reconnect retry reuses the
+        a seeded RNG — which wins over the session default.  A transparent reconnect retry reuses the
         *same* id, so one logical request stays one trace even when it
         hops backends mid-flight.
     auto_reconnect:
