@@ -129,9 +129,9 @@ class FrameServer:
     #: subclass keeps ``connections``, ``active`` and ``errors``.
     STATS: Tuple[str, ...] = ("connections", "active", "errors")
     #: Prefix of the ``/metrics`` gauges that mirror :attr:`stats`.
-    METRICS_PREFIX = "repro_frames_"
+    METRICS_PREFIX: str
     #: ERROR message for a frame type the server does not serve.
-    UNEXPECTED = "unexpected %s frame"
+    UNEXPECTED: str
 
     def __init__(
         self,
