@@ -433,14 +433,27 @@ class ClusterGateway(FrameServer):
             self._release(backend, link, ok)
 
     async def _forward(
-        self, backend: _Backend, body: Dict[str, Any], trace: int = 0
+        self, backend: _Backend, request: bytes
     ) -> Tuple[List[bytes], Dict[str, Any]]:
-        """FORWARD ``body`` to ``backend``; returns the CHUNK payloads
-        and the RESULT trailer."""
-        chunks, frame = await self._request(
-            backend, json_frame(FORWARD, 0, body, trace=trace), (RESULT,)
-        )
+        """Send the encoded FORWARD frame ``request`` to ``backend``;
+        returns the CHUNK payloads and the RESULT trailer."""
+        chunks, frame = await self._request(backend, request, (RESULT,))
         return chunks, frame.json()
+
+    async def _encode_forward(
+        self, conn: Connection, body: Dict[str, Any], trace: int
+    ) -> Optional[bytes]:
+        """``body`` as a FORWARD frame, or ``None`` after answering
+        ``bad-frame`` when it exceeds the frame limit.  Encoded once,
+        before any backend is tried, so an oversize request is the
+        client's fault and never a failover."""
+        try:
+            return json_frame(FORWARD, 0, body, trace=trace)
+        except ProtocolError:
+            await self._send_error(
+                conn, E_BAD_FRAME, "request too large to forward"
+            )
+            return None
 
     # ------------------------------------------------------------------
     # Routing
@@ -583,19 +596,21 @@ class ClusterGateway(FrameServer):
     async def _on_query(self, frame: Frame, conn: Connection) -> bool:
         body = frame.json()
         document_id = body["document"]
-        query = body.get("query") or None
         trace = frame.trace or (new_trace_id() if self.trace else 0)
+        forward = {
+            "kind": "query",
+            "subject": conn.subject,
+            "document": document_id,
+            "query": body.get("query") or None,
+        }
+        request = await self._encode_forward(conn, forward, trace)
+        if request is None:
+            return True
         root = None
         if trace:
             root = self.tracer.start(
                 trace, "gateway.request", document=document_id
             )
-        forward = {
-            "kind": "query",
-            "subject": conn.subject,
-            "document": document_id,
-            "query": query,
-        }
         tried: Set[str] = set()
         attempts: List[str] = []
         request_started = time.perf_counter()
@@ -617,7 +632,7 @@ class ClusterGateway(FrameServer):
                     trace, "forward:%s" % name, parent=root.id
                 )
             try:
-                chunks, trailer = await self._forward(backend, forward, trace)
+                chunks, trailer = await self._forward(backend, request)
             except BackendRefused as exc:
                 if fwd is not None:
                     self.tracer.finish(fwd, error=exc.code)
@@ -720,17 +735,20 @@ class ClusterGateway(FrameServer):
         trace: int = 0,
     ) -> bool:
         trace = trace or (new_trace_id() if self.trace else 0)
-        root = None
-        if trace:
-            root = self.tracer.start(
-                trace, "gateway.update", document=document_id
-            )
         forward = {
             "kind": "update",
             "subject": conn.subject,
             "document": document_id,
             "op": op_body,
         }
+        request = await self._encode_forward(conn, forward, trace)
+        if request is None:
+            return True
+        root = None
+        if trace:
+            root = self.tracer.start(
+                trace, "gateway.update", document=document_id
+            )
         request_started = time.perf_counter()
         tried: Set[str] = set()
         trailer = None
@@ -753,7 +771,7 @@ class ClusterGateway(FrameServer):
                 )
             try:
                 _chunks, trailer = await self._forward(
-                    self.backends[primary], forward, trace
+                    self.backends[primary], request
                 )
             except BackendRefused as exc:
                 return await self._refuse(conn, trace, exc.code, exc.message)
@@ -778,10 +796,13 @@ class ClusterGateway(FrameServer):
             for name in self._candidates(document_id)
             if name != primary and name not in tried and name in holders
         ]
+        # Replicas get the request untraced (a payload that fit traced
+        # fits untraced: the trace id rides in the header).
+        replica_request = json_frame(FORWARD, 0, forward) if trace else request
         for name in targets:
             try:
                 _chunks, replica_trailer = await self._forward(
-                    self.backends[name], forward
+                    self.backends[name], replica_request
                 )
             except BackendRefused as exc:
                 trailer.setdefault("replica_errors", []).append(

@@ -472,21 +472,33 @@ def _flatten_schedule(schedule) -> "ctypes.Array":
 
 
 class NativeXtea(Xtea):
-    """XTEA whose whole-buffer paths run in the C kernel.
+    """XTEA whose block and buffer paths all run in the C kernel.
 
-    The schedule comes from the pure-Python constructor, so per-block
-    output is bit-identical to :class:`~repro.crypto.xtea.Xtea`; only
-    the buffer loops move to C.
+    The round schedule is the one :class:`~repro.crypto.xtea.Xtea`
+    derives, flattened into the two ctypes arrays the kernels read; the
+    Python tuples are then dropped, so a resident cipher holds only the
+    native copy.  Per-block output is bit-identical to the pure class.
     """
 
     def __init__(self, key: bytes, rounds: int = 32):
-        super().__init__(key, rounds)
         lib = load_library()
         if lib is None:
             raise RuntimeError("native kernels are not available")
+        super().__init__(key, rounds)
         self._lib = lib
         self._c_schedule = _flatten_schedule(self._schedule)
         self._c_schedule_rev = _flatten_schedule(self._schedule_rev)
+        del self._schedule, self._schedule_rev
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        if len(block) != 8:
+            raise ValueError("XTEA block must be 8 bytes")
+        return self.encrypt_blocks(block)
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        if len(block) != 8:
+            raise ValueError("XTEA block must be 8 bytes")
+        return self.decrypt_blocks(block)
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         if len(data) % 8:

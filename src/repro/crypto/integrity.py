@@ -258,7 +258,9 @@ class BaseScheme:
 class _ChunkCache:
     """Single-chunk SOE cache (the SOE RAM holds one chunk at a time;
     non-contiguous accesses re-pay the chunk work, as in the paper's
-    worst case of one digest per visited chunk)."""
+    worst case of one digest per visited chunk).  ``cipher_chunk`` is
+    the chunk's encrypted payload, fetched from the store once, on
+    first touch."""
 
     def __init__(self):
         self.chunk_index: Optional[int] = None
@@ -386,12 +388,13 @@ class EcbScheme(BaseScheme):
 
 class _EcbReader(BaseReader):
     def _prepare_chunk(self, chunk_index: int) -> None:
+        _digest, self.cache.cipher_chunk = self.document.chunk_record(chunk_index)
         self.cache.plain = bytearray(self.layout.chunk_size)
 
     def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
         layout = self.layout
         block = layout.block_size
-        _digest, payload = self.document.chunk_record(chunk_index)
+        payload = self.cache.cipher_chunk
         first = lo // block
         last = (hi - 1) // block
         base = versioned_position(
@@ -582,19 +585,20 @@ class _EcbMhtReader(BaseReader):
         super().__init__(scheme, document, meter)
         self._tree_cache: Dict[int, MerkleTree] = {}
 
-    def _terminal_tree(self, chunk_index: int) -> MerkleTree:
+    def _terminal_tree(self, chunk_index: int, payload: bytes) -> MerkleTree:
         """The terminal's Merkle tree for a chunk (untrusted side; built
-        over the ciphertext it stores)."""
+        over the ciphertext ``payload`` it stores)."""
         tree = self._tree_cache.get(chunk_index)
         if tree is None:
-            _digest, payload = self.document.chunk_record(chunk_index)
             tree = MerkleTree(self.layout.split_fragments(payload))
             self._tree_cache[chunk_index] = tree
         return tree
 
     def _prepare_chunk(self, chunk_index: int) -> None:
         layout = self.layout
-        encrypted_digest, _payload = self.document.chunk_record(chunk_index)
+        encrypted_digest, self.cache.cipher_chunk = self.document.chunk_record(
+            chunk_index
+        )
         self.meter.bytes_transferred += layout.digest_size
         self.cache.digest = self.scheme._decrypt_digest(
             encrypted_digest, chunk_index, self.document.chunk_version(chunk_index)
@@ -610,7 +614,7 @@ class _EcbMhtReader(BaseReader):
             for f in layout.fragments_covering(lo, hi - lo)
             if f not in self.cache.have_fragments
         ]
-        _digest, payload = self.document.chunk_record(chunk_index)
+        payload = self.cache.cipher_chunk
         if needed_fragments:
             fragment_size = layout.fragment_size
             fragments: Dict[int, bytes] = {}
@@ -619,7 +623,7 @@ class _EcbMhtReader(BaseReader):
                 fragments[f] = data
                 self.meter.bytes_transferred += fragment_size
                 self.meter.bytes_hashed += fragment_size
-            siblings = self._terminal_tree(chunk_index).sibling_hashes(
+            siblings = self._terminal_tree(chunk_index, payload).sibling_hashes(
                 needed_fragments
             )
             self.meter.bytes_transferred += HASH_SIZE * len(siblings)

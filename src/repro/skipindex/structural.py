@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.accesscontrol.navigation import SubtreeMeta
 from repro.metrics import Meter
@@ -139,9 +139,11 @@ class StructuralIndex:
     Elements additionally get dense ``pre`` numbers (index into the
     ``elem_*`` arrays, both ``[i]``) and their parent's ``pre`` (-1 for
     the root) — derived while building or parsing, never persisted.
-    The lazy per-tag table maps a tag code to an ``[i]`` array of its
-    elements' ``pre`` numbers.  Post order needs no array: the byte
-    intervals already give it.
+    The lazy per-tag table is two ``[i]`` arrays: every element's
+    ``pre`` number grouped by tag code (document order within a tag),
+    and ``tag_count + 1`` bounds, so tag ``c``'s elements are
+    ``pres[bounds[c]:bounds[c + 1]]``.  Post order needs no array: the
+    byte intervals already give it.
 
     ``total_size`` / ``root_offset`` / ``tag_count`` fingerprint the
     encoding the index was built from; :meth:`matches_document` is the
@@ -160,7 +162,7 @@ class StructuralIndex:
         "descs",
         "elem_items",
         "elem_parent",
-        "_elems_by_tag",
+        "_by_tag_table",
     )
 
     def __init__(
@@ -188,7 +190,7 @@ class StructuralIndex:
         self.descs = descs
         self.elem_items = elem_items
         self.elem_parent = elem_parent
-        self._elems_by_tag: Optional[Dict[int, array]] = None
+        self._by_tag_table: Optional[Tuple[array, array]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -215,17 +217,23 @@ class StructuralIndex:
         return fingerprint == _fingerprint(encoded)
 
     # ------------------------------------------------------------------
-    def _by_tag(self) -> Dict[int, array]:
-        table = self._elems_by_tag
+    def _by_tag(self) -> Tuple[array, array]:
+        """``(pres, bounds)``: ``pre`` numbers grouped by tag code and
+        the ``tag_count + 1`` group bounds (built on first use; one
+        attribute store, so concurrent readers see all or nothing)."""
+        table = self._by_tag_table
         if table is None:
-            table = {}
             tags = self.tags
-            for pre, item in enumerate(self.elem_items):
-                pres = table.get(tags[item])
-                if pres is None:
-                    pres = table[tags[item]] = array("i")
-                pres.append(pre)
-            self._elems_by_tag = table
+            codes = [tags[item] for item in self.elem_items]
+            # A stable sort keeps document order within each tag.
+            pres = array("i", sorted(range(len(codes)), key=codes.__getitem__))
+            counts = [0] * self.tag_count
+            for code in codes:
+                counts[code] += 1
+            bounds = array("i", [0])
+            for count in counts:
+                bounds.append(bounds[-1] + count)
+            table = self._by_tag_table = (pres, bounds)
         return table
 
     def match(
@@ -242,12 +250,14 @@ class StructuralIndex:
         its predicates would evaluate.
         """
         candidates: Optional[set] = None
-        by_tag = self._by_tag()
+        pres, bounds = self._by_tag()
         for position, (axis, tag) in enumerate(steps):
             if tag not in dictionary:
                 return ()
             code = dictionary.code(tag)
-            with_tag = by_tag.get(code, ())
+            if code >= self.tag_count:
+                return ()
+            with_tag = pres[bounds[code] : bounds[code + 1]]
             if position == 0:
                 if axis == "/":
                     candidates = {

@@ -144,7 +144,7 @@ class _DocState:
         "secure_version",
         "chunk_versions",
         "root_offset",
-        "tags",
+        "dictionary",
         "stats",
         "runs",
         "index_span",
@@ -546,7 +546,7 @@ class LogStore(ChunkStore):
         state.secure_version = int(entry["sv"])
         state.chunk_versions = _rle_decode(entry["cv"])
         state.root_offset = int(entry["root"])
-        state.tags = list(entry["tags"])
+        state.dictionary = TagDictionary(entry["tags"])
         state.stats = tuple(entry["stats"])
         state.runs = [tuple(run) for run in entry["runs"]]
         record = self._record_size_of(state)
@@ -758,7 +758,7 @@ class LogStore(ChunkStore):
                 "sv": state.secure_version,
                 "cv": _rle_encode(state.chunk_versions),
                 "root": state.root_offset,
-                "tags": state.tags,
+                "tags": state.dictionary.tags(),
                 "stats": list(state.stats),
                 "runs": [list(run) for run in state.runs],
                 **(
@@ -811,7 +811,7 @@ class LogStore(ChunkStore):
         state.secure_version = prepared.secure.version
         state.chunk_versions = list(prepared.secure.chunk_versions)
         state.root_offset = prepared.encoded.root_offset
-        state.tags = prepared.encoded.dictionary.tags()
+        state.dictionary = prepared.encoded.dictionary
         stats = prepared.encoded.stats
         state.stats = (
             stats.total_bytes,
@@ -1032,7 +1032,6 @@ class LogStore(ChunkStore):
             version=state.secure_version,
             chunk_versions=list(state.chunk_versions),
         )
-        dictionary = TagDictionary(state.tags)
         stats = EncodingStats()
         (
             stats.total_bytes,
@@ -1044,7 +1043,7 @@ class LogStore(ChunkStore):
             lambda secure=secure, scheme=scheme: _decrypt_all(scheme, secure),
             state.plaintext_size,
         )
-        encoded = EncodedDocument(data, dictionary, stats, state.root_offset)
+        encoded = EncodedDocument(data, state.dictionary, stats, state.root_offset)
         index = state.index_cache
         if index is None and state.index_span is not None:
             try:

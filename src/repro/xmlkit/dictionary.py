@@ -6,11 +6,15 @@ maps each distinct element tag to a dense integer code; the Skip index
 encodes tags as references into (subsets of) this dictionary.
 
 The dictionary is stored inside the SOE (it is part of the document key
-material) and is tiny: one entry per *distinct* tag.
+material) and is tiny: one entry per *distinct* tag.  Tags are
+interned, so every dictionary of a station — one per published
+document, and those rebuilt from the manifest on restart — shares one
+``str`` per distinct tag.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.xmlkit.dom import Node
@@ -37,6 +41,7 @@ class TagDictionary:
         """Register ``tag`` (idempotent) and return its code."""
         code = self._code_by_tag.get(tag)
         if code is None:
+            tag = sys.intern(tag)
             code = len(self._tag_by_code)
             self._code_by_tag[tag] = code
             self._tag_by_code.append(tag)

@@ -19,6 +19,7 @@ bootstrapped by :func:`hospital_cluster`.  The headline properties:
   pure), and FORWARD is refused outside an authenticated gateway link.
 """
 
+import json
 import socket
 import threading
 import time
@@ -31,9 +32,13 @@ from repro.engine.station import SecureStation
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.server.client import RemoteError, RemoteSession
 from repro.server.protocol import (
+    DEFAULT_MAX_PAYLOAD,
     ERROR,
     FORWARD,
+    HELLO,
+    QUERY,
     RESULT,
+    UPDATE,
     FrameDecoder,
     json_frame,
 )
@@ -219,6 +224,50 @@ class TestClusterUpdates:
                     assert session.evaluate("hospital").trailer["failover"] == 0
             assert cluster.gateway.stats["backends_lost"] == 0
             assert all(b.alive for b in cluster.gateway.backends.values())
+        finally:
+            cluster.stop()
+
+
+    def test_oversize_document_id_is_a_bad_frame(self):
+        # Each request fills a client frame to the limit, so the FORWARD
+        # frame the gateway builds from it (which adds kind and subject)
+        # does not fit.  That is the client's fault: it gets bad-frame,
+        # and no backend is tried, let alone marked dead.
+        cluster, docs, subjects = make_cluster(backends=2, documents=1)
+        op = {"kind": "update_text", "path": [0], "text": "y"}
+        requests = (
+            (QUERY, {"document": ""}),
+            (UPDATE, {"document": "", "op": op}),
+        )
+        address = cluster.gateway_address
+        try:
+            decoder = FrameDecoder()
+            with socket.create_connection(address, timeout=30) as sock:
+
+                def reply():
+                    frames = []
+                    while not frames:
+                        data = sock.recv(65536)
+                        assert data, "gateway closed the connection"
+                        frames.extend(decoder.feed(data))
+                    assert len(frames) == 1
+                    return frames[0]
+
+                sock.sendall(json_frame(HELLO, 0, {"subject": "secretary"}))
+                reply()  # WELCOME
+                for ftype, body in requests:
+                    empty = json.dumps(body, separators=(",", ":"))
+                    fill = DEFAULT_MAX_PAYLOAD - len(empty)
+                    body = dict(body, document="x" * fill)
+                    sock.sendall(json_frame(ftype, 0, body))
+                    error = reply()
+                    assert error.type == ERROR
+                    assert error.json()["code"] == "bad-frame"
+                    assert len(error.payload) < 200  # the id is not echoed
+            assert cluster.gateway.stats["backends_lost"] == 0
+            assert all(b.alive for b in cluster.gateway.backends.values())
+            with RemoteSession(*address, "secretary") as session:
+                assert session.evaluate("hospital").trailer["failover"] == 0
         finally:
             cluster.stop()
 

@@ -108,6 +108,24 @@ def test_native_cbc_matches_pure_chain():
         assert modes.decrypt_cbc(pure, sealed, iv) == data
 
 
+@needs_native
+def test_native_xtea_keeps_only_the_native_schedule():
+    from repro.compute.native import NativeXtea
+
+    rng = random.Random(23)
+    for _ in range(16):
+        key = random_bytes(rng, 16)
+        pure, native = Xtea(key), NativeXtea(key)
+        assert not hasattr(native, "_schedule")
+        assert not hasattr(native, "_schedule_rev")
+        for _ in range(16):
+            block = random_bytes(rng, 8)
+            sealed = pure.encrypt_block(block)
+            assert native.encrypt_block(block) == sealed
+            assert native.decrypt_block(sealed) == block
+            assert native.decrypt_block(block) == pure.decrypt_block(block)
+
+
 def test_chunked_cbc_matches_reference():
     """Lockstep chunked CBC (the parallelizable form) is byte-identical
     to encrypting each chunk independently."""

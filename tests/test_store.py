@@ -122,6 +122,41 @@ def test_stored_bytes_identical_across_restart(tmp_path):
     store.close()
 
 
+def test_documents_share_one_str_per_tag(tmp_path):
+    sources = {"a": DOC, "b": DOC.replace("<title>t0<", "<title>other<")}
+    with SecureStation(store=LogStore(str(tmp_path))) as station:
+        for document_id, source in sources.items():
+            publish(station, document_id, source=source)
+        first, second = (
+            station.document(document_id).encoded.dictionary for document_id in sources
+        )
+        assert first.tags() == second.tags()
+        assert all(x is y for x, y in zip(first, second))
+    # Dictionaries rebuilt from the manifest share them too.
+    with SecureStation(store=LogStore(str(tmp_path))) as restarted:
+        first, second = (
+            restarted.document(document_id).encoded.dictionary
+            for document_id in sources
+        )
+        assert all(x is y for x, y in zip(first, second))
+
+
+def test_log_handles_share_the_stored_dictionary(tmp_path):
+    prepared = prepare_document(DOC, scheme="ECB-MHT", key=KEY)
+    store = LogStore(str(tmp_path))
+    returned = store.put("doc", prepared, KEY, 0)
+    dictionary = store._states["doc"].dictionary
+    assert returned.encoded.dictionary is dictionary
+    assert store.get("doc").prepared.encoded.dictionary is dictionary
+    store.close()
+
+    store = LogStore(str(tmp_path))
+    dictionary = store._states["doc"].dictionary
+    assert dictionary.tags() == prepared.encoded.dictionary.tags()
+    assert store.get("doc").prepared.encoded.dictionary is dictionary
+    store.close()
+
+
 def test_updates_survive_restart(tmp_path):
     store = LogStore(str(tmp_path))
     with SecureStation(store=store) as station:

@@ -291,6 +291,58 @@ def test_match_equals_brute_force(seed):
         ), path
 
 
+def _column_match(index, dictionary, steps):
+    """Brute-force matcher over the index's own ``tags``/``elem_parent``
+    columns: no per-tag table, one scan of every element per step."""
+    codes = [index.tags[item] for item in index.elem_items]
+    current = None
+    for position, (axis, tag) in enumerate(steps):
+        code = dictionary.code(tag) if tag in dictionary else -1
+        matched = set()
+        for pre, element_code in enumerate(codes):
+            if element_code != code:
+                continue
+            parent = index.elem_parent[pre]
+            if position == 0:
+                if axis == "//" or parent < 0:
+                    matched.add(pre)
+            elif axis == "/":
+                if parent in current:
+                    matched.add(pre)
+            else:
+                while parent >= 0 and parent not in current:
+                    parent = index.elem_parent[parent]
+                if parent >= 0:
+                    matched.add(pre)
+        current = matched
+        if not current:
+            return ()
+    return tuple(sorted(current))
+
+
+@pytest.mark.parametrize("seed", range(90, 140))
+def test_match_equals_column_scan(seed):
+    rng = random.Random(seed)
+    encoded = encode_document(random_tree(rng))
+    index = build_structural_index(encoded)
+    # The two-array tag table: each tag's slice is its elements in
+    # document order.
+    pres, bounds = index._by_tag()
+    for code in range(index.tag_count):
+        expected = [
+            pre
+            for pre, item in enumerate(index.elem_items)
+            if index.tags[item] == code
+        ]
+        assert list(pres[bounds[code] : bounds[code + 1]]) == expected
+    single = [((axis, tag),) for axis in ("/", "//") for tag in TAGS]
+    paths = single + [first + second for first in single for second in single]
+    for steps in paths:
+        assert index.match(steps, encoded.dictionary) == _column_match(
+            index, encoded.dictionary, steps
+        ), steps
+
+
 def test_structural_steps_eligibility():
     assert structural_steps(compile_query("/a/b").path) == (
         ("/", "a"),
@@ -491,7 +543,11 @@ def test_index_columns_are_typed_arrays():
     # <rare> follows <folder> and 40 three-element records.
     steps = [("/", "folder"), ("/", "rare")]
     assert index.match(steps, encoded.dictionary) == (121,)
-    assert all(type(pres) is array for pres in index._by_tag().values())
+    pres, bounds = index._by_tag()
+    assert type(pres) is array and pres.typecode == "i"
+    assert type(bounds) is array and bounds.typecode == "i"
+    assert len(bounds) == index.tag_count + 1
+    assert sorted(pres) == list(range(index.element_count))
 
 
 def test_descs_wider_than_64_bits_round_trip():
