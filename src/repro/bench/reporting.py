@@ -67,7 +67,7 @@ def format_output(
         return format_table(columns, materialized, title=title)
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
+        writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(list(columns))
         for row in materialized:
             writer.writerow(row)

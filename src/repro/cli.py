@@ -317,22 +317,8 @@ def cmd_serve(args) -> int:
     finally:
         if metrics_server is not None:
             metrics_server.stop()
-        # Shutdown summary: the operational counters (plan/view cache
-        # behaviour, volumes) that were previously visible only
-        # in-process — remote operators get them live via STATS, and
-        # here one last time on the way out.
-        summary = {
-            "station": station.stats.as_dict(),
-            "cached_plans": station.cached_plans(),
-            "cached_views": station.cached_views(),
-            "backend": station.backend.describe(),
-            "store": station.store.describe(),
-            "server": dict(server.stats),
-            "meter": {
-                k: v for k, v in server.meter.as_dict().items() if v
-            },
-        }
-        print(json.dumps(summary, indent=2), file=sys.stderr)
+        # Shutdown summary: the STATS body, one last time on the way out.
+        print(json.dumps(server.stats_body(), indent=2), file=sys.stderr)
         station.close()
     return 0
 

@@ -336,6 +336,23 @@ class ClusterGateway(FrameServer):
         #: replicas each push INVALIDATED for the same update).
         self._announced: Dict[str, int] = {}
         self.trace = trace
+        # Read on the /metrics thread: list() copies the backend table
+        # in one step, as a REBALANCE join may grow it meanwhile.
+        self.registry.expose(
+            "repro_ring_",
+            "gauge",
+            lambda: {
+                "alive": sum(b.alive for b in list(self.backends.values())),
+                "backends": len(self.backends),
+            },
+        )
+        self.registry.expose(
+            "repro_backend_requests",
+            "counter",
+            lambda: {name: b.requests for name, b in list(self.backends.items())},
+            label="backend",
+            help_text="Requests forwarded, per backend.",
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle (ServerThread-compatible: start/stop/address)
@@ -1041,20 +1058,3 @@ class ClusterGateway(FrameServer):
         }
         await self._send(conn, json_frame(STATS, conn.session_id, body))
         return True
-
-    # ------------------------------------------------------------------
-    def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        super()._collect_metrics(registry)
-        registry.gauge(
-            "repro_ring_alive", "Backends currently on the hash ring."
-        ).set(float(self._alive()))
-        registry.gauge(
-            "repro_ring_total", "Backends ever registered with the gateway."
-        ).set(float(len(self.backends)))
-        requests = registry.gauge(
-            "repro_backend_requests",
-            "Requests forwarded, per backend.",
-            labelnames=("backend",),
-        )
-        for name, backend in self.backends.items():
-            requests.labels(backend=name).set(float(backend.requests))

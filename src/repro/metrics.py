@@ -107,11 +107,11 @@ class ThreadSafeMeter(Meter):
 
     Plain meters are single-owner by design: the hot paths increment
     fields with ``meter.events += 1`` and taking a lock per event would
-    be absurd.  Concurrent components (the network server, one
-    connection per task/thread) therefore keep a *private* plain
-    :class:`Meter` per connection and fold it into one shared
-    ``ThreadSafeMeter`` when the connection closes; only the fold and
-    the reads are serialized here.
+    be absurd.  Concurrent components (the network server, one request
+    per executor thread) therefore fold each request's private plain
+    :class:`Meter` into one shared ``ThreadSafeMeter`` as the request
+    completes; only the fold and the reads (STATS, ``/metrics``) are
+    serialized here.
     """
 
     __slots__ = ("_lock",)
@@ -133,11 +133,3 @@ class ThreadSafeMeter(Meter):
     def as_dict(self) -> Dict[str, int]:
         with self._lock:
             return super().as_dict()
-
-    def snapshot(self) -> Meter:
-        """A point-in-time plain-:class:`Meter` copy."""
-        copy = Meter()
-        with self._lock:
-            for field in self.FIELDS:
-                setattr(copy, field, getattr(self, field))
-        return copy

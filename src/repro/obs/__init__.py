@@ -10,7 +10,10 @@ wall-clock reality around them — observable while the system runs:
     A process-wide metrics registry: counters, gauges and fixed-bucket
     histograms.  Lock-cheap (one small lock per instrument, none on the
     read path until scrape), mergeable like ``Meter.merged()``, and
-    renderable in the Prometheus text exposition format.
+    renderable in the Prometheus text exposition format.  The serving
+    counts (station, server, meter, store) are not copied into it: it
+    exposes each owner's own counters as typed families, read at
+    scrape time.
 
 ``repro.obs.trace``
     Request tracing: 64-bit trace ids minted at the client or gateway

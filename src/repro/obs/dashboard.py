@@ -4,12 +4,15 @@ Both commands poll the same STATS wire frame a station or gateway
 already serves; everything here is pure formatting over that body so it
 can be unit-tested without sockets.  ``repro top`` keeps the previous
 poll to turn monotonically increasing request counters into rates.
+Tables and CSV are :func:`repro.bench.reporting.format_output`'s.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.bench.reporting import format_output, human_bytes
 
 __all__ = ["flatten_stats", "render_stats", "render_top"]
 
@@ -29,29 +32,12 @@ def flatten_stats(body: Dict[str, Any], prefix: str = "") -> List[Tuple[str, Any
     return rows
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for index, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        if index == 0:
-            lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
-    return "\n".join(lines)
-
-
 def render_stats(body: Dict[str, Any], fmt: str = "table") -> str:
     """Render a STATS body as ``table``, ``csv`` or ``json``."""
     if fmt == "json":
         return json.dumps(body, indent=2, sort_keys=True)
     if fmt == "csv":
-        lines = ["key,value"]
-        for key, value in flatten_stats(body):
-            text = str(value)
-            if "," in text or '"' in text:
-                text = '"%s"' % text.replace('"', '""')
-            lines.append("%s,%s" % (key, text))
-        return "\n".join(lines)
+        return format_output(flatten_stats(body), ("key", "value"), "csv")
     if fmt != "table":
         raise ValueError("unknown stats format %r" % (fmt,))
     # Table: the per_backend map renders as a real table, the rest as
@@ -67,7 +53,7 @@ def render_stats(body: Dict[str, Any], fmt: str = "table") -> str:
         (key, value if len(str(value)) <= 60 else str(value)[:57] + "...")
         for key, value in flatten_stats(scalar_body)
     ]
-    sections.append(_table(("key", "value"), rows))
+    sections.append(format_output(rows, ("key", "value")))
     return "\n\n".join(sections)
 
 
@@ -89,17 +75,6 @@ def _latency_cell(latency: Optional[Dict[str, Any]], key: str) -> str:
     return "-" if value is None else "%.1f" % float(value)
 
 
-def _human_bytes(count: int) -> str:
-    value = float(count)
-    for unit in ("B", "K", "M", "G", "T"):
-        if value < 1024.0 or unit == "T":
-            if unit == "B":
-                return "%d%s" % (int(value), unit)
-            return "%.1f%s" % (value, unit)
-        value /= 1024.0
-    return "%dB" % count
-
-
 def _store_cell(store: Optional[Dict[str, Any]]) -> str:
     """Condense a store ``describe()`` payload into one table cell."""
     if not store:
@@ -110,7 +85,7 @@ def _store_cell(store: Optional[Dict[str, Any]]) -> str:
     misses = int(store.get("page_misses") or 0)
     total = hits + misses
     rate = "-" if total == 0 else "%d%%" % round(100.0 * hits / total)
-    return "log %s %s" % (_human_bytes(int(store.get("log_bytes") or 0)), rate)
+    return "log %s %s" % (human_bytes(int(store.get("log_bytes") or 0)), rate)
 
 
 def _backend_rows(
@@ -167,7 +142,7 @@ def _backend_table(
     prev: Optional[Dict[str, Any]] = None,
     interval: Optional[float] = None,
 ) -> str:
-    return _table(_BACKEND_HEADERS, _backend_rows(body, prev, interval))
+    return format_output(_backend_rows(body, prev, interval), _BACKEND_HEADERS)
 
 
 def render_top(
@@ -222,17 +197,7 @@ def render_top(
         lines.append("repro top — station %s" % (address or "?"))
         lines.append("")
         lines.append(
-            _table(
-                (
-                    "queries",
-                    "rps",
-                    "updates",
-                    "cache%",
-                    "views",
-                    "native",
-                    "store",
-                    "slow",
-                ),
+            format_output(
                 [
                     [
                         str(requests),
@@ -245,6 +210,16 @@ def render_top(
                         str(int(obs.get("slow_queries") or 0)),
                     ]
                 ],
+                (
+                    "queries",
+                    "rps",
+                    "updates",
+                    "cache%",
+                    "views",
+                    "native",
+                    "store",
+                    "slow",
+                ),
             )
         )
     return "\n".join(lines)

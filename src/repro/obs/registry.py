@@ -19,6 +19,13 @@ Design constraints, in order:
    time and never move, which keeps ``observe()`` at one ``bisect``
    plus two adds and makes merge associative by construction.
 
+Counts that an owner already keeps safely (``StationStats``, each
+frame server's ``stats`` dict, the server's ``Meter``, a store's
+``counters``) are not copied into instruments: :meth:`MetricsRegistry.expose`
+declares typed families over the owner's own values, read only when
+the registry renders.  Each count has one home, and STATS and
+``/metrics`` read the same numbers.
+
 The registry renders in the Prometheus text exposition format (served
 by ``repro.obs.http``) and snapshots to plain dicts for the STATS wire
 frame and ``repro stats``.
@@ -335,7 +342,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
-        self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        self._exposed: List[tuple] = []
 
     # -- registration --------------------------------------------------
     def _family(
@@ -387,31 +394,59 @@ class MetricsRegistry:
             name, "histogram", help_text, labelnames, lambda: Histogram(bounds)
         )
 
-    def register_collector(
-        self, collector: Callable[["MetricsRegistry"], None]
+    def expose(
+        self,
+        prefix: str,
+        kind: str,
+        read: Callable[[], Dict[str, float]],
+        *,
+        label: Optional[str] = None,
+        help_text: str = "",
     ) -> None:
-        """Register a pull-time hook, called once per ``render()`` /
-        ``snapshot()``.  Collectors let existing ad-hoc counter dicts
-        (``StationStats``, each frame server's ``stats``) surface
-        as gauges with zero cost on the hot path: they are only read
-        when someone scrapes."""
+        """Declare families over an owner's ``{field: value}`` counts.
+
+        ``read`` is called only by :meth:`render` and :meth:`snapshot`,
+        so the owner's hot path pays nothing.  Each field becomes the
+        family ``prefix + field``; with ``label``, ``prefix`` is one
+        family and each field is a value of that label.  A ``counter``
+        name ends in ``_total`` (added unless the field already has it).
+        """
+        if kind not in ("counter", "gauge"):
+            raise ValueError("an exposed family is a counter or a gauge: %r" % kind)
+        if not _NAME_RE.match(prefix):
+            raise ValueError("invalid metric name %r" % (prefix,))
+        if label is not None and not _LABEL_RE.match(label):
+            raise ValueError("invalid label name %r" % (label,))
         with self._lock:
-            self._collectors.append(collector)
+            self._exposed.append((prefix, kind, read, label, help_text))
 
     # -- exposition ----------------------------------------------------
-    def _run_collectors(self) -> None:
+    def _collect(self) -> List[_Family]:
+        """Every family to render: the registered instruments, then one
+        read of each exposed owner."""
         with self._lock:
-            collectors = list(self._collectors)
-        for collector in collectors:
-            collector(self)
+            families = list(self._families.values())
+            exposed = list(self._exposed)
+        for prefix, kind, read, label, help_text in exposed:
+            # Each read value is held in a throwaway Gauge; ``kind``
+            # alone decides the rendered type.
+            if label is not None:
+                family = _Family(_named(prefix, kind), kind, help_text, (label,), Gauge)
+                for key, value in read().items():
+                    family.labels(**{label: key}).set(value)
+                families.append(family)
+                continue
+            for field, value in read().items():
+                name = _named(prefix + field, kind)
+                family = _Family(name, kind, help_text, (), Gauge)
+                family.set(value)
+                families.append(family)
+        return families
 
     def render(self) -> str:
         """Prometheus text exposition format 0.0.4."""
-        self._run_collectors()
-        with self._lock:
-            families = list(self._families.values())
         lines: List[str] = []
-        for family in families:
+        for family in self._collect():
             children = family.collect()
             if not children:
                 continue
@@ -457,11 +492,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able view of every family (for STATS / ``repro stats``)."""
-        self._run_collectors()
-        with self._lock:
-            families = list(self._families.values())
         out: Dict[str, Any] = {}
-        for family in families:
+        for family in self._collect():
             entries = []
             for key, child in family.collect():
                 labels = dict(zip(family.labelnames, key))
@@ -475,9 +507,11 @@ class MetricsRegistry:
             out[family.name] = {"type": family.kind, "samples": entries}
         return out
 
-    def family(self, name: str) -> Optional[_Family]:
-        with self._lock:
-            return self._families.get(name)
+
+def _named(name: str, kind: str) -> str:
+    if kind == "counter" and not name.endswith("_total"):
+        return name + "_total"
+    return name
 
 
 def _sample_name(name: str, labels: Dict[str, str]) -> str:

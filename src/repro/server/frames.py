@@ -20,7 +20,8 @@ both:
   looked up on the instance for every frame, so a wrapper installed on
   the class after the server started still sees every request;
 * ``_send``/``_send_error``, the INVALIDATED push and the
-  ``connections``/``active``/``errors`` counters.
+  ``connections``/``active``/``errors`` counters, which ``/metrics``
+  reads in place (``active`` as a gauge, the rest as counters).
 
 A subclass names its handlers in :attr:`FrameServer.HANDLERS` (each
 takes ``(frame, conn)`` and returns False to close the connection) and
@@ -32,7 +33,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Tuple
 
-from repro.metrics import Meter
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.server.protocol import (
@@ -63,6 +63,11 @@ E_UPDATE = "update"
 E_INTERNAL = "internal"
 E_UNAVAILABLE = "unavailable"
 E_REBALANCE = "rebalance"
+
+#: Longest ERROR message sent, in characters.  Messages may echo a
+#: client's document id, which can be nearly a whole frame long; cut
+#: here, every ERROR frame fits the frame limit.
+MAX_ERROR_MESSAGE = 1024
 
 _TEXT = (str,)
 _OPTIONAL_TEXT = (str, type(None))
@@ -99,7 +104,6 @@ class Connection:
         "subject",
         "session_id",
         "session",
-        "meter",
         "queries",
         "gateway",
     )
@@ -109,12 +113,10 @@ class Connection:
         #: Set by HELLO; ``None`` before it (the HELLO gate).
         self.subject: Optional[str] = None
         self.session_id = 0
-        # Station side only: the StationSession, a private meter merged
-        # into the server's on close, the QUERY count, and whether the
-        # HELLO was granted the gateway role (only such connections may
-        # issue FORWARD frames).
+        # Station side only: the StationSession, the QUERY count, and
+        # whether the HELLO was granted the gateway role (only such
+        # connections may issue FORWARD frames).
         self.session = None
-        self.meter = Meter()
         self.queries = 0
         self.gateway = False
 
@@ -128,7 +130,7 @@ class FrameServer:
     #: Names of the :attr:`stats` counters, in reporting order; every
     #: subclass keeps ``connections``, ``active`` and ``errors``.
     STATS: Tuple[str, ...] = ("connections", "active", "errors")
-    #: Prefix of the ``/metrics`` gauges that mirror :attr:`stats`.
+    #: Prefix of the ``/metrics`` families over :attr:`stats`.
     METRICS_PREFIX: str
     #: ERROR message for a frame type the server does not serve.
     UNEXPECTED: str
@@ -151,8 +153,7 @@ class FrameServer:
         # Observability: one registry + tracer per server.  Traced
         # requests (nonzero frame trace id) record span trees; the
         # slow-query log keeps any trace over ``slow_ms``.  The counter
-        # dicts stay the source of truth — a pull-time collector
-        # mirrors them into the registry only when scraped.
+        # dicts are the only copy: the registry reads them when scraped.
         self.slow_ms = slow_ms
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = (
@@ -168,7 +169,22 @@ class FrameServer:
         self._latency_metric = self.registry.histogram(
             "repro_request_ms", "Request wall-clock latency in milliseconds"
         )
-        self.registry.register_collector(self._collect_metrics)
+        self.registry.expose(
+            self.METRICS_PREFIX,
+            "counter",
+            lambda: {k: v for k, v in self.stats.items() if k != "active"},
+        )
+        self.registry.expose(
+            self.METRICS_PREFIX, "gauge", lambda: {"active": self.stats["active"]}
+        )
+        self.registry.expose(
+            "repro_",
+            "counter",
+            lambda: {
+                "traces_finished": self.tracer.finished,
+                "slow_queries": self.tracer.slow,
+            },
+        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._tasks: set = set()
@@ -248,7 +264,6 @@ class FrameServer:
         finally:
             self._tasks.discard(task)
             self._connections.discard(conn)
-            self._closed(conn)
             self.stats["active"] -= 1
             writer.close()
 
@@ -299,9 +314,6 @@ class FrameServer:
         """The PONG body: liveness plus per-document versions."""
         raise NotImplementedError
 
-    def _closed(self, conn: Connection) -> None:
-        """Called once per connection as it closes."""
-
     # ------------------------------------------------------------------
     async def _send(self, conn: Connection, data: bytes) -> None:
         conn.writer.write(data)
@@ -309,6 +321,8 @@ class FrameServer:
 
     async def _send_error(self, conn: Connection, code: str, message: str) -> None:
         self.stats["errors"] += 1
+        if len(message) > MAX_ERROR_MESSAGE:
+            message = message[: MAX_ERROR_MESSAGE - 3] + "..."
         try:
             await self._send(
                 conn,
@@ -347,22 +361,6 @@ class FrameServer:
             except Exception:  # connection is on its way down
                 pass
         return sent
-
-    def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Pull-time mirror of :attr:`stats` and the tracer counters.
-
-        Runs only when someone scrapes ``/metrics`` (or snapshots the
-        registry), so the serving hot path never pays for it.
-        """
-        for key, value in self.stats.items():
-            registry.gauge(self.METRICS_PREFIX + key).set(value)
-        trace_stats = self.tracer.stats()
-        registry.gauge(
-            "repro_traces_finished", "Traces completed end-to-end."
-        ).set(trace_stats["finished"])
-        registry.gauge(
-            "repro_slow_queries", "Traces at or above the slow threshold."
-        ).set(trace_stats["slow_queries"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(%s:%d, %d active)" % (

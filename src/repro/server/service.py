@@ -38,10 +38,11 @@ Design points:
 * **Per-session limits.**  Frame payloads are capped by the protocol
   decoder and each session may issue at most ``max_queries_per_session``
   QUERYs; violations get a structured ERROR frame.
-* **Metered.**  Every connection keeps a private
-  :class:`~repro.metrics.Meter`, merged into the server's shared
-  :class:`~repro.metrics.ThreadSafeMeter` on close; STATS reports the
-  station counters, the server counters and the merged meter.
+* **Metered.**  Each request's :class:`~repro.metrics.Meter` is folded
+  into the server's :class:`~repro.metrics.ThreadSafeMeter` as the
+  request completes.  STATS (:meth:`StationServer.stats_body`) and
+  ``/metrics`` read the same owners: the station counters, the server
+  counters, the meter and the store's counters.
 """
 
 from __future__ import annotations
@@ -169,6 +170,20 @@ class StationServer(FrameServer):
             "Serialized view bytes per query",
             buckets=BYTE_BUCKETS,
         )
+        expose = self.registry.expose
+        expose("repro_station_", "counter", station.stats.as_dict)
+        expose("repro_meter_", "counter", self.meter.as_dict)
+        expose("repro_store_", "counter", lambda: station.store.counters)
+        expose("repro_store_", "gauge", self._store_gauges)
+        expose(
+            "repro_",
+            "gauge",
+            lambda: {
+                "cached_views": station.cached_views(),
+                "cached_plans": station.cached_plans(),
+                "native_kernels": station.backend.describe()["native_kernels"],
+            },
+        )
 
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
@@ -179,9 +194,6 @@ class StationServer(FrameServer):
     async def stop(self) -> None:
         self.station.unsubscribe(self._on_station_update)
         await super().stop()
-
-    def _closed(self, conn: Connection) -> None:
-        self.meter.merge(conn.meter)
 
     # ------------------------------------------------------------------
     async def _welcome(self, hello: Dict[str, object], conn: Connection) -> dict:
@@ -313,7 +325,7 @@ class StationServer(FrameServer):
             tracer.discard(trace)
             return False
         chunks, sent_bytes = sent
-        conn.meter.merge(stream.result.meter)
+        self.meter.merge(stream.result.meter)
 
         def finish_trace():
             """Record the queue and stream spans, close the root and
@@ -619,17 +631,14 @@ class StationServer(FrameServer):
             gate.release()
         return chunks, sent_bytes
 
-    async def _on_stats(self, frame: Frame, conn: Connection) -> bool:
-        # Merge the live (not-yet-closed) connection's meter into the
-        # snapshot so STATS reflects the caller's own traffic too.
-        merged = self.meter.snapshot()
-        merged.merge(conn.meter)
-        body = {
+    def stats_body(self) -> dict:
+        """The STATS reply body (also ``repro serve``'s shutdown summary)."""
+        return {
             "station": self.station.stats.as_dict(),
             "cached_plans": self.station.cached_plans(),
             "cached_views": self.station.cached_views(),
             "server": dict(self.stats),
-            "meter": {k: v for k, v in merged.as_dict().items() if v},
+            "meter": {k: v for k, v in self.meter.as_dict().items() if v},
             # Compute-backend health on the wire (not just station-
             # local): native-kernel availability is how a gateway or
             # `repro top` spots a node silently running pure Python.
@@ -642,43 +651,20 @@ class StationServer(FrameServer):
                 self.tracer.stats(), slow_log=self.tracer.slow_records()
             ),
         }
-        await self._send(conn, json_frame(STATS, conn.session_id, body))
+
+    async def _on_stats(self, frame: Frame, conn: Connection) -> bool:
+        await self._send(conn, json_frame(STATS, conn.session_id, self.stats_body()))
         return True
 
-    def _collect_metrics(self, registry: MetricsRegistry) -> None:
-        super()._collect_metrics(registry)
-        for key, value in self.station.stats.as_dict().items():
-            registry.gauge("repro_station_" + key).set(value)
-        for key, value in self.meter.as_dict().items():
-            registry.gauge("repro_meter_" + key).set(value)
-        registry.gauge("repro_cached_views").set(self.station.cached_views())
-        registry.gauge("repro_cached_plans").set(self.station.cached_plans())
-        store = self.station.store.describe()
-        for key in (
-            "documents",
-            "page_hits",
-            "page_misses",
-            "bytes_read",
-            "bytes_written",
-            "log_bytes",
-            "live_bytes",
-            "manifest_replays",
-            "torn_bytes_dropped",
-            "orphan_records_dropped",
-            "commits",
-            "compactions",
-            "cache_used_bytes",
-            "cache_budget_bytes",
-        ):
-            if key in store:
-                registry.gauge("repro_store_" + key).set(int(store[key]))
-        registry.gauge("repro_store_persistent").set(
-            1 if store.get("persistent") else 0
-        )
-        backend = self.station.backend.describe()
-        registry.gauge("repro_native_kernels").set(
-            1 if backend.get("native_kernels") else 0
-        )
+    def _store_gauges(self) -> Dict[str, int]:
+        """The store's point-in-time sizes: every numeric ``describe()``
+        field that is not one of its monotonic counters."""
+        store = self.station.store
+        return {
+            key: int(value)
+            for key, value in store.describe().items()
+            if isinstance(value, (int, bool)) and key not in store.counters
+        }
 
 
 class ServerThread:

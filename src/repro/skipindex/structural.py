@@ -293,7 +293,7 @@ class StructuralIndex:
         document header.  Integrity dependencies (MHT sibling digests,
         CBC predecessor blocks) are *not* expanded here — the scheme
         readers pull them on demand — so this is the plaintext-chunk
-        floor the ``repro_station_index_planned_chunks`` metric reports.
+        floor the ``repro_station_index_planned_chunks_total`` metric reports.
         """
         chunks = set(layout.chunks_covering(0, self.root_offset))
         seen_spine = set()

@@ -27,7 +27,8 @@ cluster and CLI layers need goes through it:
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.soe.session import PreparedDocument
 
@@ -59,6 +60,9 @@ class ChunkStore:
     kind = "abstract"
     #: Does the corpus survive process death?
     persistent = False
+    #: Monotonic operation counts (page hits, commits, ...), exported
+    #: whole as ``repro_store_*_total``; the memory store keeps none.
+    counters: Mapping[str, int] = MappingProxyType({})
 
     def bind_backend(self, backend) -> None:
         """Attach the station's compute backend (disk stores rebuild
@@ -146,7 +150,8 @@ class ChunkStore:
         return False
 
     def describe(self) -> Dict[str, object]:
-        """Operational snapshot for STATS / ``repro_store_*`` metrics."""
+        """Operational snapshot for STATS; its numeric fields that are
+        not :attr:`counters` are the ``repro_store_*`` gauges."""
         return {"kind": self.kind, "persistent": self.persistent}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

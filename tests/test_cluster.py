@@ -36,6 +36,8 @@ from repro.server.protocol import (
     ERROR,
     FORWARD,
     HELLO,
+    PING,
+    PONG,
     QUERY,
     RESULT,
     UPDATE,
@@ -268,6 +270,39 @@ class TestClusterUpdates:
             assert all(b.alive for b in cluster.gateway.backends.values())
             with RemoteSession(*address, "secretary") as session:
                 assert session.evaluate("hospital").trailer["failover"] == 0
+        finally:
+            cluster.stop()
+
+
+    def test_error_echoing_an_oversize_id_fits_a_frame(self):
+        # The FORWARD frame fits, but with every backend dead the
+        # "no live replica can serve %r" ERROR would not, uncut.
+        cluster, docs, subjects = make_cluster(backends=2, documents=1)
+        try:
+            for name in list(cluster.nodes):
+                cluster.kill_backend(name)
+            decoder = FrameDecoder()
+            with socket.create_connection(cluster.gateway_address, timeout=30) as sock:
+
+                def reply():
+                    frames = []
+                    while not frames:
+                        data = sock.recv(65536)
+                        assert data, "gateway closed the connection"
+                        frames.extend(decoder.feed(data))
+                    assert len(frames) == 1
+                    return frames[0]
+
+                sock.sendall(json_frame(HELLO, 0, {"subject": "secretary"}))
+                reply()  # WELCOME
+                big = "x" * (DEFAULT_MAX_PAYLOAD - 100)
+                sock.sendall(json_frame(QUERY, 0, {"document": big}))
+                error = reply()
+                assert error.type == ERROR
+                assert error.json()["code"] == "unavailable"
+                assert len(error.payload) < 2048
+                sock.sendall(json_frame(PING, 0, {}))
+                assert reply().type == PONG
         finally:
             cluster.stop()
 

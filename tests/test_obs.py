@@ -221,16 +221,35 @@ class TestRegistry:
         assert "lat_ms_count 3" in text
         assert text.endswith("\n")
 
-    def test_collectors_run_at_scrape_time(self):
+    def test_exposed_families_read_at_scrape_time(self):
         registry = MetricsRegistry()
-        state = {"value": 0}
-        registry.register_collector(
-            lambda reg: reg.gauge("live_value").set(state["value"])
+        state = {"hits": 0, "chunks_total": 0, "live": 0}
+        registry.expose(
+            "x_",
+            "counter",
+            lambda: {"hits": state["hits"], "chunks_total": state["chunks_total"]},
         )
-        state["value"] = 42
-        assert "live_value 42" in registry.render()
-        state["value"] = 43
-        assert registry.snapshot()["live_value"]["samples"][0]["value"] == 43
+        registry.expose("x_", "gauge", lambda: {"live": state["live"]})
+        registry.expose("x_requests", "counter", lambda: {"b": 2, "a": 1}, label="node")
+        state.update(hits=42, chunks_total=5, live=3)
+        text = registry.render()
+        assert "# TYPE x_hits_total counter\nx_hits_total 42" in text
+        # A field already named *_total keeps one suffix.
+        assert "# TYPE x_chunks_total counter\nx_chunks_total 5" in text
+        assert "# TYPE x_live gauge\nx_live 3" in text
+        assert 'x_requests_total{node="a"} 1\nx_requests_total{node="b"} 2' in text
+        state["hits"] = 43
+        snapshot = registry.snapshot()
+        assert snapshot["x_hits_total"]["samples"][0]["value"] == 43
+        assert snapshot["x_hits_total"]["type"] == "counter"
+        assert snapshot["x_requests_total"]["samples"][1] == {
+            "labels": {"node": "b"},
+            "value": 2,
+        }
+        with pytest.raises(ValueError):
+            registry.expose("x_", "histogram", dict)
+        with pytest.raises(ValueError):
+            registry.expose("bad name", "counter", dict)
 
     def test_label_escaping(self):
         registry = MetricsRegistry()
@@ -619,27 +638,158 @@ class TestMetricsEndpoint:
             metrics.stop()
 
 
-    def test_each_station_counter_exported_once(self):
-        """Every ``StationStats`` field lands in exactly one /metrics
-        family: stamp each with a distinct value, scrape, and count the
-        families carrying it."""
-        from repro.engine import SecureStation
-        from repro.engine.station import StationStats
+    def test_each_station_counter_exported_once(self, tmp_path):
+        """Every count the station, the server, its meter, its store and
+        a gateway keep lands in exactly one /metrics family, under its
+        typed name: stamp each with a distinct value, scrape, and list
+        the families carrying it."""
+        from repro.cluster.gateway import ClusterGateway
+        from repro.engine import SecureStation, StationConfig
+        from repro.metrics import Meter
+        from repro.store import LogStore
 
-        station = SecureStation(backend="pure")
+        station = SecureStation(
+            StationConfig(backend="pure", store=LogStore(str(tmp_path)))
+        )
         server = StationServer(station)
-        stamps = {}
-        for offset, field in enumerate(StationStats.__slots__):
-            stamps[field] = 7_000_003 + offset
-            setattr(station.stats, field, stamps[field])
-        carriers = {value: [] for value in stamps.values()}
-        for name, family in server.registry.snapshot().items():
-            for sample in family["samples"]:
-                if sample.get("value") in carriers:
-                    carriers[sample["value"]].append(name)
-        station.close()
-        for field, value in stamps.items():
-            assert carriers[value] == ["repro_station_" + field], field
+        gateway = ClusterGateway({"node0": ("127.0.0.1", 1)})
+        counters = station.store.counters
+        owners = (
+            (server, "repro_station_", station.stats.__slots__, station.stats),
+            (server, "repro_server_", StationServer.STATS, server.stats),
+            (server, "repro_meter_", Meter.FIELDS, server.meter),
+            (server, "repro_store_", tuple(counters), counters),
+            (gateway, "repro_gateway_", ClusterGateway.STATS, gateway.stats),
+        )
+        stamp = 7_000_003
+        expected = {}
+        for frame_server, prefix, fields, owner in owners:
+            for field in fields:
+                stamp += 1
+                if isinstance(owner, dict):
+                    owner[field] = stamp
+                else:
+                    setattr(owner, field, stamp)
+                name = prefix + field
+                if field != "active" and not name.endswith("_total"):
+                    name += "_total"
+                expected[stamp] = (frame_server, name)
+        try:
+            for frame_server in (server, gateway):
+                carriers = {}
+                for name, family in frame_server.registry.snapshot().items():
+                    for sample in family["samples"]:
+                        carriers.setdefault(sample.get("value"), []).append(name)
+                for value, (owner, name) in expected.items():
+                    if owner is frame_server:
+                        assert carriers.get(value) == [name], name
+        finally:
+            station.close()
+
+
+def _family_types(text):
+    """``{family: type}`` from the ``# TYPE`` lines of a scrape."""
+    return dict(
+        line.split()[2:4] for line in text.splitlines() if line.startswith("# TYPE")
+    )
+
+
+class TestMetricTypes:
+    """After one query and one update, every monotonic count renders as
+    a ``counter`` named ``*_total``, and only point-in-time values are
+    gauges."""
+
+    def _check_names(self, types):
+        for name, kind in types.items():
+            assert name.endswith("_total") == (kind == "counter"), (name, kind)
+
+    def test_station_server_with_log_store(self, tmp_path):
+        from repro.engine.station import StationStats
+        from repro.metrics import Meter
+        from repro.store import LogStore
+        from repro.skipindex.updates import UpdateOp
+        from repro.xmlkit.parser import parse_document
+
+        store = LogStore(str(tmp_path))
+        station, subjects = hospital_station(folders=2, store=store)
+        server = StationServer(station)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        try:
+            with RemoteSession(host, port, subjects[0]) as session:
+                session.evaluate("hospital")
+                op = UpdateOp(
+                    "insert_element", [], node=parse_document("<Folder>t</Folder>")
+                )
+                session.update("hospital", op)
+            text = server.registry.render()
+        finally:
+            thread.stop()
+            station.close()
+        types = _family_types(text)
+        self._check_names(types)
+        counts = (
+            ("repro_station_", StationStats.__slots__),
+            ("repro_server_", [f for f in StationServer.STATS if f != "active"]),
+            ("repro_meter_", Meter.FIELDS),
+            ("repro_store_", tuple(store.counters)),
+        )
+        for prefix, fields in counts:
+            for field in fields:
+                assert prefix + field not in types or field.endswith("_total")
+                name = prefix + field
+                name += "" if name.endswith("_total") else "_total"
+                assert types[name] == "counter", name
+        for name in (
+            "repro_store_lost_entries_dropped_total",
+            "repro_store_index_blobs_dropped_total",
+            "repro_station_view_hits_total",
+        ):
+            assert "# TYPE %s counter" % name in text
+        assert "repro_meter_bytes_transferred_total 0" not in text
+        assert "repro_server_updates_total 1" in text
+        for gauge in (
+            "repro_server_active",
+            "repro_cached_views",
+            "repro_cached_plans",
+            "repro_native_kernels",
+            "repro_store_documents",
+            "repro_store_log_bytes",
+            "repro_store_cache_used_bytes",
+            "repro_store_persistent",
+        ):
+            assert types[gauge] == "gauge", gauge
+
+    def test_gateway(self):
+        from repro.cluster.gateway import ClusterGateway
+        from repro.cluster.topology import hospital_cluster
+        from repro.skipindex.updates import UpdateOp
+        from repro.xmlkit.parser import parse_document
+
+        cluster, _docs, _subjects = hospital_cluster(
+            backends=2, replicas=2, documents=1, folders=2
+        )
+        try:
+            with RemoteSession(*cluster.gateway_address, "secretary") as session:
+                session.evaluate("hospital")
+                op = UpdateOp(
+                    "insert_element", [], node=parse_document("<Folder>t</Folder>")
+                )
+                session.update("hospital", op)
+            text = cluster.gateway.registry.render()
+        finally:
+            cluster.stop()
+        types = _family_types(text)
+        self._check_names(types)
+        for field in ClusterGateway.STATS:
+            kind = "gauge" if field == "active" else "counter"
+            name = "repro_gateway_" + field + ("" if kind == "gauge" else "_total")
+            assert types[name] == kind, name
+        assert "repro_gateway_queries_total 1" in text
+        assert "repro_gateway_updates_total 1" in text
+        assert types["repro_backend_requests_total"] == "counter"
+        assert types["repro_ring_alive"] == types["repro_ring_backends"] == "gauge"
+        assert types["repro_traces_finished_total"] == "counter"
 
 
 # ----------------------------------------------------------------------
@@ -707,10 +857,10 @@ class TestDashboard:
         assert "queries=10" in frame
         assert "slow=3" in frame
         lines = frame.splitlines()
-        node0 = next(line for line in lines if line.startswith("node0"))
+        node0 = next(line for line in lines if line.startswith("| node0"))
         assert "2.0" in node0  # (6 - 2) / 2s
         assert "75%" in node0
-        node1 = next(line for line in lines if line.startswith("node1"))
+        node1 = next(line for line in lines if line.startswith("| node1"))
         assert "DOWN" in node1
         assert "no" in node1
 
