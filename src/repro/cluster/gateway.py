@@ -95,7 +95,7 @@ from repro.server.protocol import (
 GATEWAY_SUBJECT = "@gateway"
 
 #: Republisher callback: ``(document_id, node_name, version_floor) ->
-#: new version``; raises on failure.  Runs in an executor thread.
+#: new version``; raises on failure.  Runs on the gateway's worker pool.
 Republisher = Callable[[str, str, int], int]
 
 
@@ -274,6 +274,7 @@ class ClusterGateway(FrameServer):
     )
     METRICS_PREFIX = "repro_gateway_"
     UNEXPECTED = "unexpected %s frame at the gateway"
+    WORKERS = "repro-gateway"
 
     def __init__(
         self,
@@ -534,7 +535,6 @@ class ClusterGateway(FrameServer):
         """
         if self.republisher is None:
             return
-        loop = asyncio.get_running_loop()
         async with self._repair_lock:
             for document_id in list(self.placement):
                 holders = {
@@ -548,12 +548,8 @@ class ClusterGateway(FrameServer):
                     if name in holders:
                         continue
                     try:
-                        new_version = await loop.run_in_executor(
-                            None,
-                            self.republisher,
-                            document_id,
-                            name,
-                            version,
+                        new_version = await self._offload(
+                            self.republisher, document_id, name, version
                         )
                     except Exception:
                         self.stats["repair_failures"] += 1

@@ -304,7 +304,7 @@ class StationCluster:
     def _republish(
         self, document_id: str, node_name: str, version_floor: int
     ) -> int:
-        """Gateway repair callback (runs in an executor thread).
+        """Gateway repair callback (runs on the gateway's worker pool).
 
         Copies the encrypted document from the most advanced surviving
         replica onto ``node_name``, publishing with ``version_floor``

@@ -115,7 +115,7 @@ def _rotate28(value: int, count: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Table-driven fast paths, built once at import time
+# Table-driven fast paths, built on the first Des construction
 # ----------------------------------------------------------------------
 # Bit permutations are linear: permuting a value equals OR-ing the
 # permutations of its bytes.  Each per-byte table below therefore holds
@@ -124,6 +124,11 @@ def _rotate28(value: int, count: int) -> int:
 # linearity each row is built from its 8 single-bit images: a value's
 # image is the image of the value without its lowest set bit, OR-ed with
 # that bit's image.
+#
+# Building them takes a few milliseconds, and a process serving only
+# XTEA schemes never needs them, so :func:`_build_tables` sets them when
+# the first :class:`Des` is made.
+_IP_BYTES = _FP_BYTES = _E_BYTES = _SP = None
 
 
 def _byte_tables(width: int, table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -139,26 +144,30 @@ def _byte_tables(width: int, table: Sequence[int]) -> Tuple[Tuple[int, ...], ...
     return tuple(tables)
 
 
-_IP_BYTES = _byte_tables(64, _IP)
-_FP_BYTES = _byte_tables(64, _FP)
-_E_BYTES = _byte_tables(32, _E)
-
-# Combined S-box + P permutation: _SP[box][chunk] is the P-permuted
-# contribution of S-box `box` fed with the 6-bit `chunk`.
-_SP = tuple(
-    tuple(
-        _permute(
-            _SBOXES[box][
-                16 * (((chunk & 0x20) >> 4) | (chunk & 1)) + ((chunk >> 1) & 0xF)
-            ]
-            << (28 - 4 * box),
-            32,
-            _P,
+def _build_tables() -> None:
+    """Set the fast-path tables.  Idempotent, and safe to race: every
+    build yields equal tables, and ``_SP`` — the one :class:`Des`
+    checks — is set last."""
+    global _IP_BYTES, _FP_BYTES, _E_BYTES, _SP
+    _IP_BYTES = _byte_tables(64, _IP)
+    _FP_BYTES = _byte_tables(64, _FP)
+    _E_BYTES = _byte_tables(32, _E)
+    # Combined S-box + P permutation: _SP[box][chunk] is the P-permuted
+    # contribution of S-box `box` fed with the 6-bit `chunk`.
+    _SP = tuple(
+        tuple(
+            _permute(
+                _SBOXES[box][
+                    16 * (((chunk & 0x20) >> 4) | (chunk & 1)) + ((chunk >> 1) & 0xF)
+                ]
+                << (28 - 4 * box),
+                32,
+                _P,
+            )
+            for chunk in range(64)
         )
-        for chunk in range(64)
+        for box in range(8)
     )
-    for box in range(8)
-)
 
 
 def _permute_bytes(value: int, tables: Tuple[Tuple[int, ...], ...]) -> int:
@@ -179,6 +188,8 @@ class Des:
     def __init__(self, key: bytes):
         if len(key) != 8:
             raise ValueError("DES key must be 8 bytes")
+        if _SP is None:
+            _build_tables()
         self._subkeys = self._key_schedule(int.from_bytes(key, "big"))
         self._subkeys_rev = tuple(reversed(self._subkeys))
 

@@ -84,23 +84,38 @@ _EVALUATE_SPAN_ATTRS = (
 # ----------------------------------------------------------------------
 # Link sealing (SOE -> client)
 # ----------------------------------------------------------------------
-def seal_payload(session_key: bytes, payload: bytes) -> bytes:
+def link_cipher(session_key: bytes, backend: Optional[ComputeBackend] = None):
+    """The XTEA instance sealing one session's link.
+
+    Built from ``backend``'s cipher factory (auto-detected when
+    ``None``), so a native build seals in the C kernel; every backend
+    is byte-identical.  Sessions build one and pass it to
+    :func:`seal_payload`/:func:`open_sealed` for every chunk.
+    """
+    return resolve_backend(backend).cipher_factory(Xtea)(session_key)
+
+
+def seal_payload(session_key: bytes, payload: bytes, cipher=None) -> bytes:
     """MAC-then-encrypt ``payload`` under a session link key.
 
     The body is ``len || payload || HMAC-SHA1(payload)``, padded and
-    XTEA-encrypted.  The inverse is :func:`open_sealed`; both ends of
-    the SOE -> client link (station *and* the remote client SDK) share
-    this module-level pair so the wire format is defined exactly once.
+    XTEA-encrypted under ``cipher`` (the session's :func:`link_cipher`;
+    built here when omitted).  The inverse is :func:`open_sealed`; both
+    ends of the SOE -> client link (station *and* the remote client
+    SDK) share this module-level pair so the wire format is defined
+    exactly once.
     """
     mac = hmac.new(session_key, payload, hashlib.sha1).digest()
     body = len(payload).to_bytes(4, "big") + payload + mac
-    cipher = Xtea(session_key)
+    if cipher is None:
+        cipher = link_cipher(session_key)
     return encrypt_positioned(cipher, pad_to_block(body), 0)
 
 
-def open_sealed(session_key: bytes, blob: bytes) -> bytes:
+def open_sealed(session_key: bytes, blob: bytes, cipher=None) -> bytes:
     """Inverse of :func:`seal_payload`; raises ``ValueError`` on a bad MAC."""
-    cipher = Xtea(session_key)
+    if cipher is None:
+        cipher = link_cipher(session_key)
     # Accept memoryview blobs (the zero-copy frame decoder hands CHUNK
     # payloads out as views into its receive buffers).
     body = decrypt_positioned(cipher, bytes(blob), 0)
@@ -161,16 +176,18 @@ class StationSession:
     The session key is an HKDF-style derivation from the station's
     master secret, the subject and a per-connection counter; it seals
     authorized views on the way out so the untrusted terminal between
-    SOE and client learns nothing (document keys stay inside).
+    SOE and client learns nothing (document keys stay inside).  The
+    link cipher is built once, from the station's compute backend.
     """
 
-    __slots__ = ("station", "subject", "session_id", "session_key")
+    __slots__ = ("station", "subject", "session_id", "session_key", "_cipher")
 
     def __init__(self, station: "SecureStation", subject: str, session_id: int):
         self.station = station
         self.subject = subject
         self.session_id = session_id
         self.session_key = station._derive_session_key(subject, session_id)
+        self._cipher = link_cipher(self.session_key, station.backend)
 
     # ------------------------------------------------------------------
     def view(self, document_id: str, query=None) -> SessionResult:
@@ -183,11 +200,11 @@ class StationSession:
         return self.seal(serialize_events(result.events).encode("utf-8"))
 
     def seal(self, payload: bytes) -> bytes:
-        return seal_payload(self.session_key, payload)
+        return seal_payload(self.session_key, payload, self._cipher)
 
     def open(self, blob: bytes) -> bytes:
         """Client-side inverse of :meth:`seal` (tests / simulation)."""
-        return open_sealed(self.session_key, blob)
+        return open_sealed(self.session_key, blob, self._cipher)
 
     def stream_view(
         self,

@@ -15,9 +15,10 @@ boundary:
   dispatch table, error frames) under the station server and the
   cluster gateway;
 * :mod:`repro.server.service` — :class:`StationServer`, an asyncio TCP
-  server wrapping a station: concurrent clients, executor-offloaded
-  evaluation, bounded-queue chunk streaming, per-session limits and a
-  STATS endpoint; :class:`ServerThread` runs it from blocking code;
+  server wrapping a station: concurrent clients, evaluation on a
+  worker pool of one thread per CPU, chunks sealed and streamed from
+  the event loop, per-session limits and a STATS endpoint;
+  :class:`ServerThread` runs it from blocking code;
 * :mod:`repro.server.client` — :class:`RemoteSession`, the blocking
   SDK mirroring the in-process evaluate API.
 

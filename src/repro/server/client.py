@@ -19,7 +19,7 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.station import open_sealed
+from repro.engine.station import link_cipher, open_sealed
 from repro.obs.trace import new_trace_id
 from repro.server import protocol
 from repro.server.protocol import (
@@ -234,6 +234,8 @@ class RemoteSession:
         self.session_id: int = welcome["session"]
         self.session_key: bytes = bytes.fromhex(welcome.get("key", ""))
         self.sealed: bool = bool(welcome.get("seal"))
+        # One link cipher per server session, not one per chunk.
+        self._link_cipher = link_cipher(self.session_key) if self.sealed else None
         self.limits: Dict[str, int] = dict(welcome.get("limits", {}))
         # Adopt the server's negotiated frame limit so a server
         # configured above the protocol default doesn't latch our
@@ -343,7 +345,7 @@ class RemoteSession:
             if frame.type == CHUNK:
                 chunk = frame.payload
                 if self.sealed:
-                    chunk = open_sealed(self.session_key, chunk)
+                    chunk = open_sealed(self.session_key, chunk, self._link_cipher)
                 parts.append(chunk)
             elif frame.type == RESULT:
                 result = RemoteResult(b"".join(parts), frame.json())

@@ -19,6 +19,13 @@ both:
 * **one dispatch table** from frame type to handler method name,
   looked up on the instance for every frame, so a wrapper installed on
   the class after the server started still sees every request;
+* **one worker pool** — :meth:`FrameServer._offload` runs blocking
+  work on a :class:`~concurrent.futures.ThreadPoolExecutor` of one
+  thread per usable CPU, created by ``start`` and shut down by
+  ``stop``.  Evaluation is pure Python under the GIL, so more threads
+  would buy no parallelism, only a malloc arena each.  No pool task
+  may wait on another task of the same pool: with one worker that
+  would deadlock;
 * ``_send``/``_send_error``, the INVALIDATED push and the
   ``connections``/``active``/``errors`` counters, which ``/metrics``
   reads in place (``active`` as a gauge, the rest as counters).
@@ -31,6 +38,8 @@ supplies :meth:`~FrameServer._welcome` and :meth:`~FrameServer._pong`.
 from __future__ import annotations
 
 import asyncio
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
@@ -88,6 +97,15 @@ PAYLOADS = {
 }
 
 
+def worker_count() -> int:
+    """Threads in each server's worker pool: the CPUs this process may
+    run on (its affinity mask), else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def _carries(frame: Frame, fields: Dict[str, tuple]) -> bool:
     try:
         body = frame.json()
@@ -134,6 +152,8 @@ class FrameServer:
     METRICS_PREFIX: str
     #: ERROR message for a frame type the server does not serve.
     UNEXPECTED: str
+    #: Role part of the worker threads' names (see :attr:`worker_prefix`).
+    WORKERS: str
 
     def __init__(
         self,
@@ -187,6 +207,7 @@ class FrameServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._tasks: set = set()
         # Live connections (for the INVALIDATED push).
         self._connections: set = set()
@@ -197,12 +218,21 @@ class FrameServer:
         """The bound ``(host, port)`` (resolves ephemeral port 0)."""
         return self.host, self.port
 
+    @property
+    def worker_prefix(self) -> str:
+        """Name prefix of this server's pool threads (``ROLE:PORT``;
+        each thread is called ``ROLE:PORT_N``)."""
+        return "%s:%d" % (self.WORKERS, self.port)
+
     async def start(self) -> Tuple[str, int]:
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._pool = ThreadPoolExecutor(
+            worker_count(), thread_name_prefix=self.worker_prefix
+        )
         return self.address
 
     async def serve_forever(self) -> None:
@@ -223,6 +253,15 @@ class FrameServer:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        if self._pool is not None:
+            # Queued work is dropped; a running evaluation finishes (a
+            # pool task never waits on the loop, so this cannot hang).
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def _offload(self, fn, *args) -> "asyncio.Future":
+        """Run ``fn(*args)`` on this server's worker pool."""
+        return self._loop.run_in_executor(self._pool, fn, *args)
 
     def _spawn(self, coro) -> None:
         """Run ``coro`` as a background task that :meth:`stop` cancels."""

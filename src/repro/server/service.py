@@ -14,27 +14,30 @@ Design points:
   and send helpers are :class:`~repro.server.frames.FrameServer`'s,
   shared with the cluster gateway; this module supplies the station's
   frame handlers.
-* **One event loop, CPU work off-loop.**  Policy evaluation is pure
-  python and can take seconds on big documents; each QUERY runs in the
-  default thread-pool executor, so the loop keeps accepting
-  connections and serving STATS while a view is computed.  The
-  :class:`SecureStation` is internally thread-safe (session counter,
-  plan LRU, document map under its own lock) and published documents
-  are immutable snapshots, so evaluations run genuinely in parallel.
+* **One event loop, one worker per CPU.**  Policy evaluation is pure
+  python and can take seconds on big documents; each QUERY's
+  evaluation (and each HELLO's key derivation and each UPDATE) runs on
+  the frame server's worker pool, one thread per usable CPU, so the
+  loop keeps accepting connections and serving STATS while a view is
+  computed.  The :class:`SecureStation` is internally thread-safe
+  (session counter, plan LRU, document map under its own lock) and
+  published documents are immutable snapshots, so requests may share
+  the pool; under the GIL the pool bounds memory, not parallelism.
 * **Live updates.**  An UPDATE frame applies a
   :class:`~repro.skipindex.updates.UpdateOp` through
   :meth:`SecureStation.update` (dirty-chunk re-encryption under a
   bumped document version); every live connection then receives an
   INVALIDATED push so clients drop cached views and re-fetch.
-* **Bounded-queue backpressure.**  The producer thread prepares (and,
-  with ``seal=True``, encrypts) view chunks and *blocks* on a
-  ``queue_depth``-slot gate until the writer task has flushed earlier
-  chunks with ``await writer.drain()``.  A slow client therefore
-  stalls its own producer thread, bounding the frames (and sealing
-  work) in flight per connection.  Note the *serialized plaintext
-  view* itself is materialized once per request by
-  :meth:`SecureStation.stream` — the bound is on chunk copies and
-  sealing, not on the view.
+* **Chunks streamed on the loop.**  Only :meth:`SecureStation.stream`
+  (evaluate and serialize) runs on the pool.  The connection's own
+  coroutine then slices the view, seals each chunk (``seal=True``,
+  with the session's link cipher) and writes the CHUNK frames,
+  awaiting ``drain()`` once per ``queue_depth`` frames.  A slow client
+  therefore parks only its own coroutine, never a pool worker, and at
+  most ``queue_depth`` frames beyond the transport's buffer are in
+  flight per connection.  The *serialized plaintext view* itself is
+  materialized once per request by :meth:`SecureStation.stream` — the
+  bound is on chunk copies and sealing, not on the view.
 * **Per-session limits.**  Frame payloads are capped by the protocol
   decoder and each session may issue at most ``max_queries_per_session``
   QUERYs; violations get a structured ERROR frame.
@@ -116,6 +119,7 @@ class StationServer(FrameServer):
     )
     METRICS_PREFIX = "repro_server_"
     UNEXPECTED = "unexpected %s frame from client"
+    WORKERS = "repro-station"
 
     def __init__(
         self,
@@ -200,10 +204,7 @@ class StationServer(FrameServer):
         conn.gateway = bool(hello.get("gateway")) and self.allow_forward
         # The station is internally thread-safe, but connect still runs
         # off-loop: key derivation must never stall frame dispatch.
-        loop = asyncio.get_running_loop()
-        conn.session = await loop.run_in_executor(
-            None, self.station.connect, hello["subject"]
-        )
+        conn.session = await self._offload(self.station.connect, hello["subject"])
         conn.session_id = conn.session.session_id
         return {
             "session": conn.session.session_id,
@@ -271,8 +272,8 @@ class StationServer(FrameServer):
         trace: int = 0,
         ship_spans: bool = False,
     ) -> bool:
-        """Shared QUERY/FORWARD-query path: evaluate off-loop, stream
-        the chunks, send the RESULT trailer.
+        """Shared QUERY/FORWARD-query path: evaluate on the pool, stream
+        the chunks from the loop, send the RESULT trailer.
 
         ``evaluate`` is called as ``evaluate(tracer, trace, parent)``
         so the station can hang its pipeline/cache spans under this
@@ -286,7 +287,6 @@ class StationServer(FrameServer):
         hot path costs more than the 5% tracing budget, and direct
         clients only consume trees through the slow-query log anyway.
         """
-        loop = asyncio.get_running_loop()
         tracer = self.tracer
         started = perf_counter()
         root = None
@@ -303,15 +303,15 @@ class StationServer(FrameServer):
         def run_evaluate():
             if root is None:
                 return evaluate()
-            # Backend queueing: the wait between frame dispatch and the
-            # executor thread actually picking the request up.
+            # Backend queueing: the wait between frame dispatch and a
+            # pool worker actually picking the request up.
             nonlocal picked_up
             picked_up = perf_counter()
             return evaluate(tracer, trace, root.id)
 
         # Errors are recoverable: the session may query other documents.
         try:
-            stream = await loop.run_in_executor(None, run_evaluate)
+            stream = await self._offload(run_evaluate)
         except StationError as exc:
             message = _station_message(exc)
             code = E_NO_GRANT if "grant" in message else E_UNKNOWN_DOCUMENT
@@ -438,11 +438,8 @@ class StationServer(FrameServer):
         if not self.station.has_grant(document_id, subject):
             message = "no grant for subject %r on document %r" % (subject, document_id)
             return await self._refuse(conn, trace, E_NO_GRANT, message)
-        loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(
-                None, self.station.update, document_id, op
-            )
+            result = await self._offload(self.station.update, document_id, op)
         except StationError as exc:
             message = _station_message(exc)
             return await self._refuse(conn, trace, E_UNKNOWN_DOCUMENT, message)
@@ -557,78 +554,42 @@ class StationServer(FrameServer):
     async def _stream_chunks(
         self, stream, conn: Connection
     ) -> Optional[Tuple[int, int]]:
-        """Producer/consumer chunk streaming with a bounded queue.
+        """Slice, seal and write the view's CHUNK frames, on the loop.
 
+        writev-style send: header and payload go to the transport as
+        separate buffers (no concatenated frame copy), and ``drain()``
+        runs once per ``queue_depth`` frames instead of per frame — the
+        transport coalesces the writes, and a slow client parks this
+        coroutine on ``drain()`` without holding a pool worker.
         Returns ``(chunks, bytes)`` or ``None`` when the connection
         died mid-stream.
         """
-        loop = asyncio.get_running_loop()
         writer = conn.writer
-        # The producer thread blocks on this gate until the writer has
-        # flushed earlier chunks: that *is* the backpressure.  A plain
-        # threading primitive (not a cross-thread queue.put) so that
-        # the abort path below can unblock the producer synchronously
-        # — no awaits — and therefore works even when this task is
-        # being cancelled by StationServer.stop().
-        gate = threading.Semaphore(self.queue_depth)
-        aborted = threading.Event()
-        queue: "asyncio.Queue" = asyncio.Queue()
-
-        def produce():
-            try:
-                for chunk in stream.chunks():
-                    gate.acquire()
-                    if aborted.is_set():
-                        return
-                    loop.call_soon_threadsafe(queue.put_nowait, chunk)
-                loop.call_soon_threadsafe(queue.put_nowait, None)
-            except Exception as exc:  # surfaced to the consumer below
-                loop.call_soon_threadsafe(queue.put_nowait, exc)
-
-        producer = loop.run_in_executor(None, produce)
+        depth = self.queue_depth
         chunks = 0
         sent_bytes = 0
-        unflushed = 0
         try:
-            while True:
-                item = await queue.get()
-                if item is None:
-                    break
-                if isinstance(item, Exception):
-                    await self._send_error(conn, E_INTERNAL, str(item))
-                    return None
-                # writev-style send: header and payload go to the
-                # transport as separate buffers (no concatenated frame
-                # copy), and drain() runs once per queue_depth frames
-                # instead of per frame — the transport coalesces the
-                # writes, the gate still bounds what is in flight.
+            for chunk in stream.chunks():
                 header, payload = encode_frame_parts(
                     CHUNK,
                     conn.session_id,
-                    item,
+                    chunk,
                     max_payload=self.max_payload,
                 )
                 writer.write(header)
                 if payload:
                     writer.write(payload)
-                unflushed += 1
-                if unflushed >= self.queue_depth:
-                    await writer.drain()
-                    unflushed = 0
                 chunks += 1
-                sent_bytes += len(item)
-                gate.release()
-            if unflushed:
+                sent_bytes += len(chunk)
+                if chunks % depth == 0:
+                    await writer.drain()
+            if chunks % depth:
                 await writer.drain()
-            await producer  # near-instant: the sentinel was just put
         except (ConnectionResetError, BrokenPipeError):
             return None
-        finally:
-            # Early exit (client gone, error, cancellation): unpark a
-            # producer waiting on the gate so its thread can observe
-            # `aborted` and finish — no executor threads leak.
-            aborted.set()
-            gate.release()
+        except Exception as exc:
+            await self._send_error(conn, E_INTERNAL, str(exc))
+            return None
         return chunks, sent_bytes
 
     def stats_body(self) -> dict:

@@ -16,7 +16,9 @@ bootstrapped by :func:`hospital_cluster`.  The headline properties:
   the new preference node with a version floor so the PR 3 chain
   continues;
 * a REBALANCE join re-places documents deterministically (the ring is
-  pure), and FORWARD is refused outside an authenticated gateway link.
+  pure), and FORWARD is refused outside an authenticated gateway link;
+* every server keeps its own worker pool of at most one thread per
+  CPU, and the gateway's republisher runs on the gateway's pool.
 """
 
 import json
@@ -31,6 +33,7 @@ from repro.cluster.topology import hospital_cluster
 from repro.engine.station import SecureStation
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.server.client import RemoteError, RemoteSession
+from repro.server.frames import worker_count
 from repro.server.protocol import (
     DEFAULT_MAX_PAYLOAD,
     ERROR,
@@ -526,6 +529,63 @@ class TestRebalance:
                     assert session.evaluate(doc).data == baseline[doc]
         finally:
             cluster.stop()
+
+    def test_each_server_keeps_its_own_bounded_pool(self):
+        from test_server import pool_threads
+
+        cluster, docs, subjects = make_cluster(backends=2, replicas=2)
+        gateway = cluster.gateway
+        republished_on = []
+        republisher = gateway.republisher
+
+        def recording(*args):
+            republished_on.append(threading.current_thread().name)
+            return republisher(*args)
+
+        gateway.republisher = recording
+        servers = [gateway] + [node.server for node in cluster.nodes.values()]
+
+        errors = []
+        pools = {}
+
+        def client(index):
+            try:
+                with RemoteSession(*cluster.gateway_address, "secretary") as session:
+                    for doc in docs:
+                        session.evaluate(doc)
+                    if index == 0:
+                        op = UpdateOp(
+                            "insert_element",
+                            [],
+                            node=parse_document("<Folder>pool</Folder>"),
+                        )
+                        session.update(docs[0], op)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+            assert not any(worker.is_alive() for worker in workers)
+            assert not errors, errors
+            cluster.join_backend()  # the repair pass runs the republisher
+            servers.append(cluster.nodes["node2"].server)
+            assert republished_on
+            assert all(
+                name.startswith(gateway.worker_prefix + "_")
+                for name in republished_on
+            ), republished_on
+            pools = {server.worker_prefix: pool_threads(server) for server in servers}
+            for prefix, pool in pools.items():
+                assert len(pool) <= worker_count(), prefix
+        finally:
+            cluster.stop()
+        for pool in pools.values():
+            assert not any(thread.is_alive() for thread in pool)
+        assert not any(pool_threads(server) for server in servers)
 
     def test_join_duplicate_and_leave_unknown_are_errors(self):
         cluster, docs, subjects = make_cluster(backends=2)

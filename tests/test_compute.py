@@ -262,3 +262,32 @@ def test_fuzz_station_views_identical_across_backends(name):
         reference = views.pop("pure")
         for backend_name, view in views.items():
             assert view == reference, backend_name
+
+
+@pytest.mark.parametrize("name", ["pure", "native"])
+def test_fuzz_link_sealing_identical_across_backends(name):
+    """A link sealed under a backend's cipher is byte-identical to the
+    pure oracle's, each side opens the other's blobs, and a flipped
+    byte is refused."""
+    from repro.compute.native import NativeXtea
+    from repro.engine.station import link_cipher, open_sealed, seal_payload
+
+    if name == "native" and not native_available():
+        pytest.skip("native kernels unavailable")
+    backend = resolve_backend(name)
+    rng = random.Random("link-seal:" + name)
+    for length in range(41):
+        key = random_bytes(rng, 16)
+        payload = random_bytes(rng, length)
+        pure = link_cipher(key, PureBackend())
+        cipher = link_cipher(key, backend)
+        assert isinstance(cipher, NativeXtea) == (name == "native")
+        sealed = seal_payload(key, payload, cipher)
+        assert sealed == seal_payload(key, payload, pure)
+        assert sealed == seal_payload(key, payload)  # cipher built per call
+        assert open_sealed(key, sealed, pure) == payload
+        assert open_sealed(key, seal_payload(key, payload, pure), cipher) == payload
+        flipped = bytearray(sealed)
+        flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        with pytest.raises(ValueError):
+            open_sealed(key, bytes(flipped), cipher)

@@ -1,6 +1,10 @@
 """Tests for the crypto substrate: ciphers, modes, Merkle, schemes."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +64,7 @@ class TestDes:
     def test_byte_tables_equal_bitwise_permutation(self, name, width, table):
         from repro.crypto import des
 
+        des._build_tables()
         rows = getattr(des, name)
         assert len(rows) == width // 8
         for byte_index, row in enumerate(rows):
@@ -68,6 +73,40 @@ class TestDes:
             for value in range(256):
                 expected = des._permute(value << shift, width, getattr(des, table))
                 assert row[value] == expected, (name, byte_index, value)
+
+    def test_tables_wait_for_the_first_des(self):
+        # A serving process that never uses DES must not pay for its
+        # tables: importing the serving entry point leaves them unbuilt,
+        # and the first Des builds all four (native twins included).
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import perfbench.serving\n"
+            "from repro.compute import native_available\n"
+            "from repro.crypto import des\n"
+            "tables = ('_IP_BYTES', '_FP_BYTES', '_E_BYTES', '_SP')\n"
+            "def built():\n"
+            "    return [n for n in tables if getattr(des, n) is not None]\n"
+            "print(built())\n"
+            "if native_available():\n"
+            "    from repro.compute.native import NativeDes\n"
+            "    cipher = NativeDes(bytes.fromhex('133457799BBCDFF1'))\n"
+            "    block = cipher.encrypt_blocks(bytes.fromhex('0123456789ABCDEF'))\n"
+            "    assert block.hex() == '85e813540f0ab405', block.hex()\n"
+            "else:\n"
+            "    des.Des(bytes(8))\n"
+            "print(built())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        lines = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=str(root),
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        assert lines == ["[]", "['_IP_BYTES', '_FP_BYTES', '_E_BYTES', '_SP']"]
 
     def test_triple_des_round_trip(self):
         cipher = TripleDes(bytes(range(24)))

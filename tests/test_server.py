@@ -3,12 +3,16 @@
 Covers the protocol round-trip fuzz (truncated frames, oversized
 payloads, unknown types), the asyncio server end to end over localhost
 (byte-identical to the in-process path), concurrent sessions,
-sealed-link streaming, structured errors, per-session limits, STATS,
-the thread-safe meter and the latency percentile.
+sealed-link streaming, structured errors, per-session limits, the
+bounded worker pool (no head-of-line blocking behind a stalled reader,
+at most one worker per CPU), STATS, the thread-safe meter and the
+latency percentile.
 """
 
 import random
+import socket
 import threading
+import time
 
 import pytest
 
@@ -27,7 +31,10 @@ from repro.server.protocol import (
     encode_frame,
     json_frame,
 )
+from repro.server.frames import worker_count
 from repro.server.service import ServerThread, StationServer, hospital_station
+from repro.skipindex.updates import UpdateOp
+from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize_events
 
 
@@ -490,6 +497,138 @@ class TestSessionLimits:
                     break
                 frames = decoder.feed(data)
         assert frames and frames[0].json()["code"] == "bad-frame"
+
+
+# ----------------------------------------------------------------------
+# The bounded worker pool
+# ----------------------------------------------------------------------
+def pool_threads(server):
+    """The live threads of ``server``'s worker pool, by name prefix."""
+    prefix = server.worker_prefix + "_"
+    return [t for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+def stalled_query(server, subject, document):
+    """Open a session, ask for ``document`` and never read the reply.
+
+    Both socket buffers of the connection are shrunk first (the
+    server's through its connection table, before the QUERY goes out),
+    so the server's writes back up after some tens of kilobytes rather
+    than the megabytes an autotuned loopback socket absorbs.
+    """
+    host, port = server.address
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(10)
+    sock.connect((host, port))
+    sock.sendall(json_frame(HELLO, 0, {"subject": subject}))
+    decoder = FrameDecoder()
+    frames = []
+    while not frames:
+        frames = decoder.feed(sock.recv(4096))
+    assert frames[0].type == protocol.WELCOME
+    session_id = frames[0].json()["session"]
+    (conn,) = [c for c in list(server._connections) if c.session_id == session_id]
+    server_sock = conn.writer.get_extra_info("socket")
+    server_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    sock.sendall(json_frame(QUERY, 0, {"document": document}))
+    return sock
+
+
+class TestWorkerPool:
+    def test_stalled_reader_does_not_block_other_clients(self):
+        # One stalled reader per pool worker: a design that parks a
+        # worker until the client reads would leave none for B.
+        station, _subjects = hospital_station(folders=64, seed=11)
+        server = StationServer(station, chunk_size=1, queue_depth=8)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        loop_thread = thread._thread
+        stalled = []
+        try:
+            # Far more than queue_depth chunks, and far more wire bytes
+            # than the shrunk socket buffers and the transport hold.
+            view_bytes = station.stream("hospital", "doctor0").payload_bytes
+            assert view_bytes > 10 * server.queue_depth
+            assert view_bytes * protocol.HEADER_SIZE > 256 * 1024
+            for _ in range(worker_count()):
+                stalled.append(stalled_query(server, "doctor0", "hospital"))
+            deadline = time.monotonic() + 10
+            while server.stats["queries"] < len(stalled):
+                assert time.monotonic() < deadline, "stalled queries never arrived"
+                time.sleep(0.01)
+            time.sleep(0.2)  # let their streams back up
+            expected = serialize_events(
+                station.evaluate("hospital", "secretary").events
+            ).encode("utf-8")
+            served_chunks = 0
+            with RemoteSession(host, port, "secretary", timeout=5) as session:
+                for _ in range(3):
+                    started = time.monotonic()
+                    remote = session.evaluate("hospital")
+                    assert time.monotonic() - started < 5
+                    assert remote.data == expected
+                    served_chunks += remote.trailer["chunks"]
+            # The stalled streams were still in flight while B was
+            # served: only B's chunks have completed.
+            assert server.stats["chunks_streamed"] == served_chunks
+        finally:
+            for sock in stalled:
+                sock.close()
+        deadline = time.monotonic() + 5
+        while server.stats["active"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.stats["active"] == 0
+        workers = pool_threads(server)
+        thread.stop(timeout=5)
+        assert not loop_thread.is_alive()
+        assert not any(worker.is_alive() for worker in workers)
+        assert not pool_threads(server)
+
+    def test_pool_holds_at_most_one_thread_per_cpu(self):
+        station, _subjects = hospital_station(folders=2, seed=11)
+        server = StationServer(station, chunk_size=64)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        loop_thread = thread._thread
+        errors = []
+        barrier = threading.Barrier(8)
+
+        def client(index):
+            try:
+                with RemoteSession(host, port, "secretary", timeout=30) as session:
+                    barrier.wait(10)
+                    for _ in range(3):
+                        session.evaluate("hospital")
+                    if index == 0:
+                        op = UpdateOp(
+                            "insert_element",
+                            [],
+                            node=parse_document("<Folder>pool</Folder>"),
+                        )
+                        assert session.update("hospital", op)["version"] == 1
+                    session.evaluate("hospital")
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        pool = []
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+            assert not any(worker.is_alive() for worker in workers)
+            assert not errors, errors
+            assert server.stats["queries"] == 8 * 4
+            assert server.stats["updates"] == 1
+            pool = pool_threads(server)
+            assert 1 <= len(pool) <= worker_count()
+        finally:
+            thread.stop(timeout=5)
+        assert not loop_thread.is_alive()
+        assert not any(worker.is_alive() for worker in pool)
+        assert not pool_threads(server)
 
 
 # ----------------------------------------------------------------------
