@@ -1,7 +1,7 @@
 """Persistent chunk store under a corpus far larger than its cache.
 
 Publishes ``REPRO_STORE_BENCH_DOCS`` one-chunk documents (default
-100 000, ~200 MB of chunk log) into a :class:`LogStore` whose page
+100 000, ~207 MB of chunk log) into a :class:`LogStore` whose page
 cache is pinned to 8 MiB — a working set ~25x the cache — then
 measures the three paths that matter operationally:
 
@@ -39,8 +39,10 @@ SAMPLE = 2000  # cold/hot read sample; always fits the 8 MiB cache
 MIN_HIT_SPEEDUP = 5.0
 
 KEY = bytes(range(16))
-#: Small enough to encode+encrypt into a single 2 KiB chunk record.
-SOURCE = "<doc><name>entry</name><val>42</val></doc>"
+#: Encodes to 2,034 B: one chunk record of 2,040 B.  A last record is
+#: stored only up to its last plaintext block, so the document must be
+#: nearly a full chunk for the corpus to dwarf the cache.
+SOURCE = "<doc><name>entry</name><val>%s</val></doc>" % ("4" * 2000)
 
 
 def test_store_corpus_bench(tmp_path):

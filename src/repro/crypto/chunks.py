@@ -91,6 +91,13 @@ class ChunkLayout:
         """Offset of the chunk's stored record (digest header first)."""
         return chunk_index * self.stored_chunk_size()
 
+    def payload_size(self, chunk_index: int, plaintext_size: int) -> int:
+        """Encrypted payload bytes stored for the chunk: its plaintext up
+        to the block holding its last byte.  Only a last chunk is short;
+        its zero padding is encrypted but never stored."""
+        start, end = self.chunk_range(chunk_index, plaintext_size)
+        return -((start - end) // self.block_size) * self.block_size
+
     def pad_chunk(self, data: bytes) -> bytes:
         """Zero-pad a (possibly last, short) chunk to the full size."""
         if len(data) > self.chunk_size:
@@ -100,10 +107,12 @@ class ChunkLayout:
         return data + b"\x00" * (self.chunk_size - len(data))
 
     def split_fragments(self, chunk: bytes) -> List[bytes]:
-        if len(chunk) != self.chunk_size:
-            raise ValueError("fragment split requires a full chunk")
+        """The chunk's ``fragments_per_chunk`` fragments; past the end of
+        a trimmed last chunk they are short or empty."""
+        if len(chunk) > self.chunk_size:
+            raise ValueError("fragment split of an oversize chunk")
         size = self.fragment_size
-        return [chunk[i : i + size] for i in range(0, len(chunk), size)]
+        return [chunk[i : i + size] for i in range(0, self.chunk_size, size)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ChunkLayout(chunk=%d, fragment=%d, block=%d)" % (

@@ -95,13 +95,31 @@ class SecureDocument:
     def stored_size(self) -> int:
         return len(self.stored)
 
+    def record(self, chunk_index: int) -> bytes:
+        """The stored bytes of one chunk record.
+
+        Every record is a full digest header + chunk, except the last:
+        it stops at the block holding the document's last plaintext
+        byte, or is full too if it was written before tails were
+        trimmed.  A stored size that fits neither raises."""
+        layout = self.layout
+        header = layout.digest_size if self.scheme.has_digest else 0
+        full = header + layout.chunk_size
+        last = layout.chunk_count(self.plaintext_size) - 1
+        tail = len(self.stored) - last * full
+        if tail != full and tail != header + layout.payload_size(
+            last, self.plaintext_size
+        ):
+            raise IntegrityError(
+                "stored size %d does not fit %d chunk records"
+                % (len(self.stored), last + 1)
+            )
+        return bytes(self.stored[chunk_index * full : (chunk_index + 1) * full])
+
     def chunk_record(self, chunk_index: int) -> Tuple[bytes, bytes]:
         """(digest header, encrypted payload) of one chunk record."""
-        layout = self.layout
-        digest_size = layout.digest_size if self.scheme.has_digest else 0
-        record_size = digest_size + layout.chunk_size
-        start = chunk_index * record_size
-        record = bytes(self.stored[start : start + record_size])
+        record = self.record(chunk_index)
+        digest_size = self.layout.digest_size if self.scheme.has_digest else 0
         return record[:digest_size], record[digest_size:]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -193,11 +211,17 @@ class BaseScheme:
             yield self._chunk_record(plaintext, chunk_index, version)
 
     def _chunk_record(self, plaintext: bytes, chunk_index: int, version: int) -> bytes:
-        """One stored chunk record ([digest header +] encrypted payload)."""
+        """One stored chunk record ([digest header +] encrypted payload).
+
+        The chunk is encrypted zero-padded to full size, but only
+        :meth:`ChunkLayout.payload_size` bytes of it are stored; the
+        CBC-SHAC and ECB-MHT digests cover exactly those bytes."""
         layout = self.layout
         start, end = layout.chunk_range(chunk_index, len(plaintext))
         chunk = layout.pad_chunk(plaintext[start:end])
-        cipher_chunk = self._encrypt_chunk(chunk, chunk_index, version)
+        cipher_chunk = self._encrypt_chunk(chunk, chunk_index, version)[
+            : layout.payload_size(chunk_index, len(plaintext))
+        ]
         if not self.has_digest:
             return cipher_chunk
         digest = self._chunk_digest(chunk, cipher_chunk)
@@ -220,28 +244,31 @@ class BaseScheme:
         clean chunk records are shared as-is and keep their recorded
         versions, so the whole store stays verifiable chunk by chunk.
         The caller is responsible for ``dirty_chunks`` covering every
-        byte range that actually changed.
+        byte range that actually changed; a size change therefore
+        dirties every record whose trimmed length changes.
         """
         layout = self.layout
         record = (layout.digest_size if self.has_digest else 0) + layout.chunk_size
         old_count = layout.chunk_count(document.plaintext_size)
         new_count = layout.chunk_count(len(new_plaintext))
         keep = min(old_count, new_count)
-        stored = bytearray(document.stored[: keep * record])
-        stored.extend(b"\x00" * ((new_count - keep) * record))
+        kept = document.stored[: keep * record]
         versions = list(document.chunk_versions[:keep])
         versions.extend([version] * (new_count - keep))
         dirty = {index for index in dirty_chunks if 0 <= index < new_count}
         dirty.update(range(keep, new_count))
-        for chunk_index in sorted(dirty):
-            start = chunk_index * record
-            stored[start : start + record] = self._chunk_record(
-                new_plaintext, chunk_index, version
-            )
+        order = sorted(dirty)
+        fresh = dict(zip(order, self._chunk_records(new_plaintext, order, version)))
+        for chunk_index in order:
             versions[chunk_index] = version
         updated = SecureDocument(
             self,
-            bytes(stored),
+            b"".join(
+                fresh[index]
+                if index in fresh
+                else kept[index * record : (index + 1) * record]
+                for index in range(new_count)
+            ),
             len(new_plaintext),
             version=version,
             chunk_versions=versions,
@@ -436,6 +463,9 @@ class _CbcChunkedProtect:
         ]
         cipher_chunks = encrypt_cbc_chunked(self.cipher, chunks, ivs)
         for chunk_index, chunk, cipher_chunk in zip(indexes, chunks, cipher_chunks):
+            cipher_chunk = cipher_chunk[
+                : layout.payload_size(chunk_index, len(plaintext))
+            ]
             digest = self._chunk_digest(chunk, cipher_chunk)
             yield self._encrypt_digest(digest, chunk_index, version) + cipher_chunk
 
@@ -468,11 +498,13 @@ class _CbcShaReader(BaseReader):
         version = self.document.chunk_version(chunk_index)
         encrypted_digest, payload = self.document.chunk_record(chunk_index)
         self.meter.bytes_transferred += layout.digest_size + layout.chunk_size
+        # A trimmed record's padding was never stored: zero-fill it back,
+        # so the digest covers the same full plaintext chunk.
         plain = decrypt_cbc(
             self.scheme.cipher,
             payload,
             make_iv(versioned_position(chunk_index, version)),
-        )
+        ).ljust(layout.chunk_size, b"\x00")
         self.meter.bytes_decrypted += layout.chunk_size
         self.meter.bytes_hashed += layout.chunk_size
         digest = self.scheme._decrypt_digest(encrypted_digest, chunk_index, version)

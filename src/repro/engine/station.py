@@ -954,16 +954,15 @@ class SecureStation:
                 self.stats.chunks_reencrypted += reencrypted
                 listeners = list(self._listeners)
             break
+        dirty = {index for index in dirty if index < total_chunks}
         result = UpdateResult(
             document_id=document_id,
             version=version,
             impact=impact,
-            dirty_chunks={index for index in dirty if index < total_chunks},
+            dirty_chunks=dirty,
             chunks_reencrypted=reencrypted,
             total_chunks=total_chunks,
-            reencrypted_bytes=reencrypted * layout.stored_chunk_size()
-            if prepared.scheme.has_digest
-            else reencrypted * layout.chunk_size,
+            reencrypted_bytes=sum(len(new_secure.record(i)) for i in dirty),
             full_reencrypt=full,
         )
         for listener in listeners:

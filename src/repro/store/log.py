@@ -15,6 +15,16 @@ version::
     body = id_len(u16) | document id | version(u64) | first_record(u32)
            | chunk record bytes...
 
+A chunk record is the scheme's encrypted digest header (none for ECB)
+plus the encrypted chunk.  Every record is full size except the
+document's last: it stops at the block holding the last plaintext
+byte (``ChunkLayout.payload_size``).  Logs written before tails were
+trimmed hold a full last record; readers accept exactly those two
+lengths.  The CBC-SHAC and ECB-MHT digests cover exactly the stored
+ciphertext (a Merkle leaf past the stored end hashes the empty
+string); the CBC-SHA digest covers the plaintext chunk zero-filled to
+full size.
+
 The log is strictly append-only: an update appends only the dirtied
 chunk records; superseded records stay where they are (dead weight
 until :meth:`LogStore.compact`), which is what makes the old snapshot's
@@ -25,7 +35,10 @@ boundary.
 (``crc32`` prefix, newline terminated), carrying everything trusted
 that the paper ships over the secure channel: the document key, the
 tag dictionary, the root offset, the update version and per-chunk
-versions, plus the run map ``chunk record index -> log offset``.  A
+versions, plus the run map ``chunk record index -> log offset``, the
+stored length of the last record (``last``; absent means full) and,
+for an indexed document, ``ix = [offset, length, sha256 hex]`` of its
+structural-index blob, checked before the blob is parsed.  A
 commit orders ``append chunk records -> flush/fsync log -> append
 manifest line -> fsync manifest``, so a manifest entry never references
 bytes that did not hit the log first.
@@ -54,6 +67,7 @@ holds live data only.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -147,16 +161,22 @@ class _DocState:
         "dictionary",
         "stats",
         "runs",
+        "last_record",
         "index_span",
+        "index_digest",
         "index_cache",
         "handle",
     )
 
     def __init__(self):
         self.handle: Optional[StoredDocument] = None
+        #: Stored length of the last chunk record (trimmed, or full).
+        self.last_record = 0
         #: ``(payload_offset, length)`` of the structural-index blob in
-        #: the *current* generation's log, or ``None`` (unindexed).
+        #: the *current* generation's log, or ``None`` (unindexed), and
+        #: the SHA-256 hex digest the blob must match.
         self.index_span: Optional[Tuple[int, int]] = None
+        self.index_digest: Optional[str] = None
         #: Parsed :class:`~repro.skipindex.structural.StructuralIndex`
         #: (lazy; generation-independent plain data).
         self.index_cache = None
@@ -346,6 +366,7 @@ class LogStore(ChunkStore):
             "orphan_records_dropped": 0,
             "lost_entries_dropped": 0,
             "index_blobs_dropped": 0,
+            "index_blobs_rejected": 0,
             "compactions": 0,
         }
         os.makedirs(self.directory, exist_ok=True)
@@ -550,8 +571,12 @@ class LogStore(ChunkStore):
         state.stats = tuple(entry["stats"])
         state.runs = [tuple(run) for run in entry["runs"]]
         record = self._record_size_of(state)
+        state.last_record = int(entry.get("last", record))
         for first, count, offset in state.runs:
-            if offset + count * record > self._log_size:
+            end = offset + count * record
+            if first + count == len(state.chunk_versions):
+                end -= record - state.last_record
+            if end > self._log_size:
                 # The run points past the recovered log (possible only
                 # under sync="batch" crashes): the entry is unusable.
                 self.counters["lost_entries_dropped"] += 1
@@ -559,11 +584,13 @@ class LogStore(ChunkStore):
         span = entry.get("ix")
         if span:
             offset, length = int(span[0]), int(span[1])
-            if offset + length <= self._log_size:
+            if len(span) > 2 and offset + length <= self._log_size:
                 state.index_span = (offset, length)
+                state.index_digest = span[2]
             else:
-                # The blob did not survive the crash; the document still
-                # serves — unindexed — from its intact chunk records.
+                # The blob did not survive the crash, or its entry
+                # predates blob digests: the document still serves,
+                # unindexed, from its intact chunk records.
                 self.counters["index_blobs_dropped"] += 1
         return state
 
@@ -572,6 +599,13 @@ class LogStore(ChunkStore):
         chunk_size, _fragment, _block, digest_size = state.layout
         has_digest = SCHEMES[state.scheme_name].has_digest
         return chunk_size + (digest_size if has_digest else 0)
+
+    def _stored_size(self, state: _DocState) -> int:
+        """Bytes of ``state``'s chunk records (only the last may be short)."""
+        count = len(state.chunk_versions)
+        if not count:
+            return 0
+        return (count - 1) * self._record_size_of(state) + state.last_record
 
     # ------------------------------------------------------------------
     # Reads: pread + page cache
@@ -699,47 +733,52 @@ class LogStore(ChunkStore):
         return payload_offset
 
     def _append_records(
-        self,
-        document_id: str,
-        version: int,
-        first_record: int,
-        records: Iterable[bytes],
-        record_size: int,
+        self, state: _DocState, records: Iterable[Tuple[int, bytes]]
     ) -> List[Tuple[int, int, int]]:
-        """Stream chunk records into bounded segments; returns runs.
+        """Stream ``(chunk index, record)`` pairs, in index order, into
+        bounded segments; returns their runs.
 
         ``records`` may be a generator (the streaming-publish path): at
-        most ``SEGMENT_BYTES`` of it is buffered at any moment.
+        most ``SEGMENT_BYTES`` of it is buffered at any moment.  Every
+        record must be full size, except that the document's last may
+        be trimmed; appending it sets ``state.last_record``.
         """
+        record_size = self._record_size_of(state)
+        layout = ChunkLayout(*state.layout)
+        last = len(state.chunk_versions) - 1
+        trimmed = record_size - layout.chunk_size
+        trimmed += layout.payload_size(last, state.plaintext_size)
         runs: List[Tuple[int, int, int]] = []
         per_segment = max(1, SEGMENT_BYTES // record_size)
         buffer: List[bytes] = []
-        next_record = first_record
+        indexes: List[int] = []
 
         def flush_buffer() -> None:
-            nonlocal next_record
             if not buffer:
                 return
-            payload = b"".join(buffer)
-            count = len(buffer)
             offset = self._append_segment(
-                document_id, version, next_record, payload
+                state.document_id, state.version, indexes[0], b"".join(buffer)
             )
-            runs.append((next_record, count, offset))
-            next_record += count
-            del buffer[:]
+            for position, index in enumerate(indexes):
+                runs.append((index, 1, offset + position * record_size))
+            del buffer[:], indexes[:]
 
-        for record in records:
-            if len(record) != record_size:
+        for index, record in records:
+            if len(record) != record_size and (
+                index != last or len(record) != trimmed
+            ):
                 raise StoreError(
-                    "chunk record size %d != expected %d"
-                    % (len(record), record_size)
+                    "chunk record %d size %d != expected %d"
+                    % (index, len(record), record_size)
                 )
+            if index == last:
+                state.last_record = len(record)
             buffer.append(bytes(record))
+            indexes.append(index)
             if len(buffer) >= per_segment:
                 flush_buffer()
         flush_buffer()
-        return runs
+        return _coalesce_runs(runs, record_size)
 
     def _commit(self, state: _DocState) -> None:
         """Durably publish ``state``: fsync the log, then the manifest."""
@@ -761,8 +800,9 @@ class LogStore(ChunkStore):
                 "tags": state.dictionary.tags(),
                 "stats": list(state.stats),
                 "runs": [list(run) for run in state.runs],
+                "last": state.last_record,
                 **(
-                    {"ix": list(state.index_span)}
+                    {"ix": [*state.index_span, state.index_digest]}
                     if state.index_span is not None
                     else {}
                 ),
@@ -822,14 +862,18 @@ class LogStore(ChunkStore):
         state.index_cache = prepared.index
         return state
 
-    def _append_index_blob(self, state: _DocState) -> None:
+    def _append_index_blob(self, state: _DocState, blob=None) -> None:
         """Append the document's structural-index blob (if any) as its
         own log segment and point ``state.index_span`` at it.  Called
         before :meth:`_commit`, so the manifest line never references an
-        un-fsynced blob."""
-        if state.index_cache is None:
-            return
-        blob = state.index_cache.to_bytes()
+        un-fsynced blob.  A ``blob`` read back from the log (compact)
+        keeps the digest it was published with; a serialized index
+        gets a fresh one."""
+        if blob is None:
+            if state.index_cache is None:
+                return
+            blob = state.index_cache.to_bytes()
+            state.index_digest = hashlib.sha256(blob).hexdigest()
         offset = self._append_segment(
             state.document_id, state.version, INDEX_RECORD, blob
         )
@@ -842,12 +886,14 @@ class LogStore(ChunkStore):
         key: bytes,
         version: int,
     ) -> PreparedDocument:
+        secure = prepared.secure
+        count = secure.layout.chunk_count(secure.plaintext_size)
         return self.put_records(
             document_id,
             prepared,
             key,
             version,
-            _record_slices(prepared.secure),
+            (secure.record(index) for index in range(count)),
         )
 
     def put_records(
@@ -869,14 +915,7 @@ class LogStore(ChunkStore):
             if self._closed:
                 raise StoreError("store is closed")
             state = self._state_from_prepared(document_id, prepared, key, version)
-            record_size = self._record_size_of(state)
-            state.runs = self._append_records(
-                document_id,
-                version,
-                0,
-                records,
-                record_size,
-            )
+            state.runs = self._append_records(state, enumerate(records))
             self._append_index_blob(state)
             self._commit(state)
             self._drop_dead_pages(self._states.get(document_id), state)
@@ -949,30 +988,24 @@ class LogStore(ChunkStore):
                     index for index in dirty_chunks if index < new_count
                 )
             # Carry the surviving runs of the old map, clipped to the
-            # new chunk count and minus the re-encrypted records.
+            # new chunk count and minus the re-encrypted records.  A
+            # kept last record keeps its length; a size change rewrites
+            # every record whose trimmed length changes.
             runs: List[Tuple[int, int, int]] = []
             for first, count, offset in sorted(old.runs):
                 for index in range(first, min(first + count, new_count)):
-                    if index in changed:
-                        continue
-                    _extend_run(
-                        runs, index, offset + (index - first) * record_size
-                    )
-            appended = self._append_records(
-                document_id,
-                version,
-                0,
-                _changed_record_slices(secure, sorted(changed), record_size),
-                record_size,
+                    if index not in changed:
+                        runs.append(
+                            (index, 1, offset + (index - first) * record_size)
+                        )
+            state.last_record = (
+                old.last_record
+                if new_count == len(old.chunk_versions)
+                else record_size
             )
-            # _append_records numbers records consecutively from its
-            # ``first_record``; re-map the appended runs back onto the
-            # real (sparse) changed indexes.
-            ordered_changed = sorted(changed)
-            for first, count, offset in appended:
-                for position in range(count):
-                    index = ordered_changed[first + position]
-                    _extend_run(runs, index, offset + position * record_size)
+            runs += self._append_records(
+                state, ((index, secure.record(index)) for index in sorted(changed))
+            )
             state.runs = _coalesce_runs(runs, record_size)
             # A refreshed index appends its blob; a reused one (an
             # equal-length text edit) keeps its span, as records do.
@@ -980,6 +1013,7 @@ class LogStore(ChunkStore):
                 self._append_index_blob(state)
             else:
                 state.index_span = old.index_span
+                state.index_digest = old.index_digest
             self._commit(state)
             self._drop_dead_pages(old, state)
             self._states[document_id] = state
@@ -999,17 +1033,11 @@ class LogStore(ChunkStore):
         if state.handle is None:
             from repro.crypto.integrity import _CIPHER_FACTORIES
 
-            chunk_size, fragment_size, block_size, digest_size = state.layout
             scheme = make_scheme(
                 state.scheme_name,
                 key=state.key,
                 cipher_factory=_CIPHER_FACTORIES[state.cipher_kind],
-                layout=ChunkLayout(
-                    chunk_size=chunk_size,
-                    fragment_size=fragment_size,
-                    block_size=block_size,
-                    digest_size=digest_size,
-                ),
+                layout=ChunkLayout(*state.layout),
                 backend=self._backend,
             )
             state.handle = StoredDocument(
@@ -1020,10 +1048,11 @@ class LogStore(ChunkStore):
     def _served(self, state: _DocState, scheme) -> PreparedDocument:
         """``state``'s document on ``scheme``, its records paged from
         the log and its plaintext decrypted on first use."""
-        record_size = self._record_size_of(state)
-        chunk_count = scheme.layout.chunk_count(state.plaintext_size)
         pager = ChunkPager(
-            self, state.runs, record_size, chunk_count * record_size
+            self,
+            state.runs,
+            self._record_size_of(state),
+            self._stored_size(state),
         )
         secure = SecureDocument(
             scheme,
@@ -1046,14 +1075,20 @@ class LogStore(ChunkStore):
         encoded = EncodedDocument(data, state.dictionary, stats, state.root_offset)
         index = state.index_cache
         if index is None and state.index_span is not None:
-            try:
-                index = parse_structural_index(
-                    self._read_span(self._generation, *state.index_span), encoded
+            blob = self._read_span(self._generation, *state.index_span)
+            if hashlib.sha256(blob).hexdigest() != state.index_digest:
+                self.counters["index_blobs_rejected"] += 1
+                raise IntegrityError(
+                    "structural index of %r does not match its manifest "
+                    "digest" % state.document_id
                 )
+            try:
+                index = parse_structural_index(blob, encoded)
                 state.index_cache = index
-            except (StructuralIndexError, IntegrityError, StoreError):
-                # A damaged blob only costs the acceleration, never the
-                # document: null the span so we stop retrying.
+            except StructuralIndexError:
+                # A blob this code cannot read (an older format) only
+                # costs the acceleration, never the document: null the
+                # span so we stop retrying.
                 state.index_span = None
                 self.counters["index_blobs_dropped"] += 1
         return PreparedDocument(encoded, scheme, secure, index=index)
@@ -1108,16 +1143,13 @@ class LogStore(ChunkStore):
             materialized = []
             for state in states:
                 record_size = self._record_size_of(state)
-                chunk_count = len(state.chunk_versions)
                 pager = ChunkPager(
-                    self, state.runs, record_size, chunk_count * record_size
+                    self, state.runs, record_size, self._stored_size(state)
                 )
-                # Index blobs must cross the generation too; read them
-                # while the old generation is still the live one.
+                # Unparsed index blobs must cross the generation too;
+                # read them while the old generation is still live.
                 blob = None
-                if state.index_cache is not None:
-                    blob = state.index_cache.to_bytes()
-                elif state.index_span is not None:
+                if state.index_cache is None and state.index_span is not None:
                     blob = self._read_span(
                         self._generation, *state.index_span
                     )
@@ -1139,21 +1171,9 @@ class LogStore(ChunkStore):
                 # The old generation's blob offset is meaningless here;
                 # re-append the blob into the new log.
                 fresh.index_span = None
-                fresh.runs = self._append_records(
-                    state.document_id,
-                    state.version,
-                    0,
-                    _iter_record_bytes(stored, record_size),
-                    record_size,
-                )
-                if blob is not None:
-                    offset = self._append_segment(
-                        state.document_id,
-                        state.version,
-                        INDEX_RECORD,
-                        blob,
-                    )
-                    fresh.index_span = (offset, len(blob))
+                records = _iter_record_bytes(stored, record_size)
+                fresh.runs = self._append_records(fresh, enumerate(records))
+                self._append_index_blob(fresh, blob)
                 self._commit(fresh)
                 self._states[state.document_id] = fresh
             self.flush()
@@ -1201,10 +1221,7 @@ class LogStore(ChunkStore):
 
     def describe(self) -> Dict[str, object]:
         with self._lock:
-            live_bytes = 0
-            for state in self._states.values():
-                record = self._record_size_of(state)
-                live_bytes += len(state.chunk_versions) * record
+            live_bytes = sum(map(self._stored_size, self._states.values()))
             info: Dict[str, object] = {
                 "kind": self.kind,
                 "persistent": self.persistent,
@@ -1234,37 +1251,9 @@ class LogStore(ChunkStore):
 # ----------------------------------------------------------------------
 # Record slicing helpers
 # ----------------------------------------------------------------------
-def _record_size(secure: SecureDocument) -> int:
-    layout = secure.layout
-    digest = layout.digest_size if secure.scheme.has_digest else 0
-    return layout.chunk_size + digest
-
-
-def _record_slices(secure: SecureDocument):
-    """Yield every chunk record of an in-memory document, in order."""
-    record = _record_size(secure)
-    stored = secure.stored
-    for start in range(0, len(stored), record):
-        yield bytes(stored[start : start + record])
-
-
-def _changed_record_slices(
-    secure: SecureDocument, indexes: List[int], record: int
-):
-    stored = secure.stored
-    for index in indexes:
-        yield bytes(stored[index * record : (index + 1) * record])
-
-
 def _iter_record_bytes(stored: bytes, record: int):
     for start in range(0, len(stored), record):
         yield stored[start : start + record]
-
-
-def _extend_run(
-    runs: List[Tuple[int, int, int]], index: int, offset: int
-) -> None:
-    runs.append((index, 1, offset))
 
 
 def _coalesce_runs(

@@ -713,6 +713,62 @@ def test_logstore_drops_a_version_1_blob_and_streams(tmp_path, monkeypatch):
         assert _logstore_views(restarted) == (False,) + indexed[1:]
 
 
+def _swapped_tag_blob(index):
+    """The blob with tag codes 0 and ``tag_count - 1`` swapped in every
+    element.  Sizes, offsets and bit counts keep their values, so the
+    blob still parses and tiles the encoding."""
+    last = index.tag_count - 1
+    tags = index.tags
+    index.tags = array(
+        tags.typecode, [last if t == 0 else 0 if t == last else t for t in tags]
+    )
+    try:
+        return index.to_bytes()
+    finally:
+        index.tags = tags
+
+
+@pytest.mark.parametrize("scheme", ["ECB", "CBC-SHA", "CBC-SHAC", "ECB-MHT"])
+def test_logstore_rejects_a_tampered_index_blob(scheme, tmp_path):
+    """A blob rewritten in the log with its segment CRC recomputed
+    fails the manifest's digest: serving raises, never a shorter view."""
+    import zlib
+
+    from repro.crypto.integrity import IntegrityError
+    from repro.store import LogStore
+    from repro.store.log import _HEADER, MAGIC
+
+    directory = str(tmp_path)
+    with SecureStation(StationConfig(store=LogStore(directory))) as station:
+        station.publish(
+            "d",
+            serialize(selective_document()),
+            PublishOptions(scheme=scheme, index=True),
+        )
+        station.grant("d", FOLDER_POLICY)
+        assert _logstore_views(station)[0]
+        offset, length = station.store._states["d"].index_span
+        segment = station.store._segment_at(offset)
+        index = station.document("d").index
+        tampered = _swapped_tag_blob(index)
+        assert len(tampered) == length and tampered != index.to_bytes()
+    path = tmp_path / "chunks-000000.log"
+    data = bytearray(path.read_bytes())
+    data[offset : offset + length] = tampered
+    start = segment.payload_offset
+    body = bytes(data[start : start + segment.payload_len])
+    data[start - _HEADER.size : start] = _HEADER.pack(
+        MAGIC, len(body), zlib.crc32(body) & 0xFFFFFFFF
+    )
+    path.write_bytes(bytes(data))
+    with SecureStation(StationConfig(store=LogStore(directory))) as restarted:
+        restarted.grant("d", FOLDER_POLICY)
+        for query in (None, "/folder/rare/val", "/folder/rec/name", "//name"):
+            with pytest.raises(IntegrityError, match="digest"):
+                restarted.evaluate("d", "s", query=query)
+        assert restarted.store.counters["index_blobs_rejected"] == 4
+
+
 def test_cluster_repair_ships_index():
     """Publishing a pager-backed PreparedDocument onto another station
     (the repair path) carries the index along."""
