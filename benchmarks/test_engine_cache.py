@@ -8,18 +8,15 @@ policy both ways and asserts the cached path does >= 10x fewer
 rule, total).  Results land in ``BENCH_engine.json``.
 """
 
-import json
-import pathlib
 import random
 import time
 
+from conftest import write_bench
 from repro import AccessRule, Policy, authorized_view
 from repro.engine import SecureStation, compile_policy
 from repro.xmlkit.dom import Node
 from repro.xpath import nfa
 from repro.xpath import parser as xparser
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 POLICY_RULES = [
     ("+", "//folder/admin"),
@@ -133,7 +130,5 @@ def test_engine_plan_cache_amortizes_compilation(benchmark):
             "plan_misses": station.stats.plan_misses,
         },
     }
-    (REPO_ROOT / "BENCH_engine.json").write_text(
-        json.dumps(payload, indent=2, default=str) + "\n"
-    )
+    write_bench("engine", payload, seed=7)
     station.close()

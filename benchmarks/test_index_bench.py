@@ -25,6 +25,7 @@ import json
 import pathlib
 import time
 
+from conftest import write_bench
 from repro.engine import PublishOptions, SecureStation, StationConfig
 from repro.xmlkit.dom import Node
 from repro.xmlkit.serializer import serialize_events
@@ -133,8 +134,9 @@ def test_index_bench_writes_report():
         "min_speedup_guard": MIN_SPEEDUP,
         "max_chunk_fraction_guard": MAX_CHUNK_FRACTION,
     }
-    (REPO_ROOT / "BENCH_index.json").write_text(json.dumps(report, indent=2))
+    written = write_bench("index", report)
 
     loaded = json.loads((REPO_ROOT / "BENCH_index.json").read_text())
+    assert loaded == json.loads(json.dumps(written))
     assert loaded["bench"] == "index"
     assert loaded["speedup"] >= MIN_SPEEDUP

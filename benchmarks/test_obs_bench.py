@@ -27,7 +27,6 @@ uploads.
 """
 
 import gc
-import json
 import os
 import pathlib
 import re
@@ -35,6 +34,7 @@ import subprocess
 import sys
 import time
 
+from conftest import write_bench
 from repro.obs.trace import new_trace_id
 from repro.server.client import RemoteSession
 
@@ -150,7 +150,7 @@ def test_tracing_overhead_on_cached_path():
         "ratio": final["ratio"],
         "tracer": observability,
     }
-    (REPO_ROOT / "BENCH_obs.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_bench("obs", report)
 
     # Every traced request finished its trace server-side.
     assert observability["finished"] >= ROUNDS * BATCH

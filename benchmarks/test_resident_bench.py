@@ -19,15 +19,13 @@ baseline.  The report lands in ``BENCH_resident.json``.
 """
 
 import gc
-import json
-import pathlib
-import platform
 import sys
 import tracemalloc
 
 import pytest
 
 import repro
+from conftest import write_bench
 from repro.compute import native_available
 from repro.datasets.hospital import (
     GROUPS,
@@ -40,8 +38,6 @@ from repro.datasets.hospital import (
 from repro.engine import PublishOptions, StationConfig
 from repro.store.log import LogStore
 from repro.xmlkit.serializer import serialize
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 DOCUMENTS = 16
 SCHEMES = ("ECB-MHT", "CBC-SHAC", "CBC-SHA", "ECB")
@@ -114,7 +110,6 @@ def test_resident_bytes_per_document(tmp_path):
     )
     report = {
         "bench": "resident",
-        "python": platform.python_version(),
         "documents": DOCUMENTS,
         "schemes": list(SCHEMES),
         "keys_served": DOCUMENTS * len(policies) * len(QUERIES),
@@ -123,5 +118,5 @@ def test_resident_bytes_per_document(tmp_path):
         "served_baseline": baseline,
         "slack": SLACK,
     }
-    (REPO_ROOT / "BENCH_resident.json").write_text(json.dumps(report, indent=2))
+    write_bench("resident", report, seed=7)
     assert served / DOCUMENTS <= baseline * SLACK, report

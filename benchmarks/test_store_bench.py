@@ -19,16 +19,13 @@ quick local run; the assertions are ratio-based and hold at any size
 that still exceeds the cache.
 """
 
-import json
 import os
-import pathlib
 import random
 import time
 
+from conftest import write_bench
 from repro.engine import prepare_document
 from repro.store import LogStore
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 DOCS = int(os.environ.get("REPRO_STORE_BENCH_DOCS", "100000"))
 CACHE_BYTES = 8 * 1024 * 1024
@@ -142,6 +139,4 @@ def test_store_corpus_bench(tmp_path):
             )
         },
     }
-    (REPO_ROOT / "BENCH_store.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_bench("store", payload, seed=7)

@@ -14,6 +14,7 @@ import pathlib
 
 import pytest
 
+from conftest import write_bench
 from repro.bench.experiments import updates_experiment
 from repro.crypto.integrity import IntegrityError
 from repro.datasets.hospital import HospitalConfig, generate_hospital
@@ -26,8 +27,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_updates_bench_writes_report():
     out = REPO_ROOT / "BENCH_updates.json"
-    experiment = updates_experiment(folders=16, output=str(out))
+    experiment = updates_experiment(folders=16, output=None)
     report = experiment["report"]
+    write_bench("updates", report, seed=7)
 
     by_op = {record["op"]: record for record in report["ops"]}
     assert set(by_op) == {

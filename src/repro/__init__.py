@@ -133,9 +133,10 @@ def connect(address: Union[str, tuple], subject: str, **options):
     server at ``address`` — ``"host:port"`` or a ``(host, port)`` pair.
 
     The client-side half of the unified API: ``options`` pass straight
-    through to :class:`RemoteSession` (``timeout``, ``cache_views``,
-    ``auto_reconnect``, ``trace``...).  Imported lazily so the core
-    library stays importable without the server package.
+    through to :class:`RemoteSession` (``timeout``, ``connect_retry``,
+    ``auto_reconnect``, ``trace``).  Every ``evaluate`` is a round-trip:
+    the client keeps no views.  Imported lazily so the core library
+    stays importable without the server package.
     """
     from repro.server.client import RemoteSession, parse_address
 

@@ -10,7 +10,7 @@ nodes in the view.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.xpath.ast import Path
 from repro.xpath.parser import parse_xpath
@@ -112,12 +112,6 @@ class Policy:
 
     def __iter__(self):
         return iter(self.rules)
-
-    def positive_rules(self) -> List[AccessRule]:
-        return [rule for rule in self.rules if rule.is_positive]
-
-    def negative_rules(self) -> List[AccessRule]:
-        return [rule for rule in self.rules if rule.is_negative]
 
     def required_labels(self) -> frozenset:
         """Union of labels any rule needs — useful for quick dataset

@@ -26,7 +26,7 @@ the policy semantics (in the safe modes).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.xpath.containment import scope_covers
@@ -42,19 +42,6 @@ def deduplicate(rules: List[AccessRule]) -> List[AccessRule]:
             seen.add(key)
             kept.append(rule)
     return kept
-
-
-def redundant_same_sign(rules: List[AccessRule]) -> List[Tuple[int, int]]:
-    """Pairs ``(i, j)`` with ``rules[j]`` contained in same-sign
-    ``rules[i]`` (j redundant candidates)."""
-    pairs: List[Tuple[int, int]] = []
-    for i, general in enumerate(rules):
-        for j, specific in enumerate(rules):
-            if i == j or general.sign != specific.sign:
-                continue
-            if scope_covers(general.object, specific.object):
-                pairs.append((i, j))
-    return pairs
 
 
 def optimize_policy(policy: Policy, aggressive: bool = False) -> Policy:

@@ -20,8 +20,7 @@ Exposes the pipeline end to end::
 The protected store of ``protect``/``view`` is a self-describing
 file: one JSON header line (scheme name, layout, plaintext size)
 followed by the raw terminal bytes.  The key never appears in the
-file — it travels via the secure channel (see
-:mod:`repro.soe.provisioning`), or here, the command line.
+file — here it is given on the command line.
 
 ``serve --store`` and ``cluster --store`` take a
 :class:`repro.store.LogStore` directory (created on first use) holding

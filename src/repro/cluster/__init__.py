@@ -12,7 +12,7 @@ wire protocol, so existing clients work unchanged:
   on membership change;
 * :mod:`repro.cluster.gateway` — :class:`ClusterGateway`: routing,
   pooled FORWARD links, update replication, read failover, background
-  repair with version-floor re-publication, TOPOLOGY/REBALANCE/PING
+  repair with version-floor re-publication, TOPOLOGY/PING
   control frames and aggregated STATS;
 * :mod:`repro.cluster.topology` — :class:`StationCluster` /
   :func:`hospital_cluster`: the in-process N-backends-plus-gateway

@@ -32,8 +32,7 @@ address, the gateway:
   *version floor* so the PR 3 version chain (and replay protection)
   survives the move;
 * **answers the cluster control frames** — TOPOLOGY (placement map),
-  REBALANCE (join/leave a backend at runtime, with deterministic
-  re-placement), PING (gateway health) and an aggregated STATS that
+  PING (gateway health) and an aggregated STATS that
   sums backend counters and reports per-backend request counts and
   latency percentiles (the ``repro top`` per-backend skew view).
 
@@ -63,7 +62,6 @@ from repro.obs.trace import Tracer, format_trace_id, new_trace_id
 from repro.server import protocol
 from repro.server.frames import (
     E_BAD_FRAME,
-    E_REBALANCE,
     E_UNAVAILABLE,
     E_UNKNOWN_DOCUMENT,
     Connection,
@@ -76,7 +74,6 @@ from repro.server.protocol import (
     HELLO,
     INVALIDATED,
     QUERY,
-    REBALANCE,
     RESULT,
     STATS,
     STATS_REQUEST,
@@ -232,7 +229,7 @@ class ClusterGateway(FrameServer):
         which backends hold a copy (both maintained live afterwards).
     republisher:
         ``(document_id, node_name, version_floor) -> version`` callback
-        used by repair and rebalance to place a document copy onto a
+        used by repair to place a document copy onto a
         backend; ``None`` disables repair (failover still works while
         replicas survive).
     slow_ms / trace / registry / tracer / slow_sink:
@@ -257,7 +254,6 @@ class ClusterGateway(FrameServer):
         UPDATE: "_on_update",
         STATS_REQUEST: "_on_stats",
         TOPOLOGY_REQUEST: "_on_topology",
-        REBALANCE: "_on_rebalance",
     }
     STATS = (
         "connections",
@@ -268,7 +264,6 @@ class ClusterGateway(FrameServer):
         "backends_lost",
         "repairs",
         "repair_failures",
-        "rebalances",
         "invalidations_out",
         "errors",
     )
@@ -337,20 +332,20 @@ class ClusterGateway(FrameServer):
         #: replicas each push INVALIDATED for the same update).
         self._announced: Dict[str, int] = {}
         self.trace = trace
-        # Read on the /metrics thread: list() copies the backend table
-        # in one step, as a REBALANCE join may grow it meanwhile.
+        # Read on the /metrics thread; the backend table is fixed at
+        # construction (a dead backend stays in it, marked down).
         self.registry.expose(
             "repro_ring_",
             "gauge",
             lambda: {
-                "alive": sum(b.alive for b in list(self.backends.values())),
+                "alive": sum(b.alive for b in self.backends.values()),
                 "backends": len(self.backends),
             },
         )
         self.registry.expose(
             "repro_backend_requests",
             "counter",
-            lambda: {name: b.requests for name, b in list(self.backends.items())},
+            lambda: {name: b.requests for name, b in self.backends.items()},
             label="backend",
             help_text="Requests forwarded, per backend.",
         )
@@ -892,88 +887,6 @@ class ClusterGateway(FrameServer):
             "documents": documents,
         }
         await self._send(conn, json_frame(TOPOLOGY, conn.session_id, body))
-        return True
-
-    async def _on_rebalance(self, frame: Frame, conn: Connection) -> bool:
-        try:
-            body = frame.json()
-            action = body["action"]
-            name = str(body["name"])
-        except (ProtocolError, KeyError):
-            await self._send_error(conn, E_BAD_FRAME, "REBALANCE needs action and name")
-            return False
-        if action == "join":
-            return await self._rebalance_join(body, name, conn)
-        if action == "leave":
-            return await self._rebalance_leave(name, conn)
-        await self._send_error(
-            conn, E_BAD_FRAME, "unknown REBALANCE action %r" % action
-        )
-        return False
-
-    async def _rebalance_join(
-        self, body: Dict[str, Any], name: str, conn: Connection
-    ) -> bool:
-        existing = self.backends.get(name)
-        if existing is not None and existing.alive:
-            await self._send_error(
-                conn, E_REBALANCE, "backend %r is already a member" % name
-            )
-            return True
-        host = str(body.get("host", "127.0.0.1"))
-        try:
-            port = int(body["port"])
-        except (KeyError, TypeError, ValueError):
-            await self._send_error(conn, E_BAD_FRAME, "REBALANCE join needs a port")
-            return False
-        backend = _Backend(name, host, port, self.pool_size)
-        try:
-            link = await self._open_link(backend)
-        except Exception as exc:
-            await self._send_error(
-                conn,
-                E_REBALANCE,
-                "cannot reach backend %r at %s:%d: %s" % (name, host, port, exc),
-            )
-            return True
-        backend.created = 1
-        backend.pool.put_nowait(link)
-        self.backends[name] = backend
-        self.ring.add(name)
-        moved = sorted(
-            document_id
-            for document_id in self.placement
-            if name in self.ring.preference(document_id, self.replicas)
-        )
-        return await self._rebalanced(conn, "join", name, moved)
-
-    async def _rebalance_leave(self, name: str, conn: Connection) -> bool:
-        if name not in self.backends:
-            await self._send_error(conn, E_REBALANCE, "unknown backend %r" % name)
-            return True
-        affected = sorted(
-            document_id
-            for document_id, holders in self.placement.items()
-            if name in holders
-        )
-        await self._mark_dead(name)
-        return await self._rebalanced(conn, "leave", name, affected)
-
-    async def _rebalanced(
-        self, conn: Connection, action: str, name: str, moved: List[str]
-    ) -> bool:
-        self.stats["rebalances"] += 1
-        # Synchronous repair: the RESULT must describe the completed
-        # re-placement, so a test (or an operator script) can query the
-        # new node the moment the reply lands.
-        await self._repair()
-        body = {
-            "action": action,
-            "backend": name,
-            "documents_moved": moved,
-            "backends_alive": self._alive(),
-        }
-        await self._send(conn, json_frame(RESULT, conn.session_id, body))
         return True
 
     async def _on_stats(self, frame: Frame, conn: Connection) -> bool:

@@ -124,12 +124,6 @@ class HashRing:
                     break
         return chosen
 
-    def assignments(
-        self, keys: Iterable[str], n: int = 1
-    ) -> Dict[str, List[str]]:
-        """Preference list of every key — the rebalance diff helper."""
-        return {key: self.preference(key, n) for key in keys}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "HashRing(%d members, %d vnodes)" % (
             len(self._members),

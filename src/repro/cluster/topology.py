@@ -8,7 +8,7 @@ thread, listening on a real ephemeral TCP port) plus one
 :class:`~repro.cluster.gateway.ClusterGateway` fronting them, wires up
 document placement over the same consistent-hash ring the gateway
 routes with, and implements the gateway's repair ``republisher``
-callback: on failover (or a REBALANCE join) it copies the encrypted
+callback: on failover it copies the encrypted
 document from a surviving replica onto the target node, passing the
 last served version as the ``version_floor`` of
 :meth:`SecureStation.publish` so the version chain continues across
@@ -37,7 +37,6 @@ from repro.xmlkit.dom import Node
 
 if TYPE_CHECKING:
     from repro.cluster.gateway import ClusterGateway
-    from repro.server.client import RemoteSession
 
 
 class ClusterError(RuntimeError):
@@ -217,13 +216,12 @@ class StationCluster:
 
         Returns the node names holding a copy.  Must run before
         :meth:`start_gateway` (the gateway takes the placement map as
-        bootstrap state; later placement changes go through REBALANCE
-        or repair).
+        bootstrap state; later placement changes go through repair).
         """
         if self.gateway is not None:
             raise ClusterError(
                 "publish before start_gateway(); later placement changes "
-                "go through REBALANCE"
+                "go through repair"
             )
         if not self.nodes:
             raise ClusterError("no backends started")
@@ -344,7 +342,7 @@ class StationCluster:
         return target.station.document_version(document_id)
 
     # ------------------------------------------------------------------
-    # Drills: kill / join
+    # Drill: kill
     # ------------------------------------------------------------------
     def kill_backend(self, name: str) -> ClusterNode:
         """Stop a backend abruptly (the failover drill).
@@ -364,30 +362,6 @@ class StationCluster:
         with self._lock:
             self._ring.remove(name)
         return node
-
-    def join_backend(self, name: Optional[str] = None) -> ClusterNode:
-        """Start a fresh backend and REBALANCE it into the live gateway.
-
-        Returns once the gateway has re-placed every document whose
-        preference list now includes the new node.
-        """
-        if self.gateway_address is None:
-            raise ClusterError("gateway not started")
-        node = self.add_backend(name)
-        with self.control_session() as control:
-            reply = control.rebalance("join", node.name, node.address)
-        if reply.get("action") != "join":  # pragma: no cover - defensive
-            raise ClusterError("gateway refused the join: %r" % reply)
-        return node
-
-    def control_session(self) -> RemoteSession:
-        """An admin session against the gateway (topology/rebalance)."""
-        from repro.server.client import RemoteSession
-
-        if self.gateway_address is None:
-            raise ClusterError("gateway not started")
-        host, port = self.gateway_address
-        return RemoteSession(host, port, "@admin", connect_retry=5.0)
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

@@ -87,10 +87,6 @@ class ChunkLayout:
         encrypted payload)."""
         return self.digest_size + self.chunk_size
 
-    def stored_offset(self, chunk_index: int) -> int:
-        """Offset of the chunk's stored record (digest header first)."""
-        return chunk_index * self.stored_chunk_size()
-
     def payload_size(self, chunk_index: int, plaintext_size: int) -> int:
         """Encrypted payload bytes stored for the chunk: its plaintext up
         to the block holding its last byte.  Only a last chunk is short;

@@ -312,11 +312,12 @@ def _position_mask(position: int) -> bytes:
 #: same (base position, block count) pairs on every request, so the
 #: concatenated 64-bit position words are computed once and reused;
 #: version bumps change the base position and simply mint new entries.
+#: The memo is a least-recently-used cache capped at
+#: ``_POSITION_MASKS_SIZE`` entries, so a long-lived station churning
+#: document versions cannot grow it without bound.
 _POSITION_MASKS: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
 _POSITION_MASKS_SIZE = 256
 _POSITION_MASKS_LOCK = threading.Lock()
-_POSITION_MASK_HITS = 0
-_POSITION_MASK_MISSES = 0
 
 _Q64 = 0xFFFFFFFFFFFFFFFF
 
@@ -324,13 +325,11 @@ _Q64 = 0xFFFFFFFFFFFFFFFF
 def _positions_int(start_position: int, block_count: int) -> int:
     """Big-int concatenation of the 64-bit positions of `block_count`
     consecutive 8-byte blocks starting at `start_position`."""
-    global _POSITION_MASK_HITS, _POSITION_MASK_MISSES
     key = (start_position, block_count)
     with _POSITION_MASKS_LOCK:
         mask = _POSITION_MASKS.get(key)
         if mask is not None:
             _POSITION_MASKS.move_to_end(key)
-            _POSITION_MASK_HITS += 1
             return mask
     mask = 0
     position = start_position
@@ -339,27 +338,9 @@ def _positions_int(start_position: int, block_count: int) -> int:
         position += 8
     with _POSITION_MASKS_LOCK:
         _POSITION_MASKS[key] = mask
-        _POSITION_MASK_MISSES += 1
         while len(_POSITION_MASKS) > _POSITION_MASKS_SIZE:
             _POSITION_MASKS.popitem(last=False)
     return mask
-
-
-def position_mask_cache_info():
-    """Hit/miss/size counters of the bounded position-mask LRU.
-
-    The memo is capped at ``_POSITION_MASKS_SIZE`` entries so a
-    long-lived station churning document versions (each version mints a
-    fresh position space) cannot grow it without bound; eviction is
-    least-recently-used.
-    """
-    with _POSITION_MASKS_LOCK:
-        return {
-            "hits": _POSITION_MASK_HITS,
-            "misses": _POSITION_MASK_MISSES,
-            "size": len(_POSITION_MASKS),
-            "maxsize": _POSITION_MASKS_SIZE,
-        }
 
 
 def encrypt_positioned(cipher: BlockCipher, data: bytes, start_position: int) -> bytes:

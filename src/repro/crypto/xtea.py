@@ -50,14 +50,6 @@ def _lane_constants(count: int):
     return cached
 
 
-def lane_constants_cache_info():
-    with _LANE_CONSTANTS_LOCK:
-        return {
-            "size": len(_LANE_CONSTANTS),
-            "maxsize": _LANE_CONSTANTS_SIZE,
-        }
-
-
 class Xtea:
     """XTEA with the standard 64 Feistel half-rounds (32 cycles)."""
 

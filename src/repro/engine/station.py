@@ -194,17 +194,8 @@ class StationSession:
         """Authorized view of ``document_id`` under this subject's grant."""
         return self.station.evaluate(document_id, self.subject, query=query)
 
-    def sealed_view(self, document_id: str, query=None) -> bytes:
-        """Like :meth:`view`, but serialized and sealed for the link."""
-        result = self.view(document_id, query=query)
-        return self.seal(serialize_events(result.events).encode("utf-8"))
-
     def seal(self, payload: bytes) -> bytes:
         return seal_payload(self.session_key, payload, self._cipher)
-
-    def open(self, blob: bytes) -> bytes:
-        """Client-side inverse of :meth:`seal` (tests / simulation)."""
-        return open_sealed(self.session_key, blob, self._cipher)
 
     def stream_view(
         self,

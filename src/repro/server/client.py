@@ -31,7 +31,6 @@ from repro.server.protocol import (
     PING,
     PONG,
     QUERY,
-    REBALANCE,
     RESULT,
     STATS,
     STATS_REQUEST,
@@ -161,14 +160,6 @@ class RemoteSession:
     connect_retry:
         Keep retrying the initial TCP connect for this many seconds —
         lets clients race a server that is still binding (CI).
-    cache_views:
-        Keep each ``(document, query)`` view client-side and serve
-        repeats from the cache.  The server's INVALIDATED push (sent
-        after every live document update) drops the affected entries,
-        so the next :meth:`evaluate` re-fetches transparently — callers
-        never see stale data, they just see a cheaper round-trip while
-        the document is unchanged.  Off by default: benchmarks must
-        measure real server work.
     trace:
         Stamp every request with a freshly minted 64-bit trace id
         (carried in the frame header, echoed in the RESULT trailer
@@ -185,10 +176,10 @@ class RemoteSession:
         pointed at a cluster gateway wants: a gateway restart (or a
         transient network blip) costs one extra round-trip instead of
         a dead session.  A reconnect opens a *new* server session
-        (fresh session id and link key); known document versions and
-        the client view cache carry over, so staleness tracking
-        survives the hop.  Off by default: tests asserting connection
-        errors — and anything counting sessions — must opt in.
+        (fresh session id and link key); known document versions carry
+        over, so version tracking survives the hop.  Off by default:
+        tests asserting connection errors — and anything counting
+        sessions — must opt in.
     """
 
     def __init__(
@@ -198,7 +189,6 @@ class RemoteSession:
         subject: str,
         timeout: float = 30.0,
         connect_retry: float = 0.0,
-        cache_views: bool = False,
         auto_reconnect: bool = False,
         trace: bool = False,
     ):
@@ -208,10 +198,8 @@ class RemoteSession:
         self._timeout = timeout
         self._connect_retry = connect_retry
         self._closed = False
-        self._cache_views = cache_views
         self._auto_reconnect = auto_reconnect
         self._trace = trace
-        self._cache: Dict[Tuple[str, Optional[str]], "RemoteResult"] = {}
         #: Latest known version per document (RESULT trailers and
         #: INVALIDATED pushes both feed it).
         self.document_versions: Dict[str, int] = {}
@@ -304,32 +292,21 @@ class RemoteSession:
         self,
         document_id: str,
         query: Optional[str] = None,
-        fresh: bool = False,
         trace: int = 0,
     ) -> RemoteResult:
         """The authorized view of ``document_id`` for this subject.
 
         Mirrors :meth:`SecureStation.evaluate` /
         :meth:`StationSession.view`; raises :class:`RemoteError` on a
-        structured server error.  With ``cache_views`` enabled an
-        unchanged document is served from the client cache (pending
-        INVALIDATED pushes are drained first, so a cached entry is
-        only served when no newer version has been announced);
-        ``fresh=True`` forces the round-trip.
+        structured server error.  Every call is a QUERY round-trip.
         """
-        key = (document_id, query)
-        if self._cache_views and not fresh:
-            self.poll_notifications()
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         trace = self._trace_id(trace)
         return self._with_reconnect(
-            lambda: self._evaluate_once(document_id, query, key, trace)
+            lambda: self._evaluate_once(document_id, query, trace)
         )
 
     def _evaluate_once(
-        self, document_id: str, query: Optional[str], key, trace: int = 0
+        self, document_id: str, query: Optional[str], trace: int = 0
     ) -> RemoteResult:
         self._send(
             json_frame(
@@ -352,8 +329,6 @@ class RemoteSession:
                 version = result.trailer.get("version")
                 if version is not None:
                     self._note_version(document_id, int(version))
-                if self._cache_views and not self._is_stale(document_id, version):
-                    self._cache[key] = result
                 return result
             elif frame.type == ERROR:
                 raise self._error(frame)
@@ -434,23 +409,6 @@ class RemoteSession:
 
         return self._with_reconnect(call)
 
-    def rebalance(
-        self, action: str, name: str, address: Optional[Tuple[str, int]] = None
-    ) -> Dict[str, Any]:
-        """Gateway admin: ``join``/``leave`` a backend on the hash ring.
-
-        Returns the gateway's RESULT trailer (documents re-placed).
-        """
-        body: Dict[str, Any] = {"action": action, "name": name}
-        if address is not None:
-            body["host"], body["port"] = address[0], int(address[1])
-
-        def call() -> Dict[str, Any]:
-            self._send(json_frame(REBALANCE, self.session_id, body))
-            return self._expect(RESULT).json()
-
-        return self._with_reconnect(call)
-
     def close(self) -> None:
         if self._closed:
             return
@@ -510,21 +468,6 @@ class RemoteSession:
         known = self.document_versions.get(document_id)
         if known is None or version > known:
             self.document_versions[document_id] = version
-            for key in [k for k in self._cache if k[0] == document_id]:
-                del self._cache[key]
-
-    def _is_stale(self, document_id: str, version) -> bool:
-        """Is a result at ``version`` already superseded?
-
-        An INVALIDATED push consumed *mid-query* can announce a newer
-        version than the RESULT being assembled (the server evaluated
-        the pre-update snapshot); caching that result would serve stale
-        data forever, since no further push for that version will come.
-        """
-        if version is None:
-            return False
-        known = self.document_versions.get(document_id)
-        return known is not None and int(version) < known
 
     def _send(self, data: bytes) -> None:
         self._sock.sendall(data)

@@ -71,7 +71,6 @@ E_LIMIT = "limit"
 E_UPDATE = "update"
 E_INTERNAL = "internal"
 E_UNAVAILABLE = "unavailable"
-E_REBALANCE = "rebalance"
 
 #: Longest ERROR message sent, in characters.  Messages may echo a
 #: client's document id, which can be nearly a whole frame long; cut

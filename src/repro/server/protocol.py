@@ -27,7 +27,7 @@ version-2 frames interleaved on the same stream.
 
 Control payloads (HELLO, WELCOME, QUERY, RESULT, ERROR, STATS,
 UPDATE, INVALIDATED, and the cluster frames FORWARD, TOPOLOGY,
-REBALANCE, PING/PONG) are UTF-8 JSON objects; CHUNK payloads are raw
+PING/PONG) are UTF-8 JSON objects; CHUNK payloads are raw
 bytes of the serialized authorized view (optionally sealed under the
 session link key).  INVALIDATED is the one server-*push* frame: it may
 arrive at any point in the stream (even between the CHUNKs of another
@@ -78,12 +78,12 @@ INVALIDATED = 0x0B  # server -> client (push): {"document": ..., "version": ...}
 # Cluster frames (repro.cluster).  FORWARD is the gateway -> backend
 # impersonation frame: a backend honors it only on a connection whose
 # HELLO declared {"gateway": true} (and the server was started with
-# allow_forward).  TOPOLOGY/REBALANCE are gateway control frames; PING/
-# PONG is the health probe every server answers, even before HELLO.
+# allow_forward).  TOPOLOGY is the gateway's control frame; PING/PONG
+# is the health probe every server answers, even before HELLO.  Type
+# 0x0F is unassigned: a decoder refuses it like any unknown type.
 FORWARD = 0x0C  # gateway -> backend: {"kind": "query"|"update", "subject": ...}
 TOPOLOGY_REQUEST = 0x0D  # client -> gateway: {}
 TOPOLOGY = 0x0E  # gateway -> client: {"backends": ..., "documents": ...}
-REBALANCE = 0x0F  # admin -> gateway: {"action": "join"|"leave", "name": ...}
 PING = 0x10  # any -> server: {}
 PONG = 0x11  # server -> any: {"ok": ..., "documents": {id: version}, ...}
 
@@ -102,7 +102,6 @@ TYPE_NAMES = {
     FORWARD: "FORWARD",
     TOPOLOGY_REQUEST: "TOPOLOGY_REQUEST",
     TOPOLOGY: "TOPOLOGY",
-    REBALANCE: "REBALANCE",
     PING: "PING",
     PONG: "PONG",
 }

@@ -209,9 +209,9 @@ class StationServer(FrameServer):
         return {
             "session": conn.session.session_id,
             "subject": conn.session.subject,
-            # The paper delivers session credentials over the secure
-            # provisioning channel (Section 2); this toy transport
-            # stands in for that channel, so the link key rides along.
+            # The link key travels in the clear on this same connection,
+            # so anyone reading the wire can open and forge every sealed
+            # chunk.  ROADMAP item 6 tracks deriving it by key exchange.
             "key": conn.session.session_key.hex(),
             "seal": self.seal,
             # Echo the accepted role so a gateway notices immediately

@@ -356,30 +356,6 @@ def impact_between(
     )
 
 
-def measure_update(
-    old_tree: Node,
-    new_tree: Node,
-    layout: Optional[ChunkLayout] = None,
-) -> Tuple[EncodedDocument, UpdateImpact]:
-    """Re-encode after an edit and measure the paper's update impact.
-
-    Returns the new encoding and the :class:`UpdateImpact`.  The number
-    of chunks to re-encrypt assumes in-place chunk rewriting at the
-    terminal (each touched chunk's payload and digest are redone).
-    """
-    old_encoded = encode_document(old_tree)
-    new_encoded, dictionary_grew = reencode_after(old_encoded, new_tree)
-    impact = impact_between(
-        old_encoded,
-        new_encoded,
-        old_tree,
-        new_tree,
-        layout=layout,
-        dictionary_grew=dictionary_grew,
-    )
-    return new_encoded, impact
-
-
 def _size_width_jumped(old_tree: Node, new_tree: Node) -> bool:
     """Did some element's content size cross a power of two?
 

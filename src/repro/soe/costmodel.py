@@ -176,9 +176,6 @@ class CostModel:
         )
         return TimeBreakdown(communication, decryption, access_control, integrity)
 
-    def total_seconds(self, meter: Meter) -> float:
-        return self.breakdown(meter).total
-
     def lower_bound_seconds(
         self, authorized_bytes: int, with_integrity: bool = False
     ) -> float:

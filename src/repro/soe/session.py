@@ -122,12 +122,6 @@ class SessionResult:
     def result_bytes(self) -> int:
         return delivered_bytes(self.events)
 
-    def throughput_bps(self, input_bytes: int) -> float:
-        """Input-consumption throughput (the Y-axis of Fig. 12)."""
-        if self.seconds == 0:
-            return float("inf")
-        return input_bytes / self.seconds
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SessionResult(%.3fs, %d events)" % (self.seconds, len(self.events))
 

@@ -535,7 +535,6 @@ class LogStore(ChunkStore):
         self._log.seek(0, os.SEEK_END)
 
     def _build_states(self, entries: List[dict]) -> None:
-        self._states = {}
         versions_seen: Dict[str, int] = {}
         for entry in entries:
             document_id = entry["id"]
@@ -551,9 +550,28 @@ class LogStore(ChunkStore):
                     % (document_id, version, prior)
                 )
             versions_seen[document_id] = version
+        # Each document serves its newest usable entry; an unusable
+        # newest entry falls back to the prior durable version.  The
+        # recovery counters count documents, not superseded lines.
+        states: Dict[str, _DocState] = {}
+        lost = set()
+        for entry in reversed(entries):
+            document_id = entry["id"]
+            if document_id in states:
+                continue
             state = self._state_from_entry(entry)
-            if state is not None:
-                self._states[document_id] = state
+            if state is None:
+                lost.add(document_id)
+                continue
+            states[document_id] = state
+            if entry.get("ix") and state.index_span is None:
+                self.counters["index_blobs_dropped"] += 1
+        self.counters["lost_entries_dropped"] += len(lost)
+        self._states = {
+            document_id: states[document_id]
+            for document_id in versions_seen
+            if document_id in states
+        }
 
     def _state_from_entry(self, entry: dict) -> Optional[_DocState]:
         state = _DocState()
@@ -579,7 +597,6 @@ class LogStore(ChunkStore):
             if end > self._log_size:
                 # The run points past the recovered log (possible only
                 # under sync="batch" crashes): the entry is unusable.
-                self.counters["lost_entries_dropped"] += 1
                 return None
         span = entry.get("ix")
         if span:
@@ -587,11 +604,9 @@ class LogStore(ChunkStore):
             if len(span) > 2 and offset + length <= self._log_size:
                 state.index_span = (offset, length)
                 state.index_digest = span[2]
-            else:
-                # The blob did not survive the crash, or its entry
-                # predates blob digests: the document still serves,
-                # unindexed, from its intact chunk records.
-                self.counters["index_blobs_dropped"] += 1
+            # Otherwise the blob did not survive the crash, or its entry
+            # predates blob digests: the document still serves,
+            # unindexed, from its intact chunk records.
         return state
 
     @staticmethod

@@ -17,9 +17,6 @@ from __future__ import annotations
 import sys
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.xmlkit.dom import Node
-from repro.xmlkit.events import OPEN, Event
-
 
 class TagDictionary:
     """Bidirectional mapping ``tag <-> code`` with dense codes ``0..N-1``.
@@ -67,29 +64,6 @@ class TagDictionary:
     def tags(self) -> List[str]:
         """All tags in code order."""
         return list(self._tag_by_code)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_tree(cls, root: Node) -> "TagDictionary":
-        """Build a dictionary over all tags of ``root``'s subtree."""
-        dictionary = cls()
-        for node in root.descendants():
-            dictionary.add(node.tag)
-        return dictionary
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "TagDictionary":
-        """Build a dictionary from an event stream (consumes it)."""
-        dictionary = cls()
-        for event in events:
-            if event[0] == OPEN:
-                dictionary.add(event[1])
-        return dictionary
-
-    # ------------------------------------------------------------------
-    def serialized_size(self) -> int:
-        """Bytes needed to ship the dictionary (length-prefixed UTF-8)."""
-        return sum(1 + len(tag.encode("utf-8")) for tag in self._tag_by_code)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "TagDictionary(%d tags)" % len(self)

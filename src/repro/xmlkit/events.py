@@ -17,7 +17,7 @@ tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List
 
 #: Event kinds.  Plain ints keep per-event overhead minimal: the
 #: streaming evaluator touches millions of events in the larger benches.
@@ -33,8 +33,8 @@ class Event(tuple):
 
     ``value`` is the element tag for ``OPEN``/``CLOSE`` events and the
     text content for ``TEXT`` events.  Events are tuples so they are
-    hashable, comparable and cheap; the subclass only adds readable
-    accessors and a helpful ``repr``.
+    hashable, comparable and cheap; the subclass only adds the ``kind``
+    and ``value`` accessors and a helpful ``repr``.
     """
 
     __slots__ = ()
@@ -50,35 +50,8 @@ class Event(tuple):
     def value(self) -> str:
         return self[1]
 
-    @property
-    def is_open(self) -> bool:
-        return self[0] == OPEN
-
-    @property
-    def is_text(self) -> bool:
-        return self[0] == TEXT
-
-    @property
-    def is_close(self) -> bool:
-        return self[0] == CLOSE
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "Event(%s, %r)" % (_KIND_NAMES[self[0]], self[1])
-
-
-def open_event(tag: str) -> Event:
-    """Build an ``OPEN`` event for ``tag``."""
-    return Event(OPEN, tag)
-
-
-def text_event(value: str) -> Event:
-    """Build a ``TEXT`` event carrying ``value``."""
-    return Event(TEXT, value)
-
-
-def close_event(tag: str) -> Event:
-    """Build a ``CLOSE`` event for ``tag``."""
-    return Event(CLOSE, tag)
 
 
 class StreamError(ValueError):
@@ -118,26 +91,6 @@ def validate_stream(events: Iterable[Event]) -> None:
         raise StreamError("unclosed elements: %s" % "/".join(stack))
     if not seen_root:
         raise StreamError("empty stream")
-
-
-def with_depth(events: Iterable[Event]) -> Iterator[Tuple[Event, int]]:
-    """Yield ``(event, depth)`` pairs.
-
-    Depth follows the paper's convention: the root element's *open* event
-    has depth 1; a ``TEXT`` event has the depth of its enclosing element;
-    a ``CLOSE`` event has the depth of the element being closed.
-    """
-    depth = 0
-    for event in events:
-        kind = event[0]
-        if kind == OPEN:
-            depth += 1
-            yield event, depth
-        elif kind == CLOSE:
-            yield event, depth
-            depth -= 1
-        else:
-            yield event, depth
 
 
 def events_to_tree(events: Iterable[Event]):

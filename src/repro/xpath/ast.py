@@ -120,10 +120,6 @@ class Predicate:
         comparison = self.comparison.bind_user(user) if self.comparison else None
         return Predicate(self.path.bind_user(user), comparison)
 
-    def is_existence(self) -> bool:
-        """True for bare ``[path]`` predicates without a comparison."""
-        return self.comparison is None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Predicate):
             return NotImplemented

@@ -112,10 +112,6 @@ class AutomatonState:
             result = result + wildcard
         return result
 
-    def has_moves(self) -> bool:
-        """True if any transition (or self-loop) leaves this state."""
-        return bool(self.transitions) or self.self_loop
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []
         if self.self_loop:

@@ -346,6 +346,10 @@ def test_padded_tail_store_serves_identical_views(tmp_path):
     directory = tmp_path / "store"
     shutil.copytree(FIXTURE / "store", directory)
     with open_station("log", directory) as station:
+        # Five manifest lines (the cbc-shac edit superseded one), four
+        # documents: recovery counts each served entry's dropped blob.
+        assert station.store.counters["index_blobs_dropped"] == len(LEGACY)
+        assert station.store.counters["lost_entries_dropped"] == 0
         for document_id, entry in LEGACY.items():
             station.grant(document_id, POLICY)
             # A blob without a manifest digest is dropped: served streamed.

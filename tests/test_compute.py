@@ -140,21 +140,18 @@ def test_chunked_cbc_matches_reference():
 
 
 def test_position_mask_cache_is_bounded():
-    info = modes.position_mask_cache_info()
-    assert info["size"] <= info["maxsize"]
-    baseline_misses = info["misses"]
-    # Far more distinct (position, count) keys than the cap can hold.
-    for position in range(0, info["maxsize"] * 16 * 8, 8):
-        modes.encrypt_positioned(Xtea(bytes(range(16))), b"\x00" * 8, position)
-    info = modes.position_mask_cache_info()
-    assert info["size"] <= info["maxsize"]
-    assert info["misses"] > baseline_misses
-    # A repeated key is served from the memo.
-    before = modes.position_mask_cache_info()["hits"]
     cipher = Xtea(bytes(range(16)))
+    # Far more distinct (position, count) keys than the cap can hold.
+    for position in range(0, modes._POSITION_MASKS_SIZE * 16 * 8, 8):
+        modes.encrypt_positioned(cipher, b"\x00" * 8, position)
+    assert len(modes._POSITION_MASKS) == modes._POSITION_MASKS_SIZE
+    # A repeated key is served from the memo as its most recent entry.
     modes.encrypt_positioned(cipher, b"\x00" * 16, 0)
+    first = modes._POSITION_MASKS[(0, 2)]
     modes.encrypt_positioned(cipher, b"\x00" * 16, 0)
-    assert modes.position_mask_cache_info()["hits"] > before
+    assert modes._POSITION_MASKS[(0, 2)] is first
+    assert next(reversed(modes._POSITION_MASKS)) == (0, 2)
+    assert len(modes._POSITION_MASKS) == modes._POSITION_MASKS_SIZE
 
 
 # ---------------------------------------------------------------------------

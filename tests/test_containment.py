@@ -6,11 +6,7 @@ import pytest
 
 from repro import AccessRule, Policy, reference_authorized_view
 from repro.accesscontrol.evaluator import StreamingEvaluator
-from repro.accesscontrol.optimizer import (
-    deduplicate,
-    optimize_policy,
-    redundant_same_sign,
-)
+from repro.accesscontrol.optimizer import deduplicate, optimize_policy
 from repro.xpath.containment import covers
 from repro.xpath.parser import parse_xpath
 
@@ -90,11 +86,6 @@ class TestOptimizer:
             AccessRule("-", "//a"),
         ]
         assert len(deduplicate(rules)) == 2
-
-    def test_redundant_same_sign_pairs(self):
-        rules = [AccessRule("+", "//a"), AccessRule("+", "/x/a")]
-        pairs = redundant_same_sign(rules)
-        assert (0, 1) in pairs
 
     def test_single_sign_elimination(self):
         policy = Policy(

@@ -17,6 +17,7 @@ from repro.engine import (
     audit_integrity,
     compile_query,
     evaluate_document,
+    open_sealed,
     policy_digest,
     prepare_document,
 )
@@ -293,11 +294,11 @@ class TestSecureStation:
         session = station.connect("sec")
         other = station.connect("sec")
         assert session.session_key != other.session_key
-        blob = session.sealed_view("folder")
-        payload = session.open(blob).decode("utf-8")
-        assert payload.startswith("<folder>")
+        blobs = list(session.stream_view("folder", seal=True).chunks())
+        payload = b"".join(open_sealed(session.session_key, blob) for blob in blobs)
+        assert payload.decode("utf-8").startswith("<folder>")
         with pytest.raises(ValueError):
-            other.open(blob)  # wrong session key
+            open_sealed(other.session_key, blobs[0])  # wrong session key
 
     def test_unknown_document_and_grant(self):
         station = self.build_station()

@@ -5,11 +5,14 @@ program to time each layer; a rename or deletion here would otherwise
 break only the traced benchmark run, and silently.  The publish test
 pins that those wrappers actually sit on the path they time.  The
 import checks keep the serving process free of ``multiprocessing`` and
-of every module only the CLI, ops tools or datasets use.
+of every module only the CLI, ops tools or datasets use.  The caller
+scan keeps ``src/`` free of definitions that only tests reach.
 """
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,3 +164,79 @@ def test_ledger_wrappers_installed_after_start_see_a_query():
         thread.stop()
         cluster.stop()
     assert set(wanted) <= set(ledger.totals())
+
+
+# ----------------------------------------------------------------------
+# Every definition in src/ has a caller outside the tests
+# ----------------------------------------------------------------------
+#: Where a caller may live: the program, its benchmarks, the examples
+#: and CI.  Test directories below them do not count.
+CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Definitions kept without a non-test caller, each with its reason.
+NO_CALLER_NEEDED = {
+    "_Handler.do_GET": "http.server calls it per GET request",
+    "_Handler.log_message": "http.server override that silences stderr",
+    "decrypt_ecb_reference": "oracle the crypto tests compare decrypt_ecb to",
+    "SecureStation.revoke": "the inverse of grant in the station's rights API",
+    "RemoteSession.ping": "PING probe tests use to observe liveness",
+    "RemoteSession.poll_notifications": "drains INVALIDATED pushes between calls",
+    "FrameDecoder.pending_bytes": "probe of the decoder's buffered bytes",
+    "PolicyPlan.cached_queries": "probe of the plan's compiled-query cache",
+    "Node.find_all": "DOM accessor tests use to read served views",
+    "Step.is_wildcard": "probe of the parsed XPath step",
+    "Path.has_predicates": "probe of the parsed XPath path",
+}
+
+
+def _definitions():
+    """Top-level functions and classes, and methods, of ``src/``."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield None, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield node.name, item.name
+
+
+def _references():
+    """Names used bare (or imported), and names used after a dot or in
+    a string, across every caller outside the tests."""
+    names, attributes = set(), set()
+    for directory in CALLER_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            if "tests" in path.relative_to(ROOT).parts[1:-1]:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    attributes.update(_IDENTIFIER.findall(node.value))
+    for path in (ROOT / ".github").rglob("*.yml"):
+        attributes.update(_IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+    return names, attributes
+
+
+def test_every_src_definition_has_a_non_test_caller():
+    # A method counts as called when its name follows a dot or appears
+    # in a string (handler tables, benchmark span targets); a top-level
+    # name also when it is used bare or imported.  Dunder methods are
+    # called by Python itself.
+    names, attributes = _references()
+    orphans = set()
+    for owner, name in _definitions():
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if name in attributes or (owner is None and name in names):
+            continue
+        orphans.add("%s.%s" % (owner, name) if owner else name)
+    assert sorted(orphans - set(NO_CALLER_NEEDED)) == []
+    # An entry whose definition gained a caller or went away is stale.
+    assert sorted(set(NO_CALLER_NEEDED) - orphans) == []

@@ -58,13 +58,6 @@ class TestPreference:
         ring = HashRing(["a", "b"])
         assert sorted(ring.preference("k", 5)) == ["a", "b"]
 
-    def test_assignments_helper(self):
-        ring = HashRing(["a", "b", "c"])
-        table = ring.assignments(KEYS[:10], n=2)
-        assert set(table) == set(KEYS[:10])
-        for key, preference in table.items():
-            assert preference == ring.preference(key, 2)
-
 
 class TestBalance:
     def test_virtual_nodes_spread_load(self):

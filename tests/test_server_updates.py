@@ -110,14 +110,10 @@ class TestRemoteUpdate:
 
     def test_other_clients_get_invalidated_and_refetch(self, live_server):
         _station, server, host, port = live_server
-        with RemoteSession(host, port, "alice", cache_views=True) as alice:
+        with RemoteSession(host, port, "alice") as alice:
             with RemoteSession(host, port, "bob") as bob:
                 first = alice.evaluate("db")
-                # Second read is served from the client cache: the
-                # server sees no extra QUERY.
-                queries_before = server.stats["queries"]
-                assert alice.evaluate("db") is first
-                assert server.stats["queries"] == queries_before
+                assert alice.document_versions["db"] == 0
 
                 bob.update("db", UpdateOp.set_text([7, 1], "HOT-UPDATE"))
                 # The INVALIDATED push arrives asynchronously; poll
@@ -127,12 +123,12 @@ class TestRemoteUpdate:
                     or alice.document_versions.get("db", 0) >= 1
                 ), "INVALIDATED push never arrived"
                 assert alice.invalidations_seen >= 1
-                # The cache entry is gone: the next evaluate re-fetches
-                # transparently and sees the post-update view.
-                refreshed = alice.evaluate("db")
-                assert refreshed is not first
-                assert "HOT-UPDATE" in refreshed.text
                 assert alice.document_versions["db"] == 1
+                # The next evaluate re-fetches and sees the new view.
+                refreshed = alice.evaluate("db")
+                assert "HOT-UPDATE" not in first.text
+                assert "HOT-UPDATE" in refreshed.text
+                assert refreshed.trailer["version"] == 1
         assert server.stats["invalidations"] >= 1
 
     def test_version_travels_in_result_trailer(self, live_server):
@@ -158,20 +154,14 @@ class TestRemoteUpdate:
 
     def test_mid_query_invalidation_never_pins_a_stale_view(self, live_server):
         """A RESULT carrying an older version than an already-consumed
-        INVALIDATED push must not be cached (it would be served
-        forever — no further push for that version will come)."""
+        INVALIDATED push must not roll the known version back."""
         _station, _server, host, port = live_server
-        with RemoteSession(host, port, "alice", cache_views=True) as session:
+        with RemoteSession(host, port, "alice") as session:
             # Simulate the mid-query push arriving first.
             session._note_version("db", 5)
-            assert session._is_stale("db", 4)
-            assert not session._is_stale("db", 5)
-            assert not session._is_stale("db", None)
             result = session.evaluate("db")  # server is still at v0
             assert result.trailer["version"] == 0
-            # The stale result was not cached: the next evaluate
-            # re-fetches rather than serving v0 under a known v5.
-            assert session.evaluate("db") is not result
+            assert session.document_versions["db"] == 5
 
     def test_update_unknown_document_is_structured_error(self, live_server):
         _station, _server, host, port = live_server

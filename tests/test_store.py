@@ -256,6 +256,24 @@ def test_kill_between_log_append_and_manifest_commit(tmp_path):
         assert view_of(station) == views["doc"]
 
 
+def test_lost_latest_entries_fall_back_and_count_once(tmp_path):
+    directory = str(tmp_path)
+    views = _populate(directory)
+    chunk_path, _ = _files(directory)
+    durable = os.path.getsize(chunk_path)
+    with SecureStation(store=LogStore(directory)) as station:
+        for text in ("t-one", "t-two"):
+            station.update("doc", UpdateOp.set_text([0, 0], text))
+        assert station.document_version("doc") == 2
+    # A crash under sync="batch" loses the records both updates
+    # appended, while their manifest lines survive.
+    os.truncate(chunk_path, durable)
+    with SecureStation(store=LogStore(directory)) as station:
+        assert station.store.counters["lost_entries_dropped"] == 1
+        assert station.document_version("doc") == 0
+        assert view_of(station) == views["doc"]
+
+
 def test_partial_manifest_line_is_dropped(tmp_path):
     directory = str(tmp_path)
     views = _populate(directory)

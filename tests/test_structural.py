@@ -31,10 +31,10 @@ from repro.crypto.chunks import ChunkLayout
 from repro.engine.pipeline import prepare_document
 from repro.engine.plans import compile_query, structural_steps
 from repro.engine.station import SecureStation
-from repro.metrics import Meter
 from repro.skipindex.decoder import SkipIndexNavigator
 from repro.skipindex.encoder import encode_document
 from repro.skipindex.structural import (
+    ITEM_LEAF,
     IndexedNavigator,
     build_structural_index,
     parse_structural_index,
@@ -713,60 +713,98 @@ def test_logstore_drops_a_version_1_blob_and_streams(tmp_path, monkeypatch):
         assert _logstore_views(restarted) == (False,) + indexed[1:]
 
 
-def _swapped_tag_blob(index):
-    """The blob with tag codes 0 and ``tag_count - 1`` swapped in every
-    element.  Sizes, offsets and bit counts keep their values, so the
-    blob still parses and tiles the encoding."""
-    last = index.tag_count - 1
-    tags = index.tags
-    index.tags = array(
-        tags.typecode, [last if t == 0 else 0 if t == last else t for t in tags]
-    )
+def _rewritten_blob(index, field, rewrite):
+    """``index.to_bytes()`` with the item column ``field`` replaced by
+    ``rewrite(values)``.  Sizes, offsets and bit counts that the rewrite
+    leaves alone keep their values, so the blob still tiles the
+    encoding and keeps its length."""
+    original = getattr(index, field)
+    setattr(index, field, array(original.typecode, rewrite(list(original))))
     try:
         return index.to_bytes()
     finally:
-        index.tags = tags
+        setattr(index, field, original)
+
+
+def _swapped_tags(index):
+    """Tag codes 0 and ``tag_count - 1`` swapped in every element."""
+    last = index.tag_count - 1
+
+    def rewrite(tags):
+        return [last if t == 0 else 0 if t == last else t for t in tags]
+
+    return _rewritten_blob(index, "tags", rewrite)
+
+
+def _moved_bitmap_bit(index):
+    """The last leaf element retagged as the first: one bit of its
+    parent's descendant bitmap moves (``rare`` claims ``name``, not
+    ``val``)."""
+    leaves = [item for item, kind in enumerate(index.kinds) if kind == ITEM_LEAF]
+
+    def rewrite(tags):
+        tags[leaves[-1]] = tags[leaves[0]]
+        return tags
+
+    return _rewritten_blob(index, "tags", rewrite)
+
+
+def _swapped_sibling_sizes(index):
+    """The sizes of the first two leaf elements, siblings under the
+    first ``rec``, swapped; their parent's size still tiles them."""
+    first, second = [
+        item for item, kind in enumerate(index.kinds) if kind == ITEM_LEAF
+    ][:2]
+
+    def rewrite(sizes):
+        sizes[first], sizes[second] = sizes[second], sizes[first]
+        return sizes
+
+    return _rewritten_blob(index, "sizes", rewrite)
 
 
 @pytest.mark.parametrize("scheme", ["ECB", "CBC-SHA", "CBC-SHAC", "ECB-MHT"])
 def test_logstore_rejects_a_tampered_index_blob(scheme, tmp_path):
     """A blob rewritten in the log with its segment CRC recomputed
-    fails the manifest's digest: serving raises, never a shorter view."""
+    fails the manifest's digest: serving raises, never a shorter view.
+    Three rewrites: tag codes permuted, one descendant-bitmap bit
+    moved, and two sibling sizes swapped."""
     import zlib
 
     from repro.crypto.integrity import IntegrityError
     from repro.store import LogStore
     from repro.store.log import _HEADER, MAGIC
 
-    directory = str(tmp_path)
-    with SecureStation(StationConfig(store=LogStore(directory))) as station:
-        station.publish(
-            "d",
-            serialize(selective_document()),
-            PublishOptions(scheme=scheme, index=True),
+    for rewrite in (_swapped_tags, _moved_bitmap_bit, _swapped_sibling_sizes):
+        directory = tmp_path / rewrite.__name__
+        with SecureStation(StationConfig(store=LogStore(str(directory)))) as station:
+            station.publish(
+                "d",
+                serialize(selective_document()),
+                PublishOptions(scheme=scheme, index=True),
+            )
+            station.grant("d", FOLDER_POLICY)
+            assert _logstore_views(station)[0]
+            offset, length = station.store._states["d"].index_span
+            segment = station.store._segment_at(offset)
+            index = station.document("d").index
+            tampered = rewrite(index)
+            assert len(tampered) == length and tampered != index.to_bytes()
+        path = directory / "chunks-000000.log"
+        data = bytearray(path.read_bytes())
+        data[offset : offset + length] = tampered
+        start = segment.payload_offset
+        body = bytes(data[start : start + segment.payload_len])
+        data[start - _HEADER.size : start] = _HEADER.pack(
+            MAGIC, len(body), zlib.crc32(body) & 0xFFFFFFFF
         )
-        station.grant("d", FOLDER_POLICY)
-        assert _logstore_views(station)[0]
-        offset, length = station.store._states["d"].index_span
-        segment = station.store._segment_at(offset)
-        index = station.document("d").index
-        tampered = _swapped_tag_blob(index)
-        assert len(tampered) == length and tampered != index.to_bytes()
-    path = tmp_path / "chunks-000000.log"
-    data = bytearray(path.read_bytes())
-    data[offset : offset + length] = tampered
-    start = segment.payload_offset
-    body = bytes(data[start : start + segment.payload_len])
-    data[start - _HEADER.size : start] = _HEADER.pack(
-        MAGIC, len(body), zlib.crc32(body) & 0xFFFFFFFF
-    )
-    path.write_bytes(bytes(data))
-    with SecureStation(StationConfig(store=LogStore(directory))) as restarted:
-        restarted.grant("d", FOLDER_POLICY)
-        for query in (None, "/folder/rare/val", "/folder/rec/name", "//name"):
-            with pytest.raises(IntegrityError, match="digest"):
-                restarted.evaluate("d", "s", query=query)
-        assert restarted.store.counters["index_blobs_rejected"] == 4
+        path.write_bytes(bytes(data))
+        with SecureStation(StationConfig(store=LogStore(str(directory)))) as restarted:
+            restarted.grant("d", FOLDER_POLICY)
+            for query in (None, "/folder/rare/val", "/folder/rec/name", "//name"):
+                with pytest.raises(IntegrityError, match="digest"):
+                    restarted.evaluate("d", "s", query=query)
+            assert restarted.store.counters["index_blobs_rejected"] == 4, rewrite
 
 
 def test_cluster_repair_ships_index():

@@ -9,13 +9,24 @@ from repro.skipindex.updates import (
     delete_element,
     impact_between,
     insert_element,
-    measure_update,
     reencode_after,
     rename_element,
     update_text,
 )
 from repro.xmlkit.dom import Node, text_node
 from repro.xmlkit.parser import parse_document
+
+
+def measure_update(old_tree, new_tree):
+    """Re-encode after an edit and measure its impact, composed as the
+    station's live update path does: ``reencode_after`` reuses the old
+    dictionary and reports its growth to ``impact_between``."""
+    old_encoded = encode_document(old_tree)
+    new_encoded, grew = reencode_after(old_encoded, new_tree)
+    impact = impact_between(
+        old_encoded, new_encoded, old_tree, new_tree, dictionary_grew=grew
+    )
+    return new_encoded, impact
 
 
 def sample():
@@ -162,14 +173,17 @@ class TestReencodeHelpers:
         assert not impact.is_worst_case
 
     def test_impact_between_matches_measure_update(self):
+        # Left to infer dictionary growth, impact_between agrees with
+        # the flag reencode_after reports on the update path.
         tree = sample()
-        updated = update_text(tree, [7, 1], "different length text here")
         encoded = encode_document(tree)
-        new_encoded, grew = reencode_after(encoded, updated)
-        direct = impact_between(
-            encoded, new_encoded, tree, updated, dictionary_grew=grew
-        )
-        _enc, via_measure = measure_update(tree, updated)
-        assert direct.changed_bytes == via_measure.changed_bytes
-        assert direct.chunks_to_reencrypt == via_measure.chunks_to_reencrypt
-        assert direct.is_worst_case == via_measure.is_worst_case
+        for updated in (
+            update_text(tree, [7, 1], "different length text here"),
+            rename_element(tree, [2], "fresh_tag"),
+        ):
+            new_encoded, via_measure = measure_update(tree, updated)
+            inferred = impact_between(encoded, new_encoded, tree, updated)
+            assert inferred.dictionary_grew == via_measure.dictionary_grew
+            assert inferred.changed_bytes == via_measure.changed_bytes
+            assert inferred.chunks_to_reencrypt == via_measure.chunks_to_reencrypt
+            assert inferred.is_worst_case == via_measure.is_worst_case

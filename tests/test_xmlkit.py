@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.skipindex.encoder import encode_document
 from repro.xmlkit import (
     Node,
     TagDictionary,
@@ -19,7 +20,6 @@ from repro.xmlkit.events import (
     Event,
     StreamError,
     validate_stream,
-    with_depth,
 )
 from repro.xmlkit.parser import XmlSyntaxError, unescape
 
@@ -29,7 +29,6 @@ class TestEvents:
         event = Event(OPEN, "tag")
         assert event.kind == OPEN
         assert event.value == "tag"
-        assert event.is_open and not event.is_close and not event.is_text
 
     def test_events_are_tuples(self):
         assert Event(TEXT, "x") == (TEXT, "x")
@@ -61,17 +60,6 @@ class TestEvents:
     def test_validate_rejects_empty(self):
         with pytest.raises(StreamError):
             validate_stream([])
-
-    def test_with_depth_convention(self):
-        events = [
-            Event(OPEN, "a"),
-            Event(OPEN, "b"),
-            Event(TEXT, "x"),
-            Event(CLOSE, "b"),
-            Event(CLOSE, "a"),
-        ]
-        depths = [depth for _event, depth in with_depth(events)]
-        assert depths == [1, 2, 2, 2, 1]
 
 
 class TestDom:
@@ -313,15 +301,11 @@ class TestTagDictionary:
         assert dictionary.tag(1) == "b"
 
     def test_from_tree(self):
+        # The encoder builds a document's dictionary in first-seen order.
         doc = parse_document("<a><b/><c><b/></c></a>")
-        dictionary = TagDictionary.from_tree(doc)
-        assert set(dictionary.tags()) == {"a", "b", "c"}
+        assert encode_document(doc).dictionary.tags() == ["a", "b", "c"]
 
     def test_membership_and_iteration(self):
         dictionary = TagDictionary(["x", "y"])
         assert "x" in dictionary and "z" not in dictionary
         assert list(dictionary) == ["x", "y"]
-
-    def test_serialized_size(self):
-        dictionary = TagDictionary(["ab", "c"])
-        assert dictionary.serialized_size() == (1 + 2) + (1 + 1)

@@ -41,7 +41,7 @@ class TestParser:
     def test_existence_predicate(self):
         path = parse_xpath("//a[b]")
         predicate = path.steps[0].predicates[0]
-        assert predicate.is_existence()
+        assert predicate.comparison is None
         assert predicate.path.steps[0].test == "b"
 
     def test_comparison_predicate_number(self):
