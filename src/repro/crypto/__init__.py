@@ -4,12 +4,10 @@ Pure-Python implementations of everything the paper's security layer
 needs — the environment is offline, so no external crypto library is
 used:
 
-* :mod:`repro.crypto.des` — DES and 3DES (the paper's cipher, hardwired
-  in the target smart card);
-* :mod:`repro.crypto.xtea` — XTEA, a faster 8-byte block cipher used as
-  the default in benches (the architecture is cipher-agnostic, as the
-  paper stresses; simulated decryption time always uses the Table 1
-  throughput);
+* :mod:`repro.crypto.xtea` — XTEA, the 8-byte block cipher every scheme
+  encrypts under (the paper's smart card hardwires 3DES, but the
+  architecture is cipher-agnostic, as the paper stresses; simulated
+  decryption time always uses the Table 1 throughput);
 * :mod:`repro.crypto.modes` — ECB, CBC and the paper's position-XOR ECB
   (``E_k(b XOR p)``) that makes equal plaintext blocks encrypt
   differently without CBC's random-access penalty;
@@ -23,11 +21,9 @@ used:
   per-scheme cost accounting.
 """
 
-from repro.crypto.des import Des, TripleDes
 from repro.crypto.xtea import Xtea
 from repro.crypto.modes import (
     BlockCipher,
-    NullCipher,
     decrypt_cbc,
     decrypt_ecb,
     decrypt_positioned,
@@ -49,11 +45,8 @@ from repro.crypto.integrity import (
 )
 
 __all__ = [
-    "Des",
-    "TripleDes",
     "Xtea",
     "BlockCipher",
-    "NullCipher",
     "encrypt_ecb",
     "decrypt_ecb",
     "encrypt_cbc",

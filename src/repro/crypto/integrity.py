@@ -28,14 +28,11 @@ pipeline (decrypt -> verify -> decode -> evaluate) composes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.chunks import ChunkLayout
-from repro.crypto.des import Des, TripleDes
 from repro.crypto.merkle import HASH_SIZE, MerkleTree, sha1, verify_with_siblings
 from repro.crypto.modes import (
-    BlockCipher,
-    NullCipher,
     decrypt_cbc,
     decrypt_positioned,
     encrypt_cbc,
@@ -130,25 +127,29 @@ class SecureDocument:
 
 
 class BaseScheme:
-    """Common machinery: chunking, digest encryption, reader factory."""
+    """Common machinery: chunking, digest encryption, reader factory.
+
+    Every scheme encrypts under XTEA; ``key`` is the cipher key the
+    chunk records are encrypted under, which a persistent store records
+    to rebuild the scheme.
+    """
 
     name = "base"
     has_digest = True
+    #: The :class:`BaseReader` subclass :meth:`reader` opens.
+    reader_class: type
 
     def __init__(
         self,
         key: bytes = b"\x00" * 16,
-        cipher_factory: Callable[[bytes], BlockCipher] = Xtea,
         layout: Optional[ChunkLayout] = None,
         backend=None,
     ):
-        self._key = key
-        self._cipher_factory = cipher_factory
-        if backend is not None:
-            # The backend may swap the factory for an accelerated twin
-            # (native kernels); output stays byte-identical.
-            cipher_factory = backend.cipher_factory(cipher_factory)
-        self.cipher = cipher_factory(key)
+        self.key = key
+        # The backend may swap XTEA for its native twin; output stays
+        # byte-identical.
+        factory = Xtea if backend is None else backend.cipher_factory(Xtea)
+        self.cipher = factory(key)
         self.layout = layout if layout is not None else ChunkLayout()
         if self.cipher.block_size != self.layout.block_size:
             raise ValueError("cipher block size does not match the layout")
@@ -279,7 +280,10 @@ class BaseScheme:
         return sha1(self._digest_input(plaintext_chunk, cipher_chunk))
 
     def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        raise NotImplementedError
+        """An SOE-side reader over ``document`` charging ``meter``."""
+        if meter is None:
+            meter = Meter()
+        return self.reader_class(self, document, meter)
 
 
 class _ChunkCache:
@@ -311,8 +315,14 @@ class _ChunkCache:
 
 
 class BaseReader:
-    """SOE-side random-access reader: scheme-specific per-chunk work is
-    delegated to ``_prepare_chunk`` / ``_materialize_blocks``."""
+    """SOE-side random-access reader.
+
+    The reader owns the cursor (:meth:`read` walks the chunks a range
+    covers), the single-chunk cache and the loop that decrypts a
+    range's missing blocks as contiguous runs.  A scheme supplies only
+    ``_prepare_chunk`` (the chunk-granularity work on first touch) and
+    ``_decrypt_run`` (how one run of blocks decrypts).
+    """
 
     def __init__(self, scheme: BaseScheme, document: SecureDocument, meter: Meter):
         self.scheme = scheme
@@ -346,97 +356,81 @@ class BaseReader:
             out.extend(self.cache.plain[lo:hi])
         return bytes(out)
 
+    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
+        """Make plaintext bytes ``[lo, hi)`` of the chunk available:
+        decrypt the blocks not cached yet, one ``_decrypt_run`` call per
+        contiguous run instead of one per 8-byte block."""
+        block = self.layout.block_size
+        have = self.cache.have_blocks
+        plain = self.cache.plain
+        index = lo // block
+        last = (hi - 1) // block
+        while index <= last:
+            if index in have:
+                index += 1
+                continue
+            first = index
+            while index <= last and index not in have:
+                index += 1
+            run = self._decrypt_run(chunk_index, first, index)
+            self.meter.bytes_decrypted += len(run)
+            plain[first * block : index * block] = run
+            have.update(range(first, index))
+
+    def _cipher_run(self, first: int, end: int) -> bytes:
+        """The open chunk's ciphertext blocks ``[first, end)``."""
+        block = self.layout.block_size
+        return self.cache.cipher_chunk[first * block : end * block]
+
     # -- hooks ----------------------------------------------------------
     def _prepare_chunk(self, chunk_index: int) -> None:
         """Chunk-granularity work on first touch (transfer/verify)."""
         raise NotImplementedError
 
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        """Make plaintext bytes ``[lo, hi)`` of the chunk available."""
+    def _decrypt_run(self, chunk_index: int, first: int, end: int) -> bytes:
+        """Plaintext of blocks ``[first, end)`` of the open chunk."""
         raise NotImplementedError
-
-
-def _decrypt_block_runs(
-    cipher,
-    payload: bytes,
-    base_position: int,
-    first: int,
-    last: int,
-    cache: _ChunkCache,
-    meter: Meter,
-    block: int,
-    charge_transfer: bool = True,
-) -> None:
-    """Decrypt the not-yet-cached blocks in ``[first, last]`` as
-    contiguous runs (one positioned-mode call per run instead of one
-    per 8-byte block); charges are identical to the per-block form.
-
-    ``charge_transfer=False`` for readers whose transfer was already
-    charged at fragment granularity (ECB-MHT).
-    """
-    have = cache.have_blocks
-    plain_buffer = cache.plain
-    index = first
-    while index <= last:
-        if index in have:
-            index += 1
-            continue
-        run_start = index
-        while index <= last and index not in have:
-            index += 1
-        span = payload[run_start * block : index * block]
-        if charge_transfer:
-            meter.bytes_transferred += len(span)
-        plain = decrypt_positioned(cipher, span, base_position + run_start * block)
-        meter.bytes_decrypted += len(span)
-        plain_buffer[run_start * block : index * block] = plain
-        have.update(range(run_start, index))
 
 
 # ----------------------------------------------------------------------
 # ECB: confidentiality only
 # ----------------------------------------------------------------------
+class _EcbReader(BaseReader):
+    def _prepare_chunk(self, chunk_index: int) -> None:
+        _digest, self.cache.cipher_chunk = self.document.chunk_record(chunk_index)
+        self.cache.plain = bytearray(self.layout.chunk_size)
+
+    def _decrypt_run(self, chunk_index: int, first: int, end: int) -> bytes:
+        # Without a digest nothing is transferred up front: each run
+        # enters the SOE when it is read.
+        run = self._cipher_run(first, end)
+        self.meter.bytes_transferred += len(run)
+        return self._decrypt_positioned(chunk_index, first, run)
+
+    def _decrypt_positioned(self, chunk_index: int, first: int, run: bytes) -> bytes:
+        """Any run of position-XOR ECB blocks decrypts on its own."""
+        layout = self.layout
+        base = versioned_position(
+            chunk_index * layout.chunk_size,
+            self.document.chunk_version(chunk_index),
+        )
+        return decrypt_positioned(
+            self.scheme.cipher, run, base + first * layout.block_size
+        )
+
+
 class EcbScheme(BaseScheme):
     """Position-XOR ECB without integrity (Fig. 11's 'ECB')."""
 
     name = "ECB"
     has_digest = False
+    reader_class = _EcbReader
 
     def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
         return encrypt_positioned(
             self.cipher,
             chunk,
             versioned_position(chunk_index * self.layout.chunk_size, version),
-        )
-
-    def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        return _EcbReader(self, document, meter if meter is not None else Meter())
-
-
-class _EcbReader(BaseReader):
-    def _prepare_chunk(self, chunk_index: int) -> None:
-        _digest, self.cache.cipher_chunk = self.document.chunk_record(chunk_index)
-        self.cache.plain = bytearray(self.layout.chunk_size)
-
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        layout = self.layout
-        block = layout.block_size
-        payload = self.cache.cipher_chunk
-        first = lo // block
-        last = (hi - 1) // block
-        base = versioned_position(
-            chunk_index * layout.chunk_size,
-            self.document.chunk_version(chunk_index),
-        )
-        _decrypt_block_runs(
-            self.scheme.cipher,
-            payload,
-            base,
-            first,
-            last,
-            self.cache,
-            self.meter,
-            block,
         )
 
 
@@ -473,27 +467,10 @@ class _CbcChunkedProtect:
 # ----------------------------------------------------------------------
 # CBC-SHA: CBC + digest over the plaintext chunk
 # ----------------------------------------------------------------------
-class CbcShaScheme(_CbcChunkedProtect, BaseScheme):
-    """CBC encryption, SHA-1 of the *plaintext* chunk (Fig. 11's
-    'CBC-SHA'): every access costs a full chunk transfer + decrypt +
-    hash."""
-
-    name = "CBC-SHA"
-
-    def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
-        return encrypt_cbc(
-            self.cipher, chunk, make_iv(versioned_position(chunk_index, version))
-        )
-
-    def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
-        return plaintext_chunk
-
-    def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        return _CbcShaReader(self, document, meter if meter is not None else Meter())
-
-
 class _CbcShaReader(BaseReader):
     def _prepare_chunk(self, chunk_index: int) -> None:
+        # The digest covers the plaintext, so the whole chunk is
+        # decrypted on open and every block is then cached.
         layout = self.layout
         version = self.document.chunk_version(chunk_index)
         encrypted_digest, payload = self.document.chunk_record(chunk_index)
@@ -515,18 +492,14 @@ class _CbcShaReader(BaseReader):
         self.cache.plain = bytearray(plain)
         self.cache.have_blocks = set(range(layout.chunk_size // layout.block_size))
 
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        pass  # the whole chunk was materialized in _prepare_chunk
 
+class CbcShaScheme(_CbcChunkedProtect, BaseScheme):
+    """CBC encryption, SHA-1 of the *plaintext* chunk (Fig. 11's
+    'CBC-SHA'): every access costs a full chunk transfer + decrypt +
+    hash."""
 
-# ----------------------------------------------------------------------
-# CBC-SHAC: CBC + digest over the ciphertext chunk
-# ----------------------------------------------------------------------
-class CbcShacScheme(_CbcChunkedProtect, BaseScheme):
-    """CBC encryption, SHA-1 of the *ciphertext* chunk: the SOE checks
-    integrity without decrypting the chunk (only the needed blocks)."""
-
-    name = "CBC-SHAC"
+    name = "CBC-SHA"
+    reader_class = _CbcShaReader
 
     def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
         return encrypt_cbc(
@@ -534,12 +507,12 @@ class CbcShacScheme(_CbcChunkedProtect, BaseScheme):
         )
 
     def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
-        return cipher_chunk
-
-    def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        return _CbcShacReader(self, document, meter if meter is not None else Meter())
+        return plaintext_chunk
 
 
+# ----------------------------------------------------------------------
+# CBC-SHAC: CBC + digest over the ciphertext chunk
+# ----------------------------------------------------------------------
 class _CbcShacReader(BaseReader):
     def _prepare_chunk(self, chunk_index: int) -> None:
         layout = self.layout
@@ -555,64 +528,37 @@ class _CbcShacReader(BaseReader):
         self.cache.cipher_chunk = payload
         self.cache.plain = bytearray(layout.chunk_size)
 
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        layout = self.layout
-        block = layout.block_size
-        payload = self.cache.cipher_chunk
-        assert payload is not None
-        first = lo // block
-        last = (hi - 1) // block
-        for index in range(first, last + 1):
-            if index in self.cache.have_blocks:
-                continue
-            previous = (
-                make_iv(
-                    versioned_position(
-                        chunk_index, self.document.chunk_version(chunk_index)
-                    )
-                )
-                if index == 0
-                else payload[(index - 1) * block : index * block]
-            )
-            cipher_block = payload[index * block : (index + 1) * block]
-            plain_block = self.scheme.cipher.decrypt_block(cipher_block)
-            plain = (
-                int.from_bytes(plain_block, "big") ^ int.from_bytes(previous, "big")
-            ).to_bytes(block, "big")
-            self.meter.bytes_decrypted += block
-            self.cache.plain[index * block : (index + 1) * block] = plain
-            self.cache.have_blocks.add(index)
+    def _decrypt_run(self, chunk_index: int, first: int, end: int) -> bytes:
+        # A CBC run decrypts on its own given the ciphertext block
+        # before it (the chunk IV for the first block).
+        if first:
+            iv = self._cipher_run(first - 1, first)
+        else:
+            version = self.document.chunk_version(chunk_index)
+            iv = make_iv(versioned_position(chunk_index, version))
+        return decrypt_cbc(self.scheme.cipher, self._cipher_run(first, end), iv)
+
+
+class CbcShacScheme(_CbcChunkedProtect, BaseScheme):
+    """CBC encryption, SHA-1 of the *ciphertext* chunk: the SOE checks
+    integrity without decrypting the chunk (only the needed blocks)."""
+
+    name = "CBC-SHAC"
+    reader_class = _CbcShacReader
+
+    def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
+        return encrypt_cbc(
+            self.cipher, chunk, make_iv(versioned_position(chunk_index, version))
+        )
+
+    def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
+        return cipher_chunk
 
 
 # ----------------------------------------------------------------------
 # ECB-MHT: the paper's proposal
 # ----------------------------------------------------------------------
-class EcbMhtScheme(BaseScheme):
-    """Position-XOR ECB + Merkle hash tree per chunk (Fig. 11's
-    'ECB-MHT'): only the touched fragments enter the SOE; the terminal
-    cooperates by sending sibling hashes (Fig. F1)."""
-
-    name = "ECB-MHT"
-
-    def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
-        return encrypt_positioned(
-            self.cipher,
-            chunk,
-            versioned_position(chunk_index * self.layout.chunk_size, version),
-        )
-
-    def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
-        raise NotImplementedError  # the digest is the Merkle root instead
-
-    def _chunk_digest(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
-        tree = MerkleTree(self.layout.split_fragments(cipher_chunk))
-        return tree.root
-
-    def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        return _EcbMhtReader(self, document, meter if meter is not None else Meter())
-
-
-class _EcbMhtReader(BaseReader):
+class _EcbMhtReader(_EcbReader):
     def __init__(self, scheme, document, meter):
         super().__init__(scheme, document, meter)
         self._tree_cache: Dict[int, MerkleTree] = {}
@@ -640,6 +586,8 @@ class _EcbMhtReader(BaseReader):
         self.cache.plain = bytearray(layout.chunk_size)
 
     def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
+        # Transfer and verify the range's fragments not seen yet, then
+        # decrypt its blocks.
         layout = self.layout
         needed_fragments = [
             f
@@ -671,25 +619,35 @@ class _EcbMhtReader(BaseReader):
                     "chunk %d Merkle verification failed" % chunk_index
                 )
             self.cache.have_fragments.update(needed_fragments)
-        # Decrypt only the blocks of the requested range (batched into
-        # contiguous runs; the transfer was already charged per
-        # fragment above).
-        block = layout.block_size
-        base = versioned_position(
-            chunk_index * layout.chunk_size,
-            self.document.chunk_version(chunk_index),
+        super()._ensure_range(chunk_index, lo, hi)
+
+    def _decrypt_run(self, chunk_index: int, first: int, end: int) -> bytes:
+        # The transfer was already charged per fragment.
+        run = self._cipher_run(first, end)
+        return self._decrypt_positioned(chunk_index, first, run)
+
+
+class EcbMhtScheme(BaseScheme):
+    """Position-XOR ECB + Merkle hash tree per chunk (Fig. 11's
+    'ECB-MHT'): only the touched fragments enter the SOE; the terminal
+    cooperates by sending sibling hashes (Fig. F1)."""
+
+    name = "ECB-MHT"
+    reader_class = _EcbMhtReader
+
+    def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
+        return encrypt_positioned(
+            self.cipher,
+            chunk,
+            versioned_position(chunk_index * self.layout.chunk_size, version),
         )
-        _decrypt_block_runs(
-            self.scheme.cipher,
-            payload,
-            base,
-            lo // block,
-            (hi - 1) // block,
-            self.cache,
-            self.meter,
-            block,
-            charge_transfer=False,
-        )
+
+    def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
+        raise NotImplementedError  # the digest is the Merkle root instead
+
+    def _chunk_digest(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
+        tree = MerkleTree(self.layout.split_fragments(cipher_chunk))
+        return tree.root
 
 
 # ----------------------------------------------------------------------
@@ -732,63 +690,12 @@ SCHEMES = {
     "ECB-MHT": EcbMhtScheme,
 }
 
-#: Cipher factories a persistent store knows how to rebuild by name.
-_CIPHER_FACTORIES = {
-    "xtea": Xtea,
-    "des": Des,
-    "3des": TripleDes,
-    "null": NullCipher,
-}
-
-
-def _cipher_kind(factory) -> Optional[str]:
-    """The spec name of a cipher factory, or ``None`` for custom ones.
-
-    Native subclasses resolve to their base kind — the loader picks its
-    own (possibly native) implementation for that kind, and all
-    implementations are byte-identical by construction.
-    """
-    if isinstance(factory, type):
-        for kind, base in _CIPHER_FACTORIES.items():
-            if issubclass(factory, base):
-                return kind
-    return None
-
-
-def storage_spec(scheme: BaseScheme):
-    """What a persistent store must record to rebuild ``scheme``:
-    ``(name, key, cipher kind, (chunk, fragment, block, digest) sizes)``.
-
-    The key is the scheme's *cipher* key — the one the chunk records
-    were actually encrypted under — which may differ from the
-    provisioning key a station hands to its store (an externally
-    prepared document arrives with its own encryption key).
-
-    ``None`` when the cipher factory is custom (unknown by name), in
-    which case only the in-memory store can hold it.
-    """
-    kind = _cipher_kind(scheme._cipher_factory)
-    if kind is None:
-        return None
-    layout = scheme.layout
-    return (
-        scheme.name,
-        scheme._key,
-        kind,
-        (
-            layout.chunk_size,
-            layout.fragment_size,
-            layout.block_size,
-            layout.digest_size,
-        ),
-    )
-
 
 def make_scheme(
     name: str,
     key: bytes = b"\x00" * 16,
+    layout: Optional[ChunkLayout] = None,
     backend=None,
-    **kwargs,
 ) -> BaseScheme:
     """Factory by Fig. 11 scheme name."""
     try:
@@ -797,4 +704,4 @@ def make_scheme(
         raise ValueError(
             "unknown scheme %r (expected one of %s)" % (name, sorted(SCHEMES))
         )
-    return cls(key=key, backend=backend, **kwargs)
+    return cls(key=key, layout=layout, backend=backend)

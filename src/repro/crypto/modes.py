@@ -43,28 +43,6 @@ class BlockCipher(Protocol):
         ...
 
 
-class NullCipher:
-    """Identity cipher — for tests and cost-only simulations."""
-
-    block_size = 8
-    key_size = 0
-
-    def __init__(self, key: bytes = b""):
-        del key
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        return bytes(block)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        return bytes(block)
-
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        return bytes(data)
-
-    def decrypt_blocks(self, data: bytes) -> bytes:
-        return bytes(data)
-
-
 def _check(data: bytes, block_size: int) -> None:
     if len(data) % block_size:
         raise ValueError(

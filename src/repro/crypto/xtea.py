@@ -1,8 +1,9 @@
 """XTEA block cipher (Needham & Wheeler), 8-byte blocks, 16-byte key.
 
-Used as the default cipher in benches: it has the same 64-bit block
-geometry as (3)DES — so the chunk/fragment/block layout of Appendix A
-is unchanged — but runs an order of magnitude faster in pure Python.
+The cipher every scheme encrypts under: it has the same 64-bit block
+geometry as the paper's 3DES — so the chunk/fragment/block layout of
+Appendix A is unchanged — but runs an order of magnitude faster in pure
+Python.
 The architecture is cipher-agnostic (Section 6), and the SOE cost model
 charges decryption per byte at the Table 1 throughput regardless of the
 cipher doing the work.

@@ -40,12 +40,7 @@ from repro.crypto.chunks import ChunkLayout
 from repro.crypto.integrity import SecureBytes, make_scheme
 from repro.crypto.modes import decrypt_positioned, encrypt_positioned, pad_to_block
 from repro.crypto.xtea import Xtea
-from repro.engine.pipeline import (
-    encode_source,
-    evaluate_document,
-    prepare_document,
-    run_plan,
-)
+from repro.engine.pipeline import encode_source, evaluate_document, run_plan
 from repro.engine.plans import PolicyPlan, compile_policy, policy_digest
 from repro.metrics import Meter
 from repro.skipindex.decoder import SkipIndexNavigator, decode_document
@@ -190,10 +185,6 @@ class StationSession:
         self._cipher = link_cipher(self.session_key, station.backend)
 
     # ------------------------------------------------------------------
-    def view(self, document_id: str, query=None) -> SessionResult:
-        """Authorized view of ``document_id`` under this subject's grant."""
-        return self.station.evaluate(document_id, self.subject, query=query)
-
     def seal(self, payload: bytes) -> bytes:
         return seal_payload(self.session_key, payload, self._cipher)
 
@@ -679,8 +670,6 @@ class SecureStation:
         prior = self.store.version(document_id)
         next_version = 0 if prior is None else prior + 1
         next_version = max(next_version, version_floor)
-        encoded = None
-        structural = None
         if isinstance(document, PreparedDocument):
             prepared = document
             if opts.index and prepared.index is None:
@@ -694,28 +683,16 @@ class SecureStation:
                     prepared.secure,
                     index=build_structural_index(prepared.encoded),
                 )
-        elif self.store.persistent:
-            # Persistent publish streams: parse + encode here, then the
-            # scheme's record generator flows straight into the store's
-            # log (at most one segment buffered), so a document larger
-            # than RAM publishes without its ciphertext ever
-            # materializing.
-            encoded = encode_source(document)
-            if opts.index:
-                structural = build_structural_index(encoded)
-            prepared = None
         else:
-            prepared = prepare_document(
-                document,
-                scheme,
-                key,
-                layout,
-                version=next_version,
-                backend=self.backend,
-                index=opts.index,
-            )
+            # Parse + encode here, then the scheme's record generator
+            # flows into the store: a disk store buffers at most one log
+            # segment, so a document larger than RAM publishes without
+            # its ciphertext ever materializing.
+            encoded = encode_source(document)
+            structural = build_structural_index(encoded) if opts.index else None
+            prepared = None
         with self._lock:
-            if encoded is not None:
+            if prepared is None:
                 version = next_version
                 served = self.store.put_stream(
                     document_id,

@@ -1,9 +1,9 @@
 """Blocking client SDK for the station server.
 
-:class:`RemoteSession` mirrors the in-process evaluation APIs —
-``evaluate(document_id, query)`` like :meth:`SecureStation.evaluate`,
-``view()`` like :meth:`StationSession.view` — so code written against
-the local station runs unmodified against a live server.  The returned
+:class:`RemoteSession` mirrors the in-process evaluation API —
+``evaluate(document_id, query)`` like :meth:`SecureStation.evaluate`
+for the session's subject — so code written against the local station
+runs unmodified against a live server.  The returned
 :class:`RemoteResult` carries the reassembled authorized view (bytes,
 text and, lazily, the event stream) plus the server's RESULT trailer
 (simulated seconds, meter counts).
@@ -296,9 +296,9 @@ class RemoteSession:
     ) -> RemoteResult:
         """The authorized view of ``document_id`` for this subject.
 
-        Mirrors :meth:`SecureStation.evaluate` /
-        :meth:`StationSession.view`; raises :class:`RemoteError` on a
-        structured server error.  Every call is a QUERY round-trip.
+        Mirrors :meth:`SecureStation.evaluate`; raises
+        :class:`RemoteError` on a structured server error.  Every call
+        is a QUERY round-trip.
         """
         trace = self._trace_id(trace)
         return self._with_reconnect(
@@ -336,9 +336,6 @@ class RemoteSession:
                 raise ProtocolError(
                     "unexpected %s frame during a query" % frame.type_name
                 )
-
-    #: Alias mirroring :meth:`StationSession.view`.
-    view = evaluate
 
     def update(self, document_id: str, op, trace: int = 0) -> Dict[str, Any]:
         """Apply a live edit server-side (an UPDATE round-trip).

@@ -51,7 +51,9 @@ an incomplete one is the torn tail) and truncate the log back to the
 committed tail; validate each document's entries form a strictly
 increasing version chain (a rollback raises
 :class:`~repro.crypto.integrity.IntegrityError` — trusted metadata
-must never move backwards); keep the newest valid entry per document.
+must never move backwards); refuse, with :class:`StoreError`, an
+entry naming a scheme or cipher this code cannot rebuild; keep the
+newest valid entry per document.
 A restarted station therefore serves byte-identical views at exactly
 the pre-crash committed version.
 
@@ -83,7 +85,6 @@ from repro.crypto.integrity import (
     IntegrityError,
     SecureDocument,
     make_scheme,
-    storage_spec,
 )
 from repro.metrics import Meter
 from repro.skipindex.encoder import EncodedDocument, EncodingStats
@@ -109,6 +110,8 @@ SEGMENT_BYTES = 256 * 1024
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 _SYNC_MODES = ("commit", "batch")
+#: The cipher every manifest entry names: the only one the schemes use.
+CIPHER = "xtea"
 
 
 def _crc(data) -> int:
@@ -152,7 +155,6 @@ class _DocState:
         "version",
         "key",
         "scheme_name",
-        "cipher_kind",
         "layout",
         "plaintext_size",
         "secure_version",
@@ -538,6 +540,12 @@ class LogStore(ChunkStore):
         versions_seen: Dict[str, int] = {}
         for entry in entries:
             document_id = entry["id"]
+            for field, known in (("scheme", SCHEMES), ("cipher", (CIPHER,))):
+                if entry[field] not in known:
+                    raise StoreError(
+                        "manifest entry for %r: %s %r cannot be rebuilt"
+                        % (document_id, field, entry[field])
+                    )
             version = int(entry["v"])
             prior = versions_seen.get(document_id)
             # Strictly *decreasing* is a rollback (tampered manifest or
@@ -579,7 +587,6 @@ class LogStore(ChunkStore):
         state.version = int(entry["v"])
         state.key = bytes.fromhex(entry["key"])
         state.scheme_name = entry["scheme"]
-        state.cipher_kind = entry["cipher"]
         state.layout = tuple(entry["layout"])
         state.plaintext_size = int(entry["psize"])
         state.secure_version = int(entry["sv"])
@@ -806,7 +813,7 @@ class LogStore(ChunkStore):
                 "v": state.version,
                 "key": state.key.hex(),
                 "scheme": state.scheme_name,
-                "cipher": state.cipher_kind,
+                "cipher": CIPHER,
                 "layout": list(state.layout),
                 "psize": state.plaintext_size,
                 "sv": state.secure_version,
@@ -841,16 +848,10 @@ class LogStore(ChunkStore):
         self,
         document_id: str,
         prepared: PreparedDocument,
-        key: bytes,
         version: int,
     ) -> _DocState:
-        spec = storage_spec(prepared.scheme)
-        if spec is None:
-            raise StoreError(
-                "scheme %r uses a custom cipher factory and cannot be "
-                "persisted; use MemoryStore" % prepared.scheme.name
-            )
-        name, cipher_key, cipher_kind, layout = spec
+        scheme = prepared.scheme
+        layout = scheme.layout
         state = _DocState()
         state.document_id = document_id
         state.version = version
@@ -858,10 +859,14 @@ class LogStore(ChunkStore):
         # an externally prepared document (cluster publish, failover
         # republish) was encrypted under its own key, and the scheme
         # rebuilt at load time must decrypt with that one.
-        state.key = bytes(cipher_key)
-        state.scheme_name = name
-        state.cipher_kind = cipher_kind
-        state.layout = layout
+        state.key = bytes(scheme.key)
+        state.scheme_name = scheme.name
+        state.layout = (
+            layout.chunk_size,
+            layout.fragment_size,
+            layout.block_size,
+            layout.digest_size,
+        )
         state.plaintext_size = prepared.secure.plaintext_size
         state.secure_version = prepared.secure.version
         state.chunk_versions = list(prepared.secure.chunk_versions)
@@ -929,7 +934,7 @@ class LogStore(ChunkStore):
         with self._lock:
             if self._closed:
                 raise StoreError("store is closed")
-            state = self._state_from_prepared(document_id, prepared, key, version)
+            state = self._state_from_prepared(document_id, prepared, version)
             state.runs = self._append_records(state, enumerate(records))
             self._append_index_blob(state)
             self._commit(state)
@@ -985,9 +990,7 @@ class LogStore(ChunkStore):
             old = self._states.get(document_id)
             if old is None:
                 raise StoreError("unknown document %r" % document_id)
-            state = self._state_from_prepared(
-                document_id, prepared, old.key, version
-            )
+            state = self._state_from_prepared(document_id, prepared, version)
             record_size = self._record_size_of(state)
             secure = prepared.secure
             new_count = len(state.chunk_versions)
@@ -1046,12 +1049,9 @@ class LogStore(ChunkStore):
 
     def _handle(self, state: _DocState) -> StoredDocument:
         if state.handle is None:
-            from repro.crypto.integrity import _CIPHER_FACTORIES
-
             scheme = make_scheme(
                 state.scheme_name,
                 key=state.key,
-                cipher_factory=_CIPHER_FACTORIES[state.cipher_kind],
                 layout=ChunkLayout(*state.layout),
                 backend=self._backend,
             )

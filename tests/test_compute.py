@@ -23,7 +23,6 @@ from repro.compute import (
 from repro.compute.backends import ComputeBackend
 from repro.compute.native import NO_NATIVE_ENV
 from repro.crypto import modes
-from repro.crypto.des import Des, TripleDes
 from repro.crypto.integrity import SCHEMES, make_scheme
 from repro.crypto.xtea import Xtea
 from repro.metrics import Meter
@@ -43,19 +42,12 @@ def random_bytes(rng: random.Random, length: int) -> bytes:
 
 
 @needs_native
-@pytest.mark.parametrize("kind", ["xtea", "des", "3des"])
+@pytest.mark.parametrize("kind", ["xtea"])
 def test_native_kernels_match_pure_oracle(kind):
-    from repro.compute.native import NativeDes, NativeTripleDes, NativeXtea
+    from repro.compute.native import NativeXtea
 
     rng = random.Random(1234)
-    pure, native = {
-        "xtea": lambda: (Xtea(bytes(range(16))), NativeXtea(bytes(range(16)))),
-        "des": lambda: (Des(bytes(range(8))), NativeDes(bytes(range(8)))),
-        "3des": lambda: (
-            TripleDes(bytes(range(24))),
-            NativeTripleDes(bytes(range(24))),
-        ),
-    }[kind]()
+    pure, native = Xtea(bytes(range(16))), NativeXtea(bytes(range(16)))
     for length in (0, 8, 64, 2048, 4096 + 8):
         data = random_bytes(rng, length)
         sealed = modes.encrypt_ecb(native, data)
@@ -65,22 +57,15 @@ def test_native_kernels_match_pure_oracle(kind):
 
 
 @needs_native
-@pytest.mark.parametrize("kind", ["xtea", "des", "3des"])
+@pytest.mark.parametrize("kind", ["xtea"])
 def test_native_positioned_matches_reference(kind):
     """The positioned C kernel vs both the SWAR fast path and the
     block-at-a-time reference, including versioned and wrap-adjacent
     start positions."""
-    from repro.compute.native import NativeDes, NativeTripleDes, NativeXtea
+    from repro.compute.native import NativeXtea
 
     rng = random.Random(99)
-    pure, native = {
-        "xtea": lambda: (Xtea(bytes(range(16))), NativeXtea(bytes(range(16)))),
-        "des": lambda: (Des(bytes(range(8))), NativeDes(bytes(range(8)))),
-        "3des": lambda: (
-            TripleDes(bytes(range(24))),
-            NativeTripleDes(bytes(range(24))),
-        ),
-    }[kind]()
+    pure, native = Xtea(bytes(range(16))), NativeXtea(bytes(range(16)))
     positions = [0, 8, 2048, (1 << 63) - 8, (123 << 40) | 4096, (1 << 64) - 16]
     for length in (0, 8, 2048):
         data = random_bytes(rng, length)

@@ -1,16 +1,11 @@
 """Tests for the crypto substrate: ciphers, modes, Merkle, schemes."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.chunks import ChunkLayout
-from repro.crypto.des import Des, TripleDes
 from repro.crypto.integrity import (
     SCHEMES,
     IntegrityError,
@@ -19,7 +14,6 @@ from repro.crypto.integrity import (
 )
 from repro.crypto.merkle import MerkleTree, sha1, verify_with_siblings
 from repro.crypto.modes import (
-    NullCipher,
     decrypt_cbc,
     decrypt_cbc_reference,
     decrypt_ecb,
@@ -42,94 +36,22 @@ from repro.metrics import Meter
 KEY16 = bytes(range(16))
 
 
-class TestDes:
-    def test_fips_vector(self):
-        # Classic known-answer test.
-        cipher = Des(bytes.fromhex("133457799BBCDFF1"))
-        plain = bytes.fromhex("0123456789ABCDEF")
-        expected = bytes.fromhex("85E813540F0AB405")
-        assert cipher.encrypt_block(plain) == expected
-        assert cipher.decrypt_block(expected) == plain
+class NullCipher:
+    """Identity cipher: the modes accept any 8-byte block cipher."""
 
-    def test_weak_vector_zero(self):
-        cipher = Des(bytes.fromhex("0000000000000000"))
-        plain = bytes.fromhex("0000000000000000")
-        expected = bytes.fromhex("8CA64DE9C1B123A7")
-        assert cipher.encrypt_block(plain) == expected
+    block_size = 8
 
-    @pytest.mark.parametrize(
-        "name, width, table",
-        [("_IP_BYTES", 64, "_IP"), ("_FP_BYTES", 64, "_FP"), ("_E_BYTES", 32, "_E")],
-    )
-    def test_byte_tables_equal_bitwise_permutation(self, name, width, table):
-        from repro.crypto import des
+    def encrypt_block(self, block: bytes) -> bytes:
+        return bytes(block)
 
-        des._build_tables()
-        rows = getattr(des, name)
-        assert len(rows) == width // 8
-        for byte_index, row in enumerate(rows):
-            shift = width - 8 * (byte_index + 1)
-            assert len(row) == 256
-            for value in range(256):
-                expected = des._permute(value << shift, width, getattr(des, table))
-                assert row[value] == expected, (name, byte_index, value)
+    def decrypt_block(self, block: bytes) -> bytes:
+        return bytes(block)
 
-    def test_tables_wait_for_the_first_des(self):
-        # A serving process that never uses DES must not pay for its
-        # tables: importing the serving entry point leaves them unbuilt,
-        # and the first Des builds all four (native twins included).
-        root = Path(__file__).resolve().parents[1]
-        code = (
-            "import perfbench.serving\n"
-            "from repro.compute import native_available\n"
-            "from repro.crypto import des\n"
-            "tables = ('_IP_BYTES', '_FP_BYTES', '_E_BYTES', '_SP')\n"
-            "def built():\n"
-            "    return [n for n in tables if getattr(des, n) is not None]\n"
-            "print(built())\n"
-            "if native_available():\n"
-            "    from repro.compute.native import NativeDes\n"
-            "    cipher = NativeDes(bytes.fromhex('133457799BBCDFF1'))\n"
-            "    block = cipher.encrypt_blocks(bytes.fromhex('0123456789ABCDEF'))\n"
-            "    assert block.hex() == '85e813540f0ab405', block.hex()\n"
-            "else:\n"
-            "    des.Des(bytes(8))\n"
-            "print(built())\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
-        lines = subprocess.run(
-            [sys.executable, "-c", code],
-            cwd=str(root),
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.splitlines()
-        assert lines == ["[]", "['_IP_BYTES', '_FP_BYTES', '_E_BYTES', '_SP']"]
+    def encrypt_blocks(self, data: bytes) -> bytes:
+        return bytes(data)
 
-    def test_triple_des_round_trip(self):
-        cipher = TripleDes(bytes(range(24)))
-        block = b"8bytes!!"
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-    def test_triple_des_two_key_form(self):
-        cipher = TripleDes(bytes(range(16)))
-        block = b"ABCDEFGH"
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-    def test_triple_des_ede_with_equal_keys_is_des(self):
-        key = bytes.fromhex("133457799BBCDFF1")
-        single = Des(key)
-        triple = TripleDes(key * 3)
-        block = bytes.fromhex("0123456789ABCDEF")
-        assert triple.encrypt_block(block) == single.encrypt_block(block)
-
-    def test_key_length_validation(self):
-        with pytest.raises(ValueError):
-            Des(b"short")
-        with pytest.raises(ValueError):
-            TripleDes(b"short")
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        return bytes(data)
 
 
 class TestXtea:
@@ -216,8 +138,6 @@ class TestVectorizedModes:
     CIPHERS = [
         ("xtea", lambda: Xtea(KEY16)),
         ("null", lambda: NullCipher()),
-        ("des", lambda: Des(bytes(range(8)))),
-        ("3des", lambda: TripleDes(bytes(range(24)))),
     ]
 
     @pytest.mark.parametrize("name", [name for name, _ in CIPHERS])

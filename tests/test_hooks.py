@@ -240,3 +240,31 @@ def test_every_src_definition_has_a_non_test_caller():
     assert sorted(orphans - set(NO_CALLER_NEEDED)) == []
     # An entry whose definition gained a caller or went away is stale.
     assert sorted(set(NO_CALLER_NEEDED) - orphans) == []
+
+
+# ----------------------------------------------------------------------
+# Every exported C kernel is bound, and every binding has a kernel
+# ----------------------------------------------------------------------
+#: A top-level C function definition: optional ``static``, a return
+#: type, the name and its opening parenthesis, at the start of a line.
+_C_DEFINITION = re.compile(
+    r"^(static\s+)?[A-Za-z_][\w\s\*]*?\b([A-Za-z_]\w*)\s*\(", re.MULTILINE
+)
+
+
+def test_every_exported_c_kernel_has_a_ctypes_binding():
+    # The caller scan above sees only Python: a C function nothing binds
+    # would be compiled into every build and never run.
+    import inspect
+
+    from repro.compute import native
+
+    exported = {
+        match.group(2)
+        for match in _C_DEFINITION.finditer(native.C_SOURCE)
+        if not match.group(1)
+    }
+    bound = set(re.findall(r"\blib\.(\w+)", inspect.getsource(native._build_library)))
+    assert exported, "no C function definition found"
+    assert sorted(exported - bound) == []
+    assert sorted(bound - exported) == []

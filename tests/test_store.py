@@ -16,8 +16,10 @@ Three families of guarantees:
   ``close`` is idempotent and releases the directory lock.
 """
 
+import json
 import os
 import random
+import zlib
 
 import pytest
 
@@ -325,6 +327,29 @@ def test_version_rollback_raises_integrity_error(tmp_path):
         handle.write(lines[0])
 
     with pytest.raises(IntegrityError, match="rollback"):
+        LogStore(directory)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("scheme", "ROT13"), ("cipher", "rot13"), ("cipher", "des")]
+)
+def test_unrebuildable_manifest_entry_is_refused_at_open(tmp_path, field, value):
+    # An entry naming a scheme or cipher this code cannot rebuild must
+    # fail the open, naming the document and the field, instead of
+    # opening and failing on the first read.
+    directory = str(tmp_path)
+    _populate(directory)
+    _, manifest_path = _files(directory)
+    with open(manifest_path, "rb") as handle:
+        (line,) = handle.readlines()
+    entry = json.loads(line.split(b" ", 1)[1])
+    entry[field] = value
+    payload = json.dumps(entry, separators=(",", ":")).encode("utf-8")
+    line = b"%08x " % (zlib.crc32(payload) & 0xFFFFFFFF) + payload + b"\n"
+    with open(manifest_path, "wb") as handle:
+        handle.write(line)
+
+    with pytest.raises(StoreError, match="'doc': %s %r" % (field, value)):
         LogStore(directory)
 
 
