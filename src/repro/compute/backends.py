@@ -5,8 +5,8 @@ Two implementations of one small contract (:class:`ComputeBackend`):
 * :class:`PureBackend` — the existing pure-Python SWAR fast paths,
   always available, and the oracle every other backend is fuzzed
   against;
-* :class:`NativeBackend` — same call graph, but cipher factories are
-  swapped for the C-kernel twins of :mod:`repro.compute.native`.
+* :class:`NativeBackend` — same call graph, but XTEA is swapped for
+  its C-kernel twin in :mod:`repro.compute.native`.
 
 Both run in the calling process, one request at a time, like the
 paper's single secure processor.
