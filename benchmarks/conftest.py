@@ -32,10 +32,10 @@ def print_experiment(title: str, data) -> None:
 def write_bench(name: str, report: dict, seed=None) -> dict:
     """Write ``report`` to ``BENCH_<name>.json`` at the repo root under
     one provenance header: the checked-out commit, the Python version,
-    the usable CPUs, the compute backend and the seed the bench drew its
+    the usable CPUs, the XTEA implementation and the seed the bench drew its
     data from (``None`` when it draws none).  Returns what was written.
     """
-    from repro.compute import auto_backend
+    from repro.compute import BACKEND
     from repro.server.frames import worker_count
 
     try:
@@ -53,7 +53,7 @@ def write_bench(name: str, report: dict, seed=None) -> dict:
             "commit": commit,
             "python": platform.python_version(),
             "nproc": worker_count(),
-            "backend": auto_backend().name,
+            "backend": BACKEND.name,
             "seed": seed,
         },
         **report,

@@ -276,7 +276,6 @@ def cmd_serve(args) -> int:
     station, subjects = hospital_station(
         folders=args.hospital,
         context=args.context,
-        backend=args.backend,
         store=chunk_store,
         index=args.index,
     )
@@ -722,13 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="build the publish-time structural index so eligible "
         "queries are served from chunk-range plans",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=["pure", "native", "auto"],
-        default="auto",
-        help="compute backend for the crypto hot paths "
-        "(auto prefers the native C kernels when available)",
     )
     p_serve.add_argument(
         "--metrics-port",

@@ -177,20 +177,18 @@ class _Backend:
         "alive",
         "pool",
         "created",
-        "pool_size",
         "requests",
         "errors",
         "latencies",
     )
 
-    def __init__(self, name: str, host: str, port: int, pool_size: int):
+    def __init__(self, name: str, host: str, port: int):
         self.name = name
         self.host = host
         self.port = port
         self.alive = True
         self.pool: "asyncio.Queue[_BackendLink]" = asyncio.Queue()
         self.created = 0
-        self.pool_size = pool_size
         self.requests = 0
         self.errors = 0
         #: Recent per-request wall-clock seconds (gateway-side), for
@@ -222,8 +220,6 @@ class ClusterGateway(FrameServer):
     replicas:
         Copies per document (R).  Reads prefer the primary; updates
         are applied to every live replica.
-    vnodes:
-        Virtual nodes per member on the hash ring.
     documents / placement:
         Bootstrap knowledge: last known version per document id and
         which backends hold a copy (both maintained live afterwards).
@@ -270,21 +266,23 @@ class ClusterGateway(FrameServer):
     METRICS_PREFIX = "repro_gateway_"
     UNEXPECTED = "unexpected %s frame at the gateway"
     WORKERS = "repro-gateway"
+    #: Pooled links per backend.
+    pool_size = 4
+    #: Seconds to wait for a backend reply or a free pooled link.
+    request_timeout = 60.0
+    #: Seconds to open and handshake one backend link.
+    connect_timeout = 5.0
 
     def __init__(
         self,
         backends: Dict[str, Tuple[str, int]],
         *,
         replicas: int = 2,
-        vnodes: int = 64,
         host: str = "127.0.0.1",
         port: int = 0,
         documents: Optional[Dict[str, int]] = None,
         placement: Optional[Dict[str, Iterable[str]]] = None,
         republisher: Optional[Republisher] = None,
-        pool_size: int = 4,
-        request_timeout: float = 60.0,
-        connect_timeout: float = 5.0,
         max_payload: int = protocol.DEFAULT_MAX_PAYLOAD,
         slow_ms: Optional[float] = None,
         trace: bool = False,
@@ -304,13 +302,10 @@ class ClusterGateway(FrameServer):
             slow_sink=slow_sink,
         )
         self.replicas = replicas
-        self.pool_size = pool_size
-        self.request_timeout = request_timeout
-        self.connect_timeout = connect_timeout
         self.republisher = republisher
-        self.ring = HashRing(backends, vnodes=vnodes)
+        self.ring = HashRing(backends)
         self.backends: Dict[str, _Backend] = {
-            name: _Backend(name, address[0], address[1], pool_size)
+            name: _Backend(name, address[0], address[1])
             for name, address in backends.items()
         }
         #: Last known version per document id.
@@ -385,7 +380,7 @@ class ClusterGateway(FrameServer):
             return backend.pool.get_nowait()
         except asyncio.QueueEmpty:
             pass
-        if backend.created < backend.pool_size:
+        if backend.created < self.pool_size:
             backend.created += 1
             try:
                 return await self._open_link(backend)

@@ -98,12 +98,9 @@ class StationCluster:
         self,
         *,
         replicas: int = 2,
-        vnodes: int = 64,
         context: str = "smartcard",
-        use_skip_index: bool = True,
         host: str = "127.0.0.1",
         gateway_port: int = 0,
-        pool_size: int = 4,
         chunk_size: int = 4096,
         master_secret: bytes = b"cluster-master-secret",
         slow_ms: Optional[float] = None,
@@ -112,12 +109,9 @@ class StationCluster:
         cache_mb: Optional[int] = None,
     ):
         self.replicas = replicas
-        self.vnodes = vnodes
         self.context = context
-        self.use_skip_index = use_skip_index
         self.host = host
         self.gateway_port = gateway_port
-        self.pool_size = pool_size
         self.chunk_size = chunk_size
         #: Root directory for per-backend persistent stores: each
         #: backend gets ``store_dir/<node name>``, so a restarted
@@ -140,7 +134,7 @@ class StationCluster:
         #: Cluster-side placement mirror used only for bootstrap and
         #: for helper queries (``primary_of``); after start the
         #: gateway's ring is authoritative for routing.
-        self._ring = HashRing(vnodes=vnodes)
+        self._ring = HashRing()
         self._placement: Dict[str, List[str]] = {}
         #: Per-document grant records, needed to re-grant on repair.
         self._policies: Dict[str, List[Policy]] = {}
@@ -172,7 +166,6 @@ class StationCluster:
             StationConfig(
                 master_secret=self._derive(name),
                 context=self.context,
-                use_skip_index=self.use_skip_index,
                 store=store,
             )
         )
@@ -282,7 +275,6 @@ class StationCluster:
                 if node.alive
             },
             replicas=self.replicas,
-            vnodes=self.vnodes,
             host=self.host,
             port=self.gateway_port,
             documents=versions,
@@ -291,7 +283,6 @@ class StationCluster:
                 for document_id, holders in self._placement.items()
             },
             republisher=self._republish,
-            pool_size=self.pool_size,
             slow_ms=self.slow_ms,
             trace=self.trace,
         )
@@ -399,7 +390,6 @@ def hospital_cluster(
     folders: int = 3,
     seed: int = 7,
     context: str = "smartcard",
-    vnodes: int = 64,
     host: str = "127.0.0.1",
     gateway_port: int = 0,
     slow_ms: Optional[float] = None,
@@ -430,7 +420,6 @@ def hospital_cluster(
 
     cluster = StationCluster(
         replicas=replicas,
-        vnodes=vnodes,
         context=context,
         host=host,
         gateway_port=gateway_port,

@@ -1,75 +1,45 @@
-"""Pluggable execution backends for the crypto hot paths.
+"""Which XTEA implementation runs the crypto hot paths.
 
-Selection: ``SecureStation(backend=...)`` / ``repro serve --backend``
-accept ``"pure"``, ``"native"``, ``"auto"`` (or ``None``), or an
-already-constructed :class:`ComputeBackend`.  Auto-detection prefers
-the native C kernels when a compiler is (or was) available and falls
-back to pure Python otherwise.  Every backend runs in the calling
-process.
+:func:`xtea_cipher` is the one place that picks: the C-kernel
+:class:`~repro.compute.native.NativeXtea` when the kernels load, the
+pure-Python :class:`~repro.crypto.xtea.Xtea` otherwise.  Both are
+byte-identical; ``REPRO_NO_NATIVE=1`` forces the pure one.  Every
+scheme, store and link cipher gets its cipher here, so what serves a
+request is what :data:`BACKEND` reports.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Dict
 
-from repro.compute.backends import (
-    BackendUnavailable,
-    ComputeBackend,
-    NativeBackend,
-    PureBackend,
-)
-from repro.compute.native import native_available, reset_native_cache
-
-BACKEND_NAMES = ("pure", "native")
+from repro.compute.native import NativeXtea, native_available, reset_native_cache
+from repro.crypto.xtea import Xtea
 
 
-def auto_backend() -> ComputeBackend:
-    """Fastest always-safe in-process backend for this machine."""
-    if native_available():
-        return NativeBackend()
-    return PureBackend()
+def xtea_cipher(key: bytes) -> Xtea:
+    """An XTEA cipher under ``key`` on the fastest implementation here."""
+    return (NativeXtea if native_available() else Xtea)(key)
 
 
-def resolve_backend(
-    spec: Union[None, str, ComputeBackend],
-) -> ComputeBackend:
-    """Turn a backend selector into a live backend instance.
+class BackendInfo:
+    """Read-only description of what :func:`xtea_cipher` builds here,
+    for STATS, the ``stage:evaluate`` span and bench provenance."""
 
-    ``None`` / ``"auto"`` auto-detect; explicit names are strict —
-    asking for ``"native"`` on a machine without the kernels raises
-    :class:`BackendUnavailable` instead of silently degrading.
-    """
-    if isinstance(spec, ComputeBackend):
-        return spec
-    if spec is None or spec == "auto":
-        return auto_backend()
-    if spec == "pure":
-        return PureBackend()
-    if spec == "native":
-        return NativeBackend()
-    raise ValueError(
-        "unknown compute backend %r (expected one of %s, 'auto', or a "
-        "ComputeBackend instance)" % (spec, ", ".join(BACKEND_NAMES))
-    )
+    __slots__ = ()
+
+    @property
+    def name(self) -> str:
+        return "native" if native_available() else "pure"
+
+    def describe(self) -> Dict[str, object]:
+        return {"name": self.name, "native_kernels": native_available()}
 
 
-def available_backends() -> List[str]:
-    """Names of the backends constructible on this machine."""
-    names = ["pure"]
-    if native_available():
-        names.append("native")
-    return names
-
+BACKEND = BackendInfo()
 
 __all__ = [
-    "BACKEND_NAMES",
-    "BackendUnavailable",
-    "ComputeBackend",
-    "NativeBackend",
-    "PureBackend",
-    "auto_backend",
-    "available_backends",
+    "BACKEND",
     "native_available",
     "reset_native_cache",
-    "resolve_backend",
+    "xtea_cipher",
 ]

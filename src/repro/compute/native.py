@@ -373,10 +373,3 @@ class NativeXtea(Xtea):
         )
         return buf.raw
 
-
-def native_factory(base):
-    """:class:`NativeXtea` for :class:`Xtea` when the kernels load;
-    anything else passes through unchanged."""
-    if base is Xtea and native_available():
-        return NativeXtea
-    return base

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.compute import xtea_cipher
 from repro.crypto.chunks import ChunkLayout
 from repro.crypto.merkle import HASH_SIZE, MerkleTree, sha1, verify_with_siblings
 from repro.crypto.modes import (
@@ -41,7 +42,6 @@ from repro.crypto.modes import (
     make_iv,
     versioned_position,
 )
-from repro.crypto.xtea import Xtea
 from repro.metrics import Meter
 
 
@@ -129,9 +129,10 @@ class SecureDocument:
 class BaseScheme:
     """Common machinery: chunking, digest encryption, reader factory.
 
-    Every scheme encrypts under XTEA; ``key`` is the cipher key the
-    chunk records are encrypted under, which a persistent store records
-    to rebuild the scheme.
+    Every scheme encrypts under XTEA on the implementation
+    :func:`~repro.compute.xtea_cipher` picks; ``key`` is the cipher key
+    the chunk records are encrypted under, which a persistent store
+    records to rebuild the scheme.
     """
 
     name = "base"
@@ -143,13 +144,9 @@ class BaseScheme:
         self,
         key: bytes = b"\x00" * 16,
         layout: Optional[ChunkLayout] = None,
-        backend=None,
     ):
         self.key = key
-        # The backend may swap XTEA for its native twin; output stays
-        # byte-identical.
-        factory = Xtea if backend is None else backend.cipher_factory(Xtea)
-        self.cipher = factory(key)
+        self.cipher = xtea_cipher(key)
         self.layout = layout if layout is not None else ChunkLayout()
         if self.cipher.block_size != self.layout.block_size:
             raise ValueError("cipher block size does not match the layout")
@@ -695,7 +692,6 @@ def make_scheme(
     name: str,
     key: bytes = b"\x00" * 16,
     layout: Optional[ChunkLayout] = None,
-    backend=None,
 ) -> BaseScheme:
     """Factory by Fig. 11 scheme name."""
     try:
@@ -704,4 +700,4 @@ def make_scheme(
         raise ValueError(
             "unknown scheme %r (expected one of %s)" % (name, sorted(SCHEMES))
         )
-    return cls(key=key, layout=layout, backend=backend)
+    return cls(key=key, layout=layout)

@@ -57,7 +57,6 @@ def prepare_document(
     key: bytes = b"\x00" * 16,
     layout: Optional[ChunkLayout] = None,
     version: int = 0,
-    backend=None,
     index: bool = False,
 ) -> PreparedDocument:
     """Publisher side: encode ``document`` and protect it for storage.
@@ -71,7 +70,7 @@ def prepare_document(
     are protected.
     """
     encoded = encode_source(document)
-    scheme_obj = make_scheme(scheme, key=key, layout=layout, backend=backend)
+    scheme_obj = make_scheme(scheme, key=key, layout=layout)
     structural = build_structural_index(encoded) if index else None
     secure = scheme_obj.protect(encoded.data, version=version)
     return PreparedDocument(encoded, scheme_obj, secure, index=structural)

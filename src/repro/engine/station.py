@@ -35,11 +35,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.accesscontrol.model import Policy
 from repro.accesscontrol.navigation import EventListNavigator
-from repro.compute import ComputeBackend, resolve_backend
+from repro.compute import BACKEND, xtea_cipher
 from repro.crypto.chunks import ChunkLayout
 from repro.crypto.integrity import SecureBytes, make_scheme
 from repro.crypto.modes import decrypt_positioned, encrypt_positioned, pad_to_block
-from repro.crypto.xtea import Xtea
 from repro.engine.pipeline import encode_source, evaluate_document, run_plan
 from repro.engine.plans import PolicyPlan, compile_policy, policy_digest
 from repro.metrics import Meter
@@ -79,15 +78,14 @@ _EVALUATE_SPAN_ATTRS = (
 # ----------------------------------------------------------------------
 # Link sealing (SOE -> client)
 # ----------------------------------------------------------------------
-def link_cipher(session_key: bytes, backend: Optional[ComputeBackend] = None):
+def link_cipher(session_key: bytes):
     """The XTEA instance sealing one session's link.
 
-    Built from ``backend``'s cipher factory (auto-detected when
-    ``None``), so a native build seals in the C kernel; every backend
-    is byte-identical.  Sessions build one and pass it to
+    Built by :func:`~repro.compute.xtea_cipher`, so it runs the C
+    kernel wherever the schemes do.  Sessions build one and pass it to
     :func:`seal_payload`/:func:`open_sealed` for every chunk.
     """
-    return resolve_backend(backend).cipher_factory(Xtea)(session_key)
+    return xtea_cipher(session_key)
 
 
 def seal_payload(session_key: bytes, payload: bytes, cipher=None) -> bytes:
@@ -168,11 +166,11 @@ class StationStats:
 class StationSession:
     """One connected client: a subject plus derived key material.
 
-    The session key is an HKDF-style derivation from the station's
+    The session key is the first 16 bytes of SHA-1 over the station's
     master secret, the subject and a per-connection counter; it seals
     authorized views on the way out so the untrusted terminal between
     SOE and client learns nothing (document keys stay inside).  The
-    link cipher is built once, from the station's compute backend.
+    link cipher is built once per session.
     """
 
     __slots__ = ("station", "subject", "session_id", "session_key", "_cipher")
@@ -182,7 +180,7 @@ class StationSession:
         self.subject = subject
         self.session_id = session_id
         self.session_key = station._derive_session_key(subject, session_id)
-        self._cipher = link_cipher(self.session_key, station.backend)
+        self._cipher = link_cipher(self.session_key)
 
     # ------------------------------------------------------------------
     def seal(self, payload: bytes) -> bytes:
@@ -479,7 +477,7 @@ class UpdateResult:
 
 @dataclass(frozen=True)
 class StationConfig:
-    """Every construction-time knob of a :class:`SecureStation`.
+    """Every construction-time setting of a :class:`SecureStation`.
 
     The frozen-dataclass form of the station's keyword soup: build one
     once (or take the defaults), hand it to :func:`repro.open_station`
@@ -492,11 +490,7 @@ class StationConfig:
 
     master_secret: bytes = field(default=b"station-master-secret", repr=False)
     context: Union[str, PlatformContext] = "smartcard"
-    plan_cache_size: int = 32
-    use_skip_index: bool = True
-    view_cache_size: int = 128
     cache_views: bool = True
-    backend: Union[None, str, ComputeBackend] = None
     store: Optional[ChunkStore] = None
 
     def replace(self, **changes) -> "StationConfig":
@@ -537,22 +531,13 @@ class SecureStation:
         is supplied at :meth:`publish`) and per-session link keys.
     context:
         Platform context used for simulated-cost accounting.
-    plan_cache_size:
-        Capacity of the compiled-plan LRU (entries, not bytes).
-    use_skip_index:
-        The TCSBR/Brute-Force switch, station-wide.
-    view_cache_size:
-        Capacity of the materialized-view LRU (entries).  Entries are
-        keyed by ``(document id, version, subject, policy digest,
-        query)``; the version key plus proactive invalidation on
-        :meth:`update`/:meth:`publish` guarantee a stale view is never
-        served.  ``cache_views=False`` disables the cache (every
-        request runs the full pipeline — the cold path).
-    backend:
-        Compute backend for the crypto hot paths: ``"pure"``,
-        ``"native"``, ``"auto"``/``None`` (auto-detect), or a
-        :class:`~repro.compute.ComputeBackend` instance.  Every backend
-        produces byte-identical views; only speed differs.
+    cache_views:
+        Keep materialized views in an LRU of :attr:`view_cache_size`
+        entries, keyed by ``(document id, version, subject, policy
+        digest, query)``; the version key plus proactive invalidation
+        on :meth:`update`/:meth:`publish` guarantee a stale view is
+        never served.  ``False`` makes every request run the full
+        pipeline (the cold path).
     store:
         Where published documents live: a
         :class:`~repro.store.ChunkStore` instance, or ``None`` for the
@@ -562,7 +547,18 @@ class SecureStation:
         opened on the same directory serves byte-identical views at the
         pre-crash versions, replay protection intact.  The station owns
         the store it is given and closes it in :meth:`close`.
+
+    Every station serves with the Skip index (Brute-Force stays in
+    :func:`~repro.engine.pipeline.evaluate_document`) and runs XTEA on
+    the implementation :func:`~repro.compute.xtea_cipher` picks, which
+    :attr:`backend` describes.
     """
+
+    #: Capacity of the compiled-plan LRU (entries, not bytes).
+    plan_cache_size = 32
+    #: Capacity of the materialized-view LRU (entries).
+    view_cache_size = 128
+    backend = BACKEND
 
     def __init__(self, config: Optional[StationConfig] = None, **overrides):
         """Settings are the ``config`` fields (defaults when ``None``)
@@ -574,24 +570,13 @@ class SecureStation:
                 "config must be a StationConfig, not %s" % type(config).__name__
             )
         cfg = (config or StationConfig()).replace(**overrides)
-        if cfg.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
-        if cfg.view_cache_size < 1:
-            raise ValueError("view_cache_size must be >= 1")
         self.config = cfg
         self._secret = cfg.master_secret
         self.platform = (
             CONTEXTS[cfg.context] if isinstance(cfg.context, str) else cfg.context
         )
-        self.use_skip_index = cfg.use_skip_index
-        self.plan_cache_size = cfg.plan_cache_size
-        self.view_cache_size = cfg.view_cache_size
         self.cache_views = cfg.cache_views
-        self.backend = resolve_backend(cfg.backend)
         self.store = cfg.store if cfg.store is not None else MemoryStore()
-        # Disk stores rebuild cipher schemes at manifest-replay time;
-        # binding the backend gets them the accelerated factories.
-        self.store.bind_backend(self.backend)
         self.stats = StationStats()
         self._grants: Dict[Tuple[str, str], Policy] = {}
         self._plans: "OrderedDict[Tuple[str, str], PolicyPlan]" = OrderedDict()
@@ -697,9 +682,7 @@ class SecureStation:
                 served = self.store.put_stream(
                     document_id,
                     encoded,
-                    make_scheme(
-                        scheme, key=key, layout=layout, backend=self.backend
-                    ),
+                    make_scheme(scheme, key=key, layout=layout),
                     key,
                     version,
                     index=structural,
@@ -969,7 +952,7 @@ class SecureStation:
         ``trace`` id, the request records spans under ``parent_span``:
         one ``view-cache`` span on a hit, or one ``stage:evaluate``
         span around :func:`evaluate_document` (with its Meter counts
-        and the compute backend as attributes) on a miss.
+        and the XTEA implementation as attributes) on a miss.
         Untraced requests (``trace`` 0, the default) skip every tracing
         branch — the cached hot path stays within the ratio guard of
         ``benchmarks/test_obs_bench.py``.
@@ -1034,8 +1017,7 @@ class SecureStation:
         # byte for byte, and the universal fallback.
         index = getattr(prepared, "index", None)
         serve_indexed = (
-            self.use_skip_index
-            and index is not None
+            index is not None
             and query_plan is not None
             and query_plan.structural is not None
         )
@@ -1075,14 +1057,13 @@ class SecureStation:
                 plan,
                 query_plan,
                 self.platform,
-                self.use_skip_index,
                 index=index if serve_indexed else None,
             )
             if traced:
                 # The meter is shared across the run (decryption happens
                 # lazily while the evaluator pulls), so one span carries
-                # the request totals; the backend names which compute
-                # strategy served the crypto work.
+                # the request totals; the backend names which XTEA
+                # implementation served the crypto work.
                 attrs = {
                     name: getattr(result.meter, name)
                     for name in _EVALUATE_SPAN_ATTRS
@@ -1237,16 +1218,8 @@ class SecureStation:
                 continue
             meter = Meter()
             try:
-                navigator = EventListNavigator(
-                    events, provide_meta=self.use_skip_index, meter=meter
-                )
-                view = run_plan(
-                    navigator,
-                    plan,
-                    plan.query_plan(query),
-                    meter,
-                    self.use_skip_index,
-                )
+                navigator = EventListNavigator(events, meter=meter)
+                view = run_plan(navigator, plan, plan.query_plan(query), meter)
             except Exception as exc:
                 # The partial meter travels with the failure — counted
                 # apart from every served total (see SubjectFailure).

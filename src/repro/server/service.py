@@ -695,18 +695,19 @@ def hospital_station(
     folders: int = 3,
     seed: int = 7,
     context: str = "smartcard",
-    use_skip_index: bool = True,
     groups: int = 3,
-    backend=None,
     store=None,
     index: bool = False,
 ) -> Tuple[SecureStation, List[str]]:
     """A station serving the Fig. 1 hospital document under the three
     paper profiles; returns ``(station, granted subjects)``.
 
-    Shared by ``repro serve``, the cluster topology, the benchmarks
-    and the end-to-end tests, so they all agree on document id
-    (``"hospital"``) and subjects.
+    Shared by ``repro serve``, the benchmarks and the end-to-end
+    tests, so they all agree on document id (``"hospital"``) and
+    subjects; :func:`~repro.cluster.hospital_cluster` builds its
+    document 0 the same way.  Like every station it serves with the
+    Skip index, on the XTEA implementation
+    :func:`~repro.compute.xtea_cipher` picks for this machine.
 
     With a persistent ``store`` (see :mod:`repro.store`) that already
     holds ``"hospital"`` — a restarted station — the document is served
@@ -733,12 +734,7 @@ def hospital_station(
     from repro.engine import PublishOptions, StationConfig
 
     station = SecureStation(
-        StationConfig(
-            context=context,
-            use_skip_index=use_skip_index,
-            backend=backend,
-            store=store,
-        )
+        StationConfig(context=context, store=store)
     )
     if "hospital" not in station.store:
         tree = generate_hospital(config)

@@ -64,11 +64,6 @@ class ChunkStore:
     #: whole as ``repro_store_*_total``; the memory store keeps none.
     counters: Mapping[str, int] = MappingProxyType({})
 
-    def bind_backend(self, backend) -> None:
-        """Attach the station's compute backend (disk stores rebuild
-        cipher schemes at load time and want the accelerated factories;
-        the in-memory store keeps live objects and needs nothing)."""
-
     # -- document lifecycle --------------------------------------------
     def put(
         self,

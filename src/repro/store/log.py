@@ -351,7 +351,6 @@ class LogStore(ChunkStore):
         self.sync = sync
         self._lock = threading.RLock()
         self._closed = False
-        self._backend = None
         self._states: Dict[str, _DocState] = {}
         self._segments: List[_Segment] = []
         self._segment_offsets: List[int] = []
@@ -841,9 +840,6 @@ class LogStore(ChunkStore):
     # ------------------------------------------------------------------
     # ChunkStore API
     # ------------------------------------------------------------------
-    def bind_backend(self, backend) -> None:
-        self._backend = backend
-
     def _state_from_prepared(
         self,
         document_id: str,
@@ -1049,12 +1045,8 @@ class LogStore(ChunkStore):
 
     def _handle(self, state: _DocState) -> StoredDocument:
         if state.handle is None:
-            scheme = make_scheme(
-                state.scheme_name,
-                key=state.key,
-                layout=ChunkLayout(*state.layout),
-                backend=self._backend,
-            )
+            layout = ChunkLayout(*state.layout)
+            scheme = make_scheme(state.scheme_name, key=state.key, layout=layout)
             state.handle = StoredDocument(
                 self._served(state, scheme), state.key, state.version
             )

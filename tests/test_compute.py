@@ -1,4 +1,4 @@
-"""Compute-backend tests: kernel parity, selection, degradation, fuzz.
+"""XTEA implementation tests: kernel parity, degradation, fuzz.
 
 The pure-Python SWAR paths are the oracle; the native C kernels must
 be byte-identical to them on every scheme, and a machine without a
@@ -10,18 +10,7 @@ import random
 import pytest
 
 from repro import Policy
-from repro.compute import (
-    BackendUnavailable,
-    NativeBackend,
-    PureBackend,
-    auto_backend,
-    available_backends,
-    native_available,
-    reset_native_cache,
-    resolve_backend,
-)
-from repro.compute.backends import ComputeBackend
-from repro.compute.native import NO_NATIVE_ENV
+from repro.compute import BACKEND, native_available, xtea_cipher
 from repro.crypto import modes
 from repro.crypto.integrity import SCHEMES, make_scheme
 from repro.crypto.xtea import Xtea
@@ -30,6 +19,9 @@ from repro.metrics import Meter
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernels unavailable"
 )
+
+#: The XTEA implementations this machine runs, the pure oracle first.
+IMPLEMENTATIONS = ("pure", "native") if native_available() else ("pure",)
 
 
 def random_bytes(rng: random.Random, length: int) -> bytes:
@@ -140,88 +132,47 @@ def test_position_mask_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Backend selection and degradation
+# Degradation and differential fuzz: pure == native, every scheme
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_backend_names_and_passthrough():
-    assert isinstance(resolve_backend("pure"), PureBackend)
-    instance = PureBackend()
-    assert resolve_backend(instance) is instance
-    with pytest.raises(ValueError):
-        resolve_backend("simd")
-    with pytest.raises(ValueError):
-        resolve_backend("pool")
-
-
-def test_auto_prefers_native_when_available():
-    backend = auto_backend()
-    if native_available():
-        assert isinstance(backend, NativeBackend)
-    else:
-        assert isinstance(backend, PureBackend)
-    assert resolve_backend(None).name == backend.name
-    assert resolve_backend("auto").name == backend.name
-
-
-def test_no_native_env_forces_pure(monkeypatch):
-    """With REPRO_NO_NATIVE set (the no-compiler CI leg), auto resolves
-    to pure and an explicit native request is a loud error."""
-    monkeypatch.setenv(NO_NATIVE_ENV, "1")
-    reset_native_cache()
-    try:
-        assert not native_available()
-        assert "native" not in available_backends()
-        assert isinstance(auto_backend(), PureBackend)
-        assert isinstance(resolve_backend("auto"), PureBackend)
-        with pytest.raises(BackendUnavailable):
-            NativeBackend()
-    finally:
-        monkeypatch.delenv(NO_NATIVE_ENV)
-        reset_native_cache()
-
-
-def test_base_backend_is_a_passthrough():
-    backend = ComputeBackend()
-    assert backend.cipher_factory(Xtea) is Xtea
-    assert backend.describe() == {
-        "name": "base",
-        "native_kernels": native_available(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Differential fuzz: pure == native, every scheme
-# ---------------------------------------------------------------------------
-
-
-def _backends_under_test():
-    backends = [PureBackend()]
-    if native_available():
-        backends.append(NativeBackend())
-    return backends
+def test_no_native_env_forces_pure(use_xtea):
+    """With REPRO_NO_NATIVE set (the no-compiler CI leg), every cipher
+    is the pure one and the description says so."""
+    use_xtea("pure")
+    assert not native_available()
+    assert type(xtea_cipher(bytes(16))) is Xtea
+    assert BACKEND.describe() == {"name": "pure", "native_kernels": False}
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
-def test_fuzz_backends_byte_identical(name):
-    """Random plaintexts through protect + full read-back on every
-    backend: stored bytes and recovered plaintext must match the pure
-    oracle exactly (the acceptance bar for the whole backend layer)."""
+def test_fuzz_backends_byte_identical(name, use_xtea):
+    """Random plaintexts through protect + full read-back on each XTEA
+    implementation: stored bytes and recovered plaintext must match the
+    pure oracle exactly."""
     rng = random.Random("fuzz:" + name)
-    for _ in range(3):
-        plaintext = random_bytes(rng, rng.choice([0, 37, 4096, 30_000]))
-        version = rng.randrange(4)
-        expected = make_scheme(name).protect(plaintext, version=version)
-        for backend in _backends_under_test():
-            scheme = make_scheme(name, backend=backend)
+    cases = [
+        (random_bytes(rng, rng.choice([0, 37, 4096, 30_000])), rng.randrange(4))
+        for _ in range(3)
+    ]
+    expected = {}
+    for implementation in IMPLEMENTATIONS:
+        cipher_class = use_xtea(implementation)
+        for index, (plaintext, version) in enumerate(cases):
+            scheme = make_scheme(name)
+            assert type(scheme.cipher) is cipher_class
             document = scheme.protect(plaintext, version=version)
-            assert document.stored == expected.stored, (name, backend.name)
+            stored = expected.setdefault(index, document.stored)
+            assert document.stored == stored, (name, implementation)
             recovered = scheme.reader(document, Meter()).read(0, len(plaintext))
-            assert recovered == plaintext, (name, backend.name)
+            assert recovered == plaintext, (name, implementation)
 
 
 @pytest.mark.parametrize("name", ["ECB", "CBC-SHAC"])
-def test_fuzz_station_views_identical_across_backends(name):
+def test_fuzz_station_views_identical_across_backends(name, use_xtea):
+    """A prepared document published on a station serves on the
+    implementation it was prepared with, and every implementation
+    serves the pure oracle's views."""
     from repro.engine import SecureStation, prepare_document
     from repro.xmlkit.parser import parse_document
     from repro.xmlkit.serializer import serialize, serialize_events
@@ -229,41 +180,42 @@ def test_fuzz_station_views_identical_across_backends(name):
     from test_differential import random_policy, random_tree
 
     rng = random.Random("fuzz:" + name)
-    for _ in range(3):
-        tree = parse_document(serialize(random_tree(rng, max_nodes=25)))
-        policy = Policy(random_policy(rng).rules, subject="fuzz")
-        prepared = prepare_document(tree, scheme=name)
-        views = {}
-        for backend in _backends_under_test():
-            station = SecureStation(cache_views=False, backend=backend)
-            station.publish("doc", prepared)
-            views[backend.name] = serialize_events(
-                station.evaluate("doc", policy).events
-            )
+    cases = [
+        (
+            parse_document(serialize(random_tree(rng, max_nodes=25))),
+            Policy(random_policy(rng).rules, subject="fuzz"),
+        )
+        for _ in range(3)
+    ]
+    views = {}
+    for implementation in IMPLEMENTATIONS:
+        cipher_class = use_xtea(implementation)
+        for index, (tree, policy) in enumerate(cases):
+            station = SecureStation(cache_views=False)
+            station.publish("doc", prepare_document(tree, scheme=name))
+            assert type(station.document("doc").scheme.cipher) is cipher_class
+            view = serialize_events(station.evaluate("doc", policy).events)
+            assert views.setdefault(index, view) == view, implementation
             station.close()
-        reference = views.pop("pure")
-        for backend_name, view in views.items():
-            assert view == reference, backend_name
 
 
 @pytest.mark.parametrize("name", ["pure", "native"])
-def test_fuzz_link_sealing_identical_across_backends(name):
-    """A link sealed under a backend's cipher is byte-identical to the
+def test_fuzz_link_sealing_identical_across_backends(name, use_xtea):
+    """A link sealed on either implementation is byte-identical to the
     pure oracle's, each side opens the other's blobs, and a flipped
     byte is refused."""
-    from repro.compute.native import NativeXtea
     from repro.engine.station import link_cipher, open_sealed, seal_payload
 
-    if name == "native" and not native_available():
+    if name not in IMPLEMENTATIONS:
         pytest.skip("native kernels unavailable")
-    backend = resolve_backend(name)
+    cipher_class = use_xtea(name)
     rng = random.Random("link-seal:" + name)
     for length in range(41):
         key = random_bytes(rng, 16)
         payload = random_bytes(rng, length)
-        pure = link_cipher(key, PureBackend())
-        cipher = link_cipher(key, backend)
-        assert isinstance(cipher, NativeXtea) == (name == "native")
+        pure = Xtea(key)
+        cipher = link_cipher(key)
+        assert type(cipher) is cipher_class
         sealed = seal_payload(key, payload, cipher)
         assert sealed == seal_payload(key, payload, pure)
         assert sealed == seal_payload(key, payload)  # cipher built per call

@@ -389,7 +389,8 @@ class TestStationThreadSafety:
         assert station.stats.sessions_opened == len(ids)
 
     def test_concurrent_plan_cache_hammering_stays_consistent(self):
-        station = SecureStation(plan_cache_size=4)
+        station = SecureStation()
+        station.plan_cache_size = 4
         policies = [
             Policy([AccessRule("+", "//t%d" % n)], subject="s%d" % (n % 6))
             for n in range(24)

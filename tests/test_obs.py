@@ -649,7 +649,7 @@ class TestMetricsEndpoint:
         from repro.store import LogStore
 
         station = SecureStation(
-            StationConfig(backend="pure", store=LogStore(str(tmp_path)))
+            StationConfig(store=LogStore(str(tmp_path)))
         )
         server = StationServer(station)
         gateway = ClusterGateway({"node0": ("127.0.0.1", 1)})

@@ -212,7 +212,8 @@ def test_stale_version_never_served_even_without_sweep():
 # LRU bound
 # ----------------------------------------------------------------------
 def test_lru_bound_respected_under_churn():
-    station = make_station(view_cache_size=4)
+    station = make_station()
+    station.view_cache_size = 4
     for index in range(12):
         station.evaluate("hospital", "secretary", query="//Folder[//Age > %d]" % index)
         assert station.cached_views() <= 4
@@ -227,7 +228,8 @@ def test_lru_bound_respected_under_churn():
 
 
 def test_lru_churn_is_thread_safe():
-    station = make_station(view_cache_size=3)
+    station = make_station()
+    station.view_cache_size = 3
     errors = []
 
     def worker(offset):
