@@ -60,7 +60,7 @@ def incremental_delivery() -> None:
     )
 
     evaluator = StreamingEvaluator(policy)
-    navigator = EventListNavigator(events, provide_meta=True)
+    navigator = EventListNavigator(events)
     evaluator._reset(navigator)
 
     print("\nIncremental delivery (cost < 10 items):")

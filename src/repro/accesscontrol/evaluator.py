@@ -224,9 +224,7 @@ class StreamingEvaluator:
         enables skipping); otherwise the evaluator sees a bare stream.
         """
         if with_index:
-            navigator: Navigator = EventListNavigator(
-                events, provide_meta=True, meter=self.meter
-            )
+            navigator: Navigator = EventListNavigator(events, meter=self.meter)
         else:
             navigator = SimpleEventNavigator(events)
         return self.run(navigator)

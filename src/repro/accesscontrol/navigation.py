@@ -111,14 +111,11 @@ class EventListNavigator(Navigator):
 
     Pre-computes, in one pass, the matching-close index and the strict
     descendant-tag set for every open event, so it can serve Skip-index
-    metadata and perform constant-time skips.  ``provide_meta=False``
-    degrades it to a skip-capable navigator without metadata (the
-    evaluator then cannot filter tokens, only skip on global decisions).
+    metadata and perform constant-time skips.
     """
 
     __slots__ = (
         "events",
-        "provide_meta",
         "meter",
         "_pos",
         "_open_stack",
@@ -130,11 +127,9 @@ class EventListNavigator(Navigator):
     def __init__(
         self,
         events: Sequence[Event],
-        provide_meta: bool = True,
         meter: Optional[Meter] = None,
     ):
         self.events = list(events)
-        self.provide_meta = provide_meta
         self.meter = meter
         self._pos = 0
         self._open_stack: List[int] = []  # indices of currently open elements
@@ -172,10 +167,7 @@ class EventListNavigator(Navigator):
         meta = None
         if kind == OPEN:
             self._open_stack.append(index)
-            if self.provide_meta:
-                meta = SubtreeMeta(
-                    self._desc_tags[index], self._subtree_events[index]
-                )
+            meta = SubtreeMeta(self._desc_tags[index], self._subtree_events[index])
         elif kind == CLOSE:
             if self._open_stack:
                 self._open_stack.pop()

@@ -59,9 +59,24 @@ ITEM_LEAF = 1
 ITEM_INTERNAL = 2
 
 
-def _offset_code(total_size: int) -> str:
-    """``array`` typecode for byte offsets/sizes within ``total_size``."""
-    return "I" if total_size < 1 << 32 else "Q"
+def _column_code(limit: int, signed: bool = False) -> str:
+    """Narrowest ``array`` typecode whose range holds ``limit``."""
+    codes = "bhiq" if signed else "BHIQ"
+    for code in codes[:-1]:
+        if limit >> (8 * array(code).itemsize - signed) == 0:
+            return code
+    return codes[-1]
+
+
+def _sized_columns(total_size: int, tag_count: int) -> Tuple[array, ...]:
+    """Empty item and element columns (``kinds`` to ``elem_parent``) for
+    a ``total_size``-byte encoding over ``tag_count`` tags."""
+    offset = _column_code(total_size)
+    number = _column_code(total_size, signed=True)
+    return (
+        array("B"), array(offset), array(offset), array(offset),
+        array(_column_code(tag_count, signed=True)), array(number), array(number),
+    )
 
 
 def _header_bytes(desc_count: int, size_width: int) -> Tuple[int, int, int]:
@@ -120,26 +135,29 @@ class StructuralIndex:
     """Flat item table + pre/post element numbering of one document.
 
     Parallel per-item columns (document order), each a typed
-    ``array.array`` (typecode in brackets; ``I`` widens to ``Q`` for
-    encodings of 4 GiB and more) so a resident index holds no boxed
-    ints::
+    ``array.array`` whose typecode :func:`_column_code` sizes to the
+    document (bound and candidate typecodes in brackets), so a resident
+    index holds no boxed ints and no unused high bytes::
 
         kinds[i]     [B] ITEM_TEXT | ITEM_LEAF | ITEM_INTERNAL
-        starts[i]    [I] byte offset of the item header (aligned)
-        contents[i]  [I] first content byte (after code/bitmap/size)
-        sizes[i]     [I] content bytes (subtree size internal, text
-                     length for leaf/text items); item ends at
-                     contents+sizes
-        tags[i]      [i] global dictionary code of the element (-1 for
-                     text)
-        descs[i]     descendant-tag bitmap over global codes (internal;
-                     0 otherwise) — a plain ``list`` of Python ints,
-                     since a dictionary past 64 tags needs wider masks
+        starts[i]    [total_size: B/H/I/Q] byte offset of the item
+                     header (aligned)
+        contents[i]  [total_size: B/H/I/Q] first content byte (after
+                     code/bitmap/size)
+        sizes[i]     [total_size: B/H/I/Q] content bytes (subtree size
+                     internal, text length for leaf/text items); item
+                     ends at contents+sizes
+        tags[i]      [tag_count: b/h/i/q] global dictionary code of the
+                     element (-1 for text)
+        descs        one ``bytes``: per item, a ``ceil(tag_count / 8)``
+                     byte little-endian descendant-tag bitmap over global
+                     codes (internal; 0 otherwise); see :meth:`desc_mask`
 
     Elements additionally get dense ``pre`` numbers (index into the
-    ``elem_*`` arrays, both ``[i]``) and their parent's ``pre`` (-1 for
-    the root) — derived while building or parsing, never persisted.
-    The lazy per-tag table is two ``[i]`` arrays: every element's
+    ``elem_*`` arrays, both ``[total_size: b/h/i/q]``, as every item
+    takes at least a byte) and their parent's ``pre`` (-1 for the root)
+    — derived while building or parsing, never persisted.  The lazy
+    per-tag table is two arrays of that typecode: every element's
     ``pre`` number grouped by tag code (document order within a tag),
     and ``tag_count + 1`` bounds, so tag ``c``'s elements are
     ``pres[bounds[c]:bounds[c + 1]]``.  Post order needs no array: the
@@ -175,7 +193,7 @@ class StructuralIndex:
         contents: array,
         sizes: array,
         tags: array,
-        descs: List[int],
+        descs: bytes,
         elem_items: array,
         elem_parent: array,
     ):
@@ -200,6 +218,12 @@ class StructuralIndex:
     @property
     def element_count(self) -> int:
         return len(self.elem_items)
+
+    def desc_mask(self, item: int) -> int:
+        """Descendant-tag bitmap of ``item`` (0 unless internal)."""
+        mask_bytes = (self.tag_count + 7) >> 3
+        start = item * mask_bytes
+        return int.from_bytes(self.descs[start : start + mask_bytes], "little")
 
     def elem_span(self, pre: int) -> Tuple[int, int]:
         """Full byte span ``[start, end)`` of element ``pre``'s subtree
@@ -226,11 +250,12 @@ class StructuralIndex:
             tags = self.tags
             codes = [tags[item] for item in self.elem_items]
             # A stable sort keeps document order within each tag.
-            pres = array("i", sorted(range(len(codes)), key=codes.__getitem__))
+            number = self.elem_items.typecode
+            pres = array(number, sorted(range(len(codes)), key=codes.__getitem__))
             counts = [0] * self.tag_count
             for code in codes:
                 counts[code] += 1
-            bounds = array("i", [0])
+            bounds = array(number, [0])
             for count in counts:
                 bounds.append(bounds[-1] + count)
             table = self._by_tag_table = (pres, bounds)
@@ -349,7 +374,7 @@ class StructuralIndex:
             head = 2 * (tags[item] + 1) + kind - ITEM_LEAF if kind else 0
             fields += (head, sizes[item])
             if kind == ITEM_INTERNAL:
-                fields.append(self.descs[item].bit_count())
+                fields.append(self.desc_mask(item).bit_count())
         put_varints(out, fields)
         return bytes(out)
 
@@ -405,11 +430,11 @@ def parse_structural_index(
     header = (total_size, root_offset, tag_count)
     if encoded is not None and header != _fingerprint(encoded):
         raise StructuralIndexError("index describes another encoding")
-    typecode = _offset_code(total_size)
-    kinds, tags = array("B"), array("i")
-    starts, contents, sizes = array(typecode), array(typecode), array(typecode)
-    elem_items, elem_parent = array("i"), array("i")
-    descs: List[int] = []
+    columns = _sized_columns(total_size, tag_count)
+    kinds, starts, contents, sizes, tags, elem_items, elem_parent = columns
+    mask_bytes = (tag_count + 7) >> 3
+    no_tags = bytes(mask_bytes)
+    descs = bytearray()
     # Open elements, innermost last, over a root-level frame: [pre, end,
     # stored tag count, derived bitmap, a child's header bytes by kind].
     stack = [[-1, total_size, 0, 0, _header_bytes(tag_count, ROOT_SIZE_BITS)]]
@@ -433,7 +458,7 @@ def parse_structural_index(
             contents.append(content)
             sizes.append(size)
             tags.append(tag)
-            descs.append(0)
+            descs += no_tags
             offset = content + size
             if kind != ITEM_TEXT:
                 top[3] |= 1 << tag
@@ -448,7 +473,8 @@ def parse_structural_index(
                 pre, _end, count, mask, _headers = stack.pop()
                 if not mask or mask.bit_count() != count:
                     raise StructuralIndexError("descendant tag count mismatch")
-                descs[elem_items[pre]] = mask
+                item = elem_items[pre] * mask_bytes
+                descs[item : item + mask_bytes] = mask.to_bytes(mask_bytes, "little")
                 stack[-1][3] |= mask
             if len(stack) == 1:
                 break
@@ -459,7 +485,7 @@ def parse_structural_index(
         raise StructuralIndexError("index does not tile the encoding")
     return StructuralIndex(
         total_size, root_offset, tag_count, kinds, starts, contents, sizes,
-        tags, descs, elem_items, elem_parent,
+        tags, bytes(descs), elem_items, elem_parent,
     )
 
 
@@ -480,11 +506,11 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
     dictionary = encoded.dictionary
     root_offset = encoded.root_offset
 
-    typecode = _offset_code(len(data))
-    kinds, tags = array("B"), array("i")
-    starts, contents, sizes = array(typecode), array(typecode), array(typecode)
-    elem_items, elem_parent = array("i"), array("i")
-    descs: List[int] = []
+    columns = _sized_columns(len(data), len(dictionary))
+    kinds, starts, contents, sizes, tags, elem_items, elem_parent = columns
+    mask_bytes = (len(dictionary) + 7) >> 3
+    no_tags = bytes(mask_bytes)
+    descs = bytearray()
 
     def frame(desc: Tuple[int, ...], size_width: int, end: int, pre: int):
         # (desc codes, code width, size width, content end, a child's
@@ -517,7 +543,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             contents.append(content)
             sizes.append(length)
             tags.append(-1)
-            descs.append(0)
+            descs += no_tags
             offset = content + length
             continue
         tag_code = desc_list[code - 1]
@@ -548,7 +574,7 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             contents.append(content)
             sizes.append(size)
             tags.append(tag_code)
-            descs.append(mask)
+            descs += mask.to_bytes(mask_bytes, "little")
             top = frame(desc, bits_for(size), content + size, pre)
             stack.append(top)
             offset = content
@@ -559,11 +585,11 @@ def build_structural_index(encoded: EncodedDocument) -> StructuralIndex:
             contents.append(content)
             sizes.append(length)
             tags.append(tag_code)
-            descs.append(0)
+            descs += no_tags
             offset = content + length
     return StructuralIndex(
         len(data), root_offset, len(dictionary), kinds, starts, contents,
-        sizes, tags, descs, elem_items, elem_parent,
+        sizes, tags, bytes(descs), elem_items, elem_parent,
     )
 
 
@@ -653,7 +679,7 @@ class IndexedNavigator(SkipIndexNavigator):
             return (TEXT, text, None)
         tag = self._tag_names[index.tags[item]]
         if kind == ITEM_INTERNAL:
-            desc = self._desc_names(index.descs[item])
+            desc = self._desc_names(index.desc_mask(item))
             self._stack.append(
                 _OpenFrame(tag, desc, bits_for(size), content + size)
             )

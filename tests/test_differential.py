@@ -70,8 +70,7 @@ def check_agreement(tree: Node, policy: Policy, query=None) -> None:
     events = list(tree.iter_events())
     for label, make_navigator in [
         ("brute-force", lambda: SimpleEventNavigator(events)),
-        ("indexed", lambda: EventListNavigator(events, provide_meta=True)),
-        ("skip-no-meta", lambda: EventListNavigator(events, provide_meta=False)),
+        ("indexed", lambda: EventListNavigator(events)),
     ]:
         evaluator = StreamingEvaluator(policy, query=query)
         streamed = evaluator.run(make_navigator())

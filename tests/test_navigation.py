@@ -47,12 +47,6 @@ class TestEventListNavigator:
         assert (kind, value) == (OPEN, "b")
         assert meta.desc_tags == frozenset({"c"})
 
-    def test_meta_suppressed(self):
-        navigator = EventListNavigator(events(), provide_meta=False)
-        _kind, _value, meta = navigator.next()
-        assert meta is None
-        assert navigator.supports_skip()
-
     def test_skip_subtree_lands_on_close(self):
         navigator = EventListNavigator(events())
         navigator.next()  # open a

@@ -174,7 +174,8 @@ def test_blob_round_trip(seed):
         tree.add(wide)
     encoded = encode_document(tree)
     index = build_structural_index(encoded)
-    assert (max(index.descs).bit_length() > 64) == bool(seed % 2)
+    widest = max(map(index.desc_mask, range(index.item_count)))
+    assert (widest.bit_length() > 64) == bool(seed % 2)
     restored = parse_structural_index(index.to_bytes())
     # __eq__ covers every column, the element ones too: building derives
     # them from the decoder's frames, parsing from the blob's sizes.
@@ -529,25 +530,79 @@ def test_refresh_modes_unit():
 # ----------------------------------------------------------------------
 # Layout: typed-array columns
 # ----------------------------------------------------------------------
+def _column_typecodes(index):
+    names = ("kinds", "starts", "contents", "sizes", "tags", "elem_items",
+             "elem_parent")
+    for name in names:
+        assert type(getattr(index, name)) is array, name
+    return {name: getattr(index, name).typecode for name in names}
+
+
 def test_index_columns_are_typed_arrays():
-    encoded = encode_document(selective_document())
+    from repro.datasets.hospital import HospitalConfig, generate_hospital
+
+    # A small hospital document: a few KiB over a few dozen tags.
+    encoded = encode_document(generate_hospital(HospitalConfig(folders=2)))
+    assert 256 <= len(encoded.data) < 1 << 15
     index = build_structural_index(encoded)
-    typecodes = {
-        "kinds": "B", "starts": "I", "contents": "I", "sizes": "I",
-        "tags": "i", "elem_items": "i", "elem_parent": "i",
+    assert _column_typecodes(index) == {
+        "kinds": "B", "starts": "H", "contents": "H", "sizes": "H",
+        "tags": "b", "elem_items": "h", "elem_parent": "h",
     }
-    for name, typecode in typecodes.items():
-        column = getattr(index, name)
-        assert type(column) is array and column.typecode == typecode, name
-    assert type(index.descs) is list
-    # <rare> follows <folder> and 40 three-element records.
+    assert type(index.descs) is bytes
+    assert len(index.descs) == index.item_count * ((index.tag_count + 7) // 8)
+    assert parse_structural_index(index.to_bytes(), encoded) == index
+
+    # An encoding past 64 KiB widens offsets and element numbers.
+    encoded = encode_document(selective_document(records=250))
+    assert len(encoded.data) > 1 << 16
+    index = build_structural_index(encoded)
+    assert _column_typecodes(index) == {
+        "kinds": "B", "starts": "I", "contents": "I", "sizes": "I",
+        "tags": "b", "elem_items": "i", "elem_parent": "i",
+    }
+    restored = parse_structural_index(index.to_bytes(), encoded)
+    assert restored == index and _column_typecodes(restored)["starts"] == "I"
+    # <rare> follows <folder> and 250 three-element records.
     steps = [("/", "folder"), ("/", "rare")]
-    assert index.match(steps, encoded.dictionary) == (121,)
+    assert index.match(steps, encoded.dictionary) == (751,)
     pres, bounds = index._by_tag()
-    assert type(pres) is array and pres.typecode == "i"
-    assert type(bounds) is array and bounds.typecode == "i"
+    assert pres.typecode == bounds.typecode == "i"
     assert len(bounds) == index.tag_count + 1
     assert sorted(pres) == list(range(index.element_count))
+
+
+def test_column_code_is_the_narrowest_that_holds_the_bound():
+    from repro.skipindex.structural import _column_code
+
+    assert [_column_code(n) for n in (255, 256, 65535, 65536)] == list("BHHI")
+    assert _column_code((1 << 32) - 1) == "I"
+    assert _column_code(1 << 32) == "Q"
+    assert [_column_code(n, signed=True) for n in (127, 128, 32768)] == list("bhi")
+    assert _column_code(1 << 31, signed=True) == "q"
+
+
+def test_mean_resident_index_bytes_per_cold_corpus_document():
+    import sys
+
+    from repro.datasets.hospital import HospitalConfig, generate_hospital
+
+    # The 128 document shapes of the serving benchmark's cold corpus.
+    total = 0
+    for number in range(128):
+        config = HospitalConfig(
+            folders=4, doctors=4, acts_per_folder=3, labresults_per_folder=2,
+            seed=7 + number,
+        )
+        index = build_structural_index(encode_document(generate_hospital(config)))
+        columns = [
+            index.kinds, index.starts, index.contents, index.sizes, index.tags,
+            index.descs, index.elem_items, index.elem_parent, *index._by_tag(),
+        ]
+        total += sum(map(sys.getsizeof, columns))
+    # Four-byte columns and a list of bitmaps summed 7,728 B this way
+    # (9,128 with the boxed bitmaps the list points at).
+    assert total / 128 <= 5_000
 
 
 def test_descs_wider_than_64_bits_round_trip():
@@ -562,7 +617,10 @@ def test_descs_wider_than_64_bits_round_trip():
     wrapper.add(root)
     encoded = encode_document(wrapper)
     index = build_structural_index(encoded)
-    assert max(index.descs).bit_length() > 64
+    # 102 tags: 13-byte masks, the widest of them <top>'s.
+    assert len(index.descs) == index.item_count * 13
+    assert index.desc_mask(0) == (1 << 102) - 2
+    assert max(map(index.desc_mask, range(index.item_count))).bit_length() > 64
     restored = parse_structural_index(index.to_bytes())
     assert restored == index
     baseline = drain(
@@ -685,7 +743,7 @@ def _version_1_blob(index):
         if kind != ITEM_TEXT:
             fields.append(index.tags[item])
             if kind == ITEM_INTERNAL:
-                fields.append(index.descs[item])
+                fields.append(index.desc_mask(item))
         previous = start
     out = bytearray(INDEX_MAGIC + b"\x01")
     put_varints(out, fields)
