@@ -3,10 +3,9 @@
 Generates the Hospital document of Fig. 1 and serves the Secretary,
 Doctor and Researcher policies from one :class:`repro.engine.
 SecureStation` — the multi-client SOE: the document is published once,
-each profile's rules compile once into a cached plan, and
-``evaluate_many`` answers all three subjects in a single pass over the
-encrypted chunks.  A miniature of the paper's Section 7 evaluation,
-server edition.
+each profile's rules compile once into a cached plan, and a whole
+shift of clients reuses those plans.  A miniature of the paper's
+Section 7 evaluation, server edition.
 
 Run with::
 
@@ -68,22 +67,13 @@ def main() -> None:
         )
         print()
 
-    # A whole shift of clients batched: transfer + decrypt + verify the
-    # chunks ONCE, then run each cached plan over the decoded stream.
-    # Per-request Skip-index passes win for one selective subject; the
-    # batch wins as soon as the cohort collectively reads the document.
+    # A whole shift of clients: every returning policy reuses its
+    # compiled plan from the station's plan cache.
     cohort = [secretary_policy(), researcher_policy()] + [
         doctor_policy("doctor%d" % index) for index in range(6)
     ]
-    batch = station.evaluate_many("hospital", cohort)
-    solo_seconds = sum(
-        station.evaluate("hospital", policy).seconds for policy in cohort
-    )
-    print(
-        "Batched evaluate_many over %d subjects: %.3f s simulated "
-        "(vs %.3f s as %d separate requests)"
-        % (len(batch), batch.seconds, solo_seconds, len(cohort))
-    )
+    for policy in cohort:
+        station.evaluate("hospital", policy)
     cache = station.stats
     print(
         "Plan cache: %d hits / %d misses (policies compiled once, reused since)"

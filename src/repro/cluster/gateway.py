@@ -58,7 +58,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from repro.cluster.ring import HashRing
 from repro.metrics import percentile
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Tracer, format_trace_id, new_trace_id
+from repro.obs.trace import Tracer, new_trace_id
 from repro.server import protocol
 from repro.server.frames import (
     E_BAD_FRAME,
@@ -229,16 +229,17 @@ class ClusterGateway(FrameServer):
         backend; ``None`` disables repair (failover still works while
         replicas survive).
     slow_ms / trace / registry / tracer / slow_sink:
-        Observability: requests whose frame header carries a nonzero
-        trace id get a gateway-side span tree — a ``gateway.request``
-        (or ``gateway.update``) root, one ``forward:<backend>`` child
-        per attempt, and the backend's own spans grafted underneath
-        (the backend serializes them into its RESULT trailer; the
-        gateway adopts them, so one trace spans both processes).
-        ``trace=True`` additionally mints an id for *untraced* client
-        requests, so a plain old client still shows up in the slow log.
-        ``slow_ms`` flags traces at or above the threshold into the
-        tracer's slow log (and ``slow_sink``, when given).  ``registry``
+        Observability: a request whose frame header carries a nonzero
+        trace id echoes it and is counted.  With ``slow_ms`` set it also
+        gets a gateway-side span tree — a ``gateway.request`` (or
+        ``gateway.update``) root, one ``forward:<backend>`` child per
+        attempt, and the backend's own spans grafted underneath (the
+        backend serializes them into its RESULT trailer; the gateway
+        adopts them, so one trace spans both processes) — and traces at
+        or above the threshold land in the tracer's slow log (and
+        ``slow_sink``, when given).  ``trace=True`` additionally mints
+        an id for *untraced* client requests, so a plain old client
+        still shows up in the slow log.  ``registry``
         is a :class:`MetricsRegistry` (one is created when omitted)
         exposing gateway counters, ring health and request latency for
         the Prometheus endpoint.
@@ -611,9 +612,7 @@ class ClusterGateway(FrameServer):
             return True
         root = None
         if trace:
-            root = self.tracer.start(
-                trace, "gateway.request", document=document_id
-            )
+            root = self.tracer.begin(trace, "gateway.request", document=document_id)
         tried: Set[str] = set()
         attempts: List[str] = []
         request_started = time.perf_counter()
@@ -630,7 +629,7 @@ class ClusterGateway(FrameServer):
             backend = self.backends[name]
             started = time.perf_counter()
             fwd = None
-            if trace:
+            if root is not None:
                 fwd = self.tracer.start(
                     trace, "forward:%s" % name, parent=root.id
                 )
@@ -679,25 +678,17 @@ class ClusterGateway(FrameServer):
             trailer["failover"] = len(tried) - 1
             if trace:
                 # Graft the backend's span tree (serialized into its
-                # trailer) under this attempt's forward span, then ship
-                # the *combined* tree to the client — one trace, both
-                # processes.
+                # trailer) under this attempt's forward span; the
+                # *combined* tree — one trace, both processes — lands
+                # in the slow log and ships to the client when slow.
                 remote_spans = trailer.pop("spans", None)
-                self.tracer.finish(fwd, backend=name, chunks=len(chunks))
-                if remote_spans:
-                    self.tracer.adopt(trace, remote_spans, parent=fwd.id)
-                self.tracer.finish(
-                    root, backend=name, failover=len(tried) - 1
+                if root is not None:
+                    self.tracer.finish(fwd, backend=name, chunks=len(chunks))
+                    if remote_spans:
+                        self.tracer.adopt(trace, remote_spans, parent=fwd.id)
+                self.tracer.close(
+                    trace, root, trailer, backend=name, failover=len(tried) - 1
                 )
-                record = self.tracer.end_trace(trace, root=root)
-                trailer["trace"] = format_trace_id(trace)
-                if record is not None and record.slow:
-                    # Client-facing trees only ship for slow traces
-                    # (slow_ms=0 means "every trace"): the combined
-                    # tree is already in the gateway's ring/slow log,
-                    # and serializing it per-request would blow the
-                    # hot-path tracing budget.
-                    trailer["spans"] = record.wire_spans()
             self._latency_metric.observe(
                 (time.perf_counter() - request_started) * 1000
             )
@@ -749,9 +740,7 @@ class ClusterGateway(FrameServer):
             return True
         root = None
         if trace:
-            root = self.tracer.start(
-                trace, "gateway.update", document=document_id
-            )
+            root = self.tracer.begin(trace, "gateway.update", document=document_id)
         request_started = time.perf_counter()
         tried: Set[str] = set()
         trailer = None
@@ -768,7 +757,7 @@ class ClusterGateway(FrameServer):
             primary = candidates[0]
             tried.add(primary)
             fwd = None
-            if trace:
+            if root is not None:
                 fwd = self.tracer.start(
                     trace, "forward:%s" % primary, parent=root.id
                 )
@@ -784,9 +773,8 @@ class ClusterGateway(FrameServer):
                 self.stats["failovers"] += 1
                 await self._mark_dead(primary)
                 continue
-            if trace:
-                remote_spans = trailer.pop("spans", None)
-                trailer.pop("trace", None)
+            remote_spans = trailer.pop("spans", None)
+            if root is not None:
                 self.tracer.finish(fwd, backend=primary)
                 if remote_spans:
                     self.tracer.adopt(trace, remote_spans, parent=fwd.id)
@@ -829,13 +817,14 @@ class ClusterGateway(FrameServer):
         trailer["backend"] = primary
         trailer["replicas"] = replicas_ok
         if trace:
-            self.tracer.finish(
-                root, backend=primary, version=version, replicas=replicas_ok
+            self.tracer.close(
+                trace,
+                root,
+                trailer,
+                backend=primary,
+                version=version,
+                replicas=replicas_ok,
             )
-            record = self.tracer.end_trace(trace, root=root)
-            trailer["trace"] = format_trace_id(trace)
-            if record is not None and record.slow:
-                trailer["spans"] = record.wire_spans()
         self._latency_metric.observe(
             (time.perf_counter() - request_started) * 1000
         )

@@ -13,8 +13,8 @@ codebase routes through (see ``DESIGN.md`` for the layer diagram):
   :func:`run_plan` (the one evaluation loop) and
   :func:`audit_integrity` (full-store verification sweep);
 * :mod:`repro.engine.station` — :class:`SecureStation`: a multi-client
-  SOE facade with an LRU plan cache, per-session key material and
-  batched :meth:`~SecureStation.evaluate_many`.
+  SOE facade with an LRU plan cache, a version-keyed view cache and
+  per-session key material.
 
 Layering rule: engine modules may import every lower layer (xpath,
 accesscontrol, skipindex, crypto, soe); lower layers import the engine
@@ -36,14 +36,12 @@ from repro.engine.plans import (
     policy_digest,
 )
 from repro.engine.station import (
-    BatchResult,
     PublishOptions,
     SecureStation,
     StationConfig,
     StationError,
     StationSession,
     StationStats,
-    SubjectFailure,
     UpdateResult,
     ViewStream,
     open_sealed,
@@ -70,8 +68,6 @@ __all__ = [
     "StationSession",
     "StationStats",
     "StationError",
-    "BatchResult",
-    "SubjectFailure",
     "UpdateResult",
     "ViewStream",
     "seal_payload",

@@ -11,9 +11,8 @@ The paper's architecture has two halves, and each is one call here:
   and convert the :class:`~repro.metrics.Meter` counts into simulated
   seconds with the :mod:`~repro.soe.costmodel`.
 
-:func:`run_plan` is the one evaluation loop: :func:`evaluate_document`
-and :meth:`~repro.engine.station.SecureStation.evaluate_many` (which
-replays a once-decoded event list) both end in it.
+:func:`run_plan` is the one evaluation loop :func:`evaluate_document`
+ends in.
 :func:`audit_integrity` is the full-store verification sweep.
 
 The tag dictionary and the document key are SOE-resident secrets

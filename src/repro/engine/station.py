@@ -12,14 +12,7 @@ multi-client generalization:
   recompiles automata;
 * **per-session key material** — each :meth:`connect` derives a session
   key from the station's master secret, used to seal authorized views
-  on the SOE -> client link (the document keys never leave the station);
-* **batched evaluation** — :meth:`evaluate_many` serves N subjects over
-  one encrypted document in a *single pass over the chunks*: the store
-  is transferred, decrypted and integrity-checked once into a decoded
-  event stream, then every subject's plan is evaluated over it
-  in-memory.  For one subject the per-request Skip-index path is
-  cheaper; for N subjects with overlapping needs the batch amortizes
-  the dominant communication + decryption costs N-fold.
+  on the SOE -> client link (the document keys never leave the station).
 """
 
 from __future__ import annotations
@@ -31,18 +24,17 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.accesscontrol.model import Policy
-from repro.accesscontrol.navigation import EventListNavigator
 from repro.compute import BACKEND, xtea_cipher
 from repro.crypto.chunks import ChunkLayout
-from repro.crypto.integrity import SecureBytes, make_scheme
+from repro.crypto.integrity import make_scheme
 from repro.crypto.modes import decrypt_positioned, encrypt_positioned, pad_to_block
-from repro.engine.pipeline import encode_source, evaluate_document, run_plan
+from repro.engine.pipeline import encode_source, evaluate_document
 from repro.engine.plans import PolicyPlan, compile_policy, policy_digest
 from repro.metrics import Meter
-from repro.skipindex.decoder import SkipIndexNavigator, decode_document
+from repro.skipindex.decoder import decode_document
 from repro.skipindex.encoder import EncodedDocument
 from repro.skipindex.structural import build_structural_index
 from repro.store import ChunkStore, MemoryStore
@@ -56,7 +48,6 @@ from repro.skipindex.updates import (
 from repro.soe.costmodel import CONTEXTS, CostModel, PlatformContext
 from repro.soe.session import PreparedDocument, SessionResult
 from repro.xmlkit.dom import Node
-from repro.xmlkit.events import Event
 from repro.xmlkit.serializer import serialize_events
 
 
@@ -136,10 +127,6 @@ class StationStats:
         "view_invalidations",
         "sessions_opened",
         "requests",
-        "failed_requests",
-        "batches",
-        "batch_subjects",
-        "batch_failures",
         "updates",
         "chunks_reencrypted",
         "indexed_requests",
@@ -297,112 +284,6 @@ class _CachedView:
         self.indexed = indexed
 
 
-class SubjectFailure:
-    """Structured per-subject failure inside a batch.
-
-    One client's bad grant or crashing predicate must not kill the
-    whole multi-client response, so :meth:`SecureStation.evaluate_many`
-    records the failure in place of that subject's
-    :class:`SessionResult` and keeps serving the rest.
-
-    ``meter`` carries whatever partial work the subject's evaluation
-    did before it died (empty for failures that never started, like a
-    missing grant).  It is accounted *here*, separately — never folded
-    into the batch's shared meter, the successful subjects' meters or
-    the station's served totals — so a mid-evaluation crash cannot
-    inflate the served chunk/byte counts with work that produced no
-    view.
-    """
-
-    __slots__ = ("subject", "kind", "message", "meter")
-
-    ok = False
-
-    def __init__(
-        self, subject: str, kind: str, message: str, meter: Optional[Meter] = None
-    ):
-        self.subject = subject
-        self.kind = kind
-        self.message = message
-        self.meter = meter if meter is not None else Meter()
-
-    def as_dict(self) -> Dict[str, str]:
-        return {"subject": self.subject, "kind": self.kind, "message": self.message}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SubjectFailure(%s: %s, %r)" % (self.subject, self.kind, self.message)
-
-
-class BatchResult:
-    """Outcome of :meth:`SecureStation.evaluate_many`.
-
-    ``per_subject`` maps subject -> :class:`SessionResult` (success) or
-    :class:`SubjectFailure` (structured error); meters of successful
-    entries count only that subject's evaluation and delivery, while
-    ``shared_meter`` carries the one-time transfer/decrypt/integrity
-    cost of the single pass over the chunks.
-    """
-
-    def __init__(
-        self,
-        per_subject: "OrderedDict[str, SessionResult]",
-        shared_meter: Meter,
-        context: PlatformContext,
-    ):
-        self.per_subject = per_subject
-        self.shared_meter = shared_meter
-        self.context = context
-
-    def __getitem__(self, subject: str) -> SessionResult:
-        return self.per_subject[subject]
-
-    def __iter__(self):
-        return iter(self.per_subject.items())
-
-    def __len__(self) -> int:
-        return len(self.per_subject)
-
-    @property
-    def ok(self) -> "OrderedDict[str, SessionResult]":
-        """Successful entries only."""
-        return OrderedDict(
-            (subject, entry)
-            for subject, entry in self.per_subject.items()
-            if not isinstance(entry, SubjectFailure)
-        )
-
-    @property
-    def failures(self) -> "OrderedDict[str, SubjectFailure]":
-        """Failed entries only (empty when the whole batch succeeded)."""
-        return OrderedDict(
-            (subject, entry)
-            for subject, entry in self.per_subject.items()
-            if isinstance(entry, SubjectFailure)
-        )
-
-    @property
-    def seconds(self) -> float:
-        """Simulated wall time of the whole batch on the platform.
-
-        Counts the shared pass plus the *successful* subjects only;
-        partial work of failed subjects lives in
-        :attr:`SubjectFailure.meter` (see :meth:`failure_meter`).
-        """
-        merged = Meter.merged(
-            [self.shared_meter]
-            + [result.meter for result in self.ok.values()]
-        )
-        return CostModel(self.context).breakdown(merged).total
-
-    def failure_meter(self) -> Meter:
-        """Partial work of every failed subject, merged (separate
-        accounting: never part of :attr:`seconds`)."""
-        return Meter.merged(entry.meter for entry in self.failures.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "BatchResult(%d subjects, %.3fs)" % (len(self), self.seconds)
-
-
 class UpdateResult:
     """Outcome of one :meth:`SecureStation.update`.
 
@@ -522,7 +403,7 @@ class PublishOptions:
 
 
 class SecureStation:
-    """Multi-client SOE facade: documents, grants, plan cache, batches.
+    """Multi-client SOE facade: documents, grants, plan and view caches.
 
     Parameters
     ----------
@@ -1157,111 +1038,6 @@ class SecureStation:
             if entry is not None:
                 entry.payload = payload
         return ViewStream(result, payload, chunk_size, sealer=sealer)
-
-    def evaluate_many(
-        self,
-        document_id: str,
-        subjects: Sequence[Union[str, Policy, PolicyPlan]],
-        query=None,
-    ) -> BatchResult:
-        """Serve every subject in one pass over the encrypted chunks.
-
-        The store is transferred, decrypted and integrity-verified
-        exactly once (the ``shared_meter`` of the result); each
-        subject's compiled plan then runs over the decoded event stream
-        in SOE memory with exact Skip-index metadata.
-
-        Per-subject problems — a missing grant, a policy that fails to
-        compile, an evaluation crash — become :class:`SubjectFailure`
-        entries in the returned :class:`BatchResult` instead of
-        exceptions, so one bad subject cannot kill a multi-client
-        response.  Batch-level misuse (unknown document, duplicate
-        subjects) still raises.  Every result carries the version of
-        the one snapshot the batch decoded.
-        """
-        prepared, _key, version = self._snapshot(document_id)
-        plans: List[Tuple[str, Union[PolicyPlan, SubjectFailure]]] = []
-        for entry in subjects:
-            if isinstance(entry, str):
-                label = entry
-            else:
-                label = getattr(entry, "subject", "") or "subject%d" % len(plans)
-            if any(label == existing for existing, _plan in plans):
-                raise ValueError(
-                    "duplicate subject %r in evaluate_many batch" % label
-                )
-            try:
-                if isinstance(entry, str):
-                    policy = self._policy_for(document_id, entry)
-                else:
-                    policy = entry
-                plans.append((label, self.plan_for(policy)))
-            except StationError as exc:
-                plans.append((label, SubjectFailure(label, "no-grant", str(exc))))
-            except Exception as exc:
-                plans.append(
-                    (label, SubjectFailure(label, "compile-error", str(exc)))
-                )
-
-        shared_meter = Meter()
-        events = self._decode_once(prepared, shared_meter)
-
-        per_subject: "OrderedDict[str, Union[SessionResult, SubjectFailure]]" = (
-            OrderedDict()
-        )
-        cost_model = CostModel(self.platform)
-        for label, plan in plans:
-            if isinstance(plan, SubjectFailure):
-                per_subject[label] = plan
-                with self._lock:
-                    self.stats.batch_failures += 1
-                continue
-            meter = Meter()
-            try:
-                navigator = EventListNavigator(events, meter=meter)
-                view = run_plan(navigator, plan, plan.query_plan(query), meter)
-            except Exception as exc:
-                # The partial meter travels with the failure — counted
-                # apart from every served total (see SubjectFailure).
-                per_subject[label] = SubjectFailure(
-                    label, "evaluate", str(exc), meter=meter
-                )
-                with self._lock:
-                    self.stats.batch_failures += 1
-                    self.stats.failed_requests += 1
-                continue
-            result = SessionResult(
-                view, meter, cost_model.breakdown(meter), self.platform
-            )
-            result.document_version = version
-            per_subject[label] = result
-            with self._lock:
-                self.stats.requests += 1
-        with self._lock:
-            self.stats.batches += 1
-            self.stats.batch_subjects += len(plans)
-        return BatchResult(per_subject, shared_meter, self.platform)
-
-    # ------------------------------------------------------------------
-    def _decode_once(
-        self, prepared: PreparedDocument, meter: Meter
-    ) -> List[Event]:
-        """Decrypt + verify + decode the full store into an event list,
-        charging every primitive cost to ``meter`` exactly once."""
-        reader = prepared.scheme.reader(prepared.secure, meter)
-        navigator = SkipIndexNavigator(
-            SecureBytes(reader),
-            dictionary=prepared.encoded.dictionary,
-            start_offset=prepared.encoded.root_offset,
-            meter=meter,
-            provide_meta=False,
-        )
-        events: List[Event] = []
-        while True:
-            item = navigator.next()
-            if item is None:
-                return events
-            events.append(Event(item[0], item[1]))
 
     def close(self) -> None:
         """Release the document store (log/manifest handles, lock).

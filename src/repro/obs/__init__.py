@@ -17,10 +17,11 @@ wall-clock reality around them — observable while the system runs:
 
 ``repro.obs.trace``
     Request tracing: 64-bit trace ids minted at the client or gateway
-    and carried in the wire frame header (protocol version 2), per-stage
-    spans (gateway routing, backend queueing, evaluation, compute
-    dispatch) retained in a bounded ring buffer, and a slow-query log
-    that captures the full span tree of any request over a threshold.
+    and carried in the wire frame header (protocol version 2), and
+    per-stage spans (gateway routing, backend queueing, evaluation,
+    compute dispatch) built only for a reader: the gateway a FORWARD
+    ships them to, or a slow-query log that captures the full span
+    tree of any request over a threshold.
 
 ``repro.obs.http``
     A tiny stdlib HTTP listener serving ``/metrics`` (Prometheus text

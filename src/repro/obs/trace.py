@@ -1,4 +1,4 @@
-"""Request tracing: trace ids, spans, ring buffer, slow-query log.
+"""Request tracing: trace ids, spans, slow-query log.
 
 A **trace id** is a nonzero 64-bit integer minted at the client or
 gateway (``new_trace_id``) and carried hop-to-hop in the wire frame
@@ -6,13 +6,13 @@ header (protocol version 2 — see ``repro.server.protocol``).  Requests
 with trace id 0 pay *nothing*: every instrumentation site guards on
 ``if trace:`` before touching the tracer.
 
-Each process keeps one ``Tracer``.  Spans are recorded against a trace
-id (either live via ``start``/``finish`` or post-hoc via ``record``,
-which is how the station's evaluation timing becomes a span without
-re-running the clock), and ``end_trace`` closes the trace: the finished
-span tree goes into a bounded ring buffer, and — when the trace's
-duration crosses the ``slow_ms`` threshold — into the slow-query log
-with its *full* span tree preserved.
+Each process keeps one ``Tracer``.  A traced request gets a span
+*tree* only when something reads it (see ``Tracer.begin``); otherwise
+it is only counted and echoes its id.  Spans are recorded live
+(``start``/``finish``) or post-hoc (``record``, which is how the
+station's evaluation timing becomes a span without re-running the
+clock).  A trace whose duration crosses ``slow_ms`` lands in the
+slow-query log with its *full* span tree preserved.
 
 Cross-process assembly: a backend serializes its finished spans into
 the RESULT trailer; the gateway ``adopt``s them under its own forward
@@ -28,7 +28,7 @@ import threading
 from collections import deque
 from itertools import count as _count
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -229,25 +229,27 @@ class TraceRecord:
         }
 
 
-class Tracer:
-    """Per-process span recorder with bounded retention.
+#: Open traces are capped (oldest dropped first), so a client that
+#: never closes its traces cannot grow memory without bound.
+MAX_ACTIVE = 1024
+SLOW_LOG_SIZE = 64
 
-    ``capacity`` bounds the finished-trace ring, ``slow_capacity`` the
-    slow-query log, and in-progress traces are capped at
-    ``4 * capacity`` (oldest dropped first) so a client that never
-    closes its traces cannot grow memory without bound.
+
+class Tracer:
+    """Per-process span recorder and slow-query log.
+
+    A trace is open from ``begin`` (or its first span) until it is
+    ``close``d/``end_trace``d (``finished``) or ``discard``ed
+    (``dropped``), so ``started == finished + dropped`` when idle.
     """
 
     def __init__(
         self,
-        capacity: int = 256,
         slow_ms: Optional[float] = None,
-        slow_capacity: int = 64,
         slow_sink: Optional[Callable[[TraceRecord], None]] = None,
     ) -> None:
         self._lock = threading.Lock()
         self._active: Dict[int, List[Span]] = {}
-        self._max_active = max(16, capacity * 4)
         # itertools.count increments atomically in C — the recording
         # hot path takes no lock (dict/list/deque single ops are each
         # atomic under the GIL; the started/finished/dropped counters
@@ -256,8 +258,7 @@ class Tracer:
         # Span-id namespace: a random 16-bit prefix per tracer keeps
         # locally minted ids from colliding with adopted remote ids.
         self._base = (int.from_bytes(os.urandom(2), "big") | 1) << 32
-        self.records: deque = deque(maxlen=capacity)
-        self.slow_log: deque = deque(maxlen=slow_capacity)
+        self.slow_log: deque = deque(maxlen=SLOW_LOG_SIZE)
         self.slow_ms = slow_ms
         self.slow_sink = slow_sink
         self.started = 0
@@ -266,20 +267,36 @@ class Tracer:
         self.slow = 0
 
     # -- recording -----------------------------------------------------
-    def _new_span(self, trace: int, name: str, parent: int, start: float) -> Span:
-        span = Span(trace, self._base + next(self._seq), parent, name, start)
+    def _open(self, trace: int) -> List[Span]:
         spans = self._active.get(trace)
         if spans is None:
-            if len(self._active) >= self._max_active:
+            if len(self._active) >= MAX_ACTIVE:
                 with self._lock:
-                    while len(self._active) >= self._max_active:
+                    while len(self._active) >= MAX_ACTIVE:
                         victim = next(iter(self._active))
                         del self._active[victim]
                         self.dropped += 1
             spans = self._active.setdefault(trace, [])
             self.started += 1
-        spans.append(span)
+        return spans
+
+    def _new_span(self, trace: int, name: str, parent: int, start: float) -> Span:
+        span = Span(trace, self._base + next(self._seq), parent, name, start)
+        self._open(trace).append(span)
         return span
+
+    def begin(
+        self, trace: int, name: str, ship: bool = False, **attrs: Any
+    ) -> Optional[Span]:
+        """Open one request's trace; return its root span, or ``None``
+        when nothing reads the tree: neither the hop upstream (``ship``,
+        a FORWARD whose gateway grafts it) nor a slow-query log (a
+        ``slow_ms`` is set).  Such a trace is only counted — no span
+        or record is ever made for it."""
+        if ship or self.slow_ms is not None:
+            return self.start(trace, name, **attrs)
+        self._open(trace)
+        return None
 
     def start(self, trace: int, name: str, parent: int = 0, **attrs: Any) -> Span:
         span = self._new_span(trace, name, parent, perf_counter())
@@ -354,12 +371,16 @@ class Tracer:
 
     # -- completion ----------------------------------------------------
     def end_trace(self, trace: int, root: Optional[Span] = None) -> Optional[TraceRecord]:
-        """Close ``trace``: build its record, retain it, flag it slow.
+        """Close ``trace``: build its record and flag it slow.  Returns
+        ``None`` for a trace that is not open or has no spans.
 
         Callers that hold the request's root span pass it as ``root``
         to skip the scan for it — this runs once per traced request.
         """
         spans = self._active.pop(trace, None)
+        if spans is None:
+            return None
+        self.finished += 1
         if not spans:
             return None
         if root is None:
@@ -367,11 +388,8 @@ class Tracer:
             root = min(roots or spans, key=lambda span: span.start)
         duration_ms = root.duration_ms
         record = TraceRecord(trace, root.name, duration_ms, spans)
-        slow = self.slow_ms is not None and duration_ms >= self.slow_ms
-        record.slow = slow
-        self.finished += 1
-        self.records.append(record)
-        if slow:
+        if self.slow_ms is not None and duration_ms >= self.slow_ms:
+            record.slow = True
             self.slow += 1
             self.slow_log.append(record)
             if self.slow_sink is not None:
@@ -380,6 +398,25 @@ class Tracer:
                 except Exception:  # pragma: no cover - sink is best-effort
                     pass
         return record
+
+    def close(
+        self,
+        trace: int,
+        root: Optional[Span],
+        trailer: Dict[str, Any],
+        ship: bool = False,
+        **attrs: Any,
+    ) -> None:
+        """Finish ``root`` with ``attrs``, close ``trace`` and stamp the
+        RESULT ``trailer``: the trace id always, and the span tree when
+        ``ship`` is set (a FORWARD hop, whose gateway grafts it) or the
+        trace ran slow."""
+        if root is not None:
+            self.finish(root, **attrs)
+        record = self.end_trace(trace, root=root)
+        trailer["trace"] = format_trace_id(trace)
+        if record is not None and (ship or record.slow):
+            trailer["spans"] = record.wire_spans()
 
     def discard(self, trace: int) -> None:
         """Drop an in-progress trace without recording it."""
@@ -394,7 +431,6 @@ class Tracer:
                 "finished": self.finished,
                 "dropped": self.dropped,
                 "slow_queries": self.slow,
-                "retained": len(self.records),
                 "slow_ms": self.slow_ms,
             }
 

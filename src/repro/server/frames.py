@@ -170,9 +170,10 @@ class FrameServer:
         self.max_payload = max_payload
         self.stats: Dict[str, int] = dict.fromkeys(self.STATS, 0)
         # Observability: one registry + tracer per server.  Traced
-        # requests (nonzero frame trace id) record span trees; the
-        # slow-query log keeps any trace over ``slow_ms``.  The counter
-        # dicts are the only copy: the registry reads them when scraped.
+        # requests (nonzero frame trace id) are counted and echo their
+        # id; with ``slow_ms`` set they record span trees, and the
+        # slow-query log keeps any trace over it.  The counter dicts
+        # are the only copy: the registry reads them when scraped.
         self.slow_ms = slow_ms
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = (

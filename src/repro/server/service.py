@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine.station import SecureStation, StationError
 from repro.metrics import ThreadSafeMeter
 from repro.obs.registry import BYTE_BUCKETS, MetricsRegistry
-from repro.obs.trace import Tracer, format_trace_id
+from repro.obs.trace import Tracer
 from repro.server import protocol
 from repro.server.frames import (
     E_BAD_FRAME,
@@ -280,25 +280,18 @@ class StationServer(FrameServer):
         request's root span.  A nonzero ``trace`` (minted by the client
         or gateway, carried in the frame header) makes the RESULT
         trailer echo the id; trace 0 pays for one ``perf_counter`` pair
-        and a histogram observe.  The span *tree* rides the trailer
-        only when ``ship_spans`` is set (FORWARD hops — the gateway
-        needs backend spans to assemble cross-process trees) or when
-        the trace finished slow: serializing every tree on the cached
-        hot path costs more than the 5% tracing budget, and direct
-        clients only consume trees through the slow-query log anyway.
+        and a histogram observe.  The span *tree* is built only when
+        something reads it: the gateway on a FORWARD hop
+        (``ship_spans``, it grafts backend spans into its own tree) or
+        the slow-query log when ``slow_ms`` is set.  Any other traced
+        request is counted and echoed but makes no span at all.
         """
         tracer = self.tracer
         started = perf_counter()
         root = None
-        deferred = False
         picked_up = started
         if trace:
-            root = tracer.start(trace, "backend.query", **extra_trailer)
-            # No tree can ride this trailer (direct client, no slow
-            # threshold), so span bookkeeping moves past the send —
-            # off the response's critical path.  Only the timestamps
-            # are captured in-line.
-            deferred = not ship_spans and tracer.slow_ms is None
+            root = tracer.begin(trace, "backend.query", ship_spans, **extra_trailer)
 
         def run_evaluate():
             if root is None:
@@ -327,25 +320,6 @@ class StationServer(FrameServer):
         chunks, sent_bytes = sent
         self.meter.merge(stream.result.meter)
 
-        def finish_trace():
-            """Record the queue and stream spans, close the root and
-            return the finished trace record."""
-            tracer.record(trace, "queue", started, picked_up, parent=root.id)
-            tracer.record(
-                trace,
-                "stream",
-                stream_started,
-                perf_counter(),
-                parent=root.id,
-                attrs={"chunks": chunks, "bytes": sent_bytes},
-            )
-            tracer.finish(
-                root,
-                cached=bool(stream.result.cache_hit),
-                bytes=stream.payload_bytes,
-            )
-            return tracer.end_trace(trace, root=root)
-
         trailer = {
             "chunks": chunks,
             "bytes": stream.payload_bytes,
@@ -372,24 +346,30 @@ class StationServer(FrameServer):
             },
         }
         trailer.update(extra_trailer)
-        if root is not None:
-            trailer["trace"] = format_trace_id(trace)
-            if not deferred:
-                record = finish_trace()
-                if record is not None and (ship_spans or record.slow):
-                    # The finished span tree rides the trailer so the
-                    # hop upstream (gateway or client) can graft it
-                    # under its own spans — cross-process assembly.
-                    trailer["spans"] = record.wire_spans()
+        if trace:
+            if root is not None:
+                tracer.record(trace, "queue", started, picked_up, parent=root.id)
+                tracer.record(
+                    trace,
+                    "stream",
+                    stream_started,
+                    perf_counter(),
+                    parent=root.id,
+                    attrs={"chunks": chunks, "bytes": sent_bytes},
+                )
+            tracer.close(
+                trace,
+                root,
+                trailer,
+                ship_spans,
+                cached=bool(stream.result.cache_hit),
+                bytes=stream.payload_bytes,
+            )
         self._latency_metric.observe((perf_counter() - started) * 1000.0)
         self._view_bytes_metric.observe(stream.payload_bytes)
-        try:
-            await self._send(
-                conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
-            )
-        finally:
-            if deferred:
-                finish_trace()
+        await self._send(
+            conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
+        )
         self.stats["chunks_streamed"] += chunks
         self.stats["bytes_streamed"] += sent_bytes
         return True
@@ -421,8 +401,12 @@ class StationServer(FrameServer):
         """
         root = None
         if trace:
-            root = self.tracer.start(
-                trace, "backend.update", document=document_id, subject=subject
+            root = self.tracer.begin(
+                trace,
+                "backend.update",
+                ship_spans,
+                document=document_id,
+                subject=subject,
             )
         if not self.allow_updates:
             return await self._refuse(conn, trace, E_LIMIT, "this server is read-only")
@@ -453,17 +437,15 @@ class StationServer(FrameServer):
             "version": result.version,
             "update": result.as_dict(),
         }
-        if root is not None:
-            self.tracer.finish(
+        if trace:
+            self.tracer.close(
+                trace,
                 root,
+                trailer,
+                ship_spans,
                 version=result.version,
                 chunks_reencrypted=result.chunks_reencrypted,
             )
-            record = self.tracer.end_trace(trace, root=root)
-            if record is not None:
-                trailer["trace"] = format_trace_id(trace)
-                if ship_spans or record.slow:
-                    trailer["spans"] = record.wire_spans()
         await self._send(
             conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
         )

@@ -82,9 +82,9 @@ class SessionResult:
     """Authorized view + cost accounting of one SOE run.
 
     ``document_version`` is stamped by :meth:`SecureStation.evaluate`
-    and :meth:`SecureStation.evaluate_many` with the update version of
-    the exact snapshot evaluated (read atomically with the snapshot
-    itself); ``None`` outside the station path.  ``cache_hit`` marks a
+    with the update version of the exact snapshot evaluated (read
+    atomically with the snapshot itself); ``None`` outside the station
+    path.  ``cache_hit`` marks a
     result served from the station's version-keyed view cache — its
     events/breakdown are then shared read-only with the cache entry,
     and the meter still carries the simulated Table-1 costs of the

@@ -204,73 +204,6 @@ class TestSecureStation:
             assert result.events == reference_authorized_view(tree, policy), subject
             assert result.seconds > 0
 
-    def test_evaluate_many_three_subjects_match_reference(self):
-        station = self.build_station()
-        tree = parse_document(DOC)
-        batch = station.evaluate_many("folder", ["sec", "ann", "aud"])
-        assert len(batch) == 3
-        for subject, policy in self.subjects().items():
-            assert batch[subject].events == reference_authorized_view(
-                tree, policy
-            ), subject
-        # The single pass decrypts the store exactly once.
-        assert batch.shared_meter.bytes_decrypted > 0
-        for _subject, result in batch:
-            assert result.meter.bytes_decrypted == 0
-        assert batch.seconds > 0
-
-    def test_evaluate_many_stamps_document_version(self):
-        from repro.skipindex.updates import UpdateOp
-
-        station = self.build_station()
-        station.update("folder", UpdateOp.rename([0, 0], "nom"))
-        version = station.document_version("folder")
-        assert version == 1
-        batch = station.evaluate_many("folder", ["sec", "ann", "aud"])
-        for subject, result in batch:
-            assert result.document_version == version, subject
-        assert station.evaluate("folder", "sec").document_version == version
-
-    def test_evaluate_many_rejects_duplicate_subjects(self):
-        station = self.build_station()
-        with pytest.raises(ValueError):
-            station.evaluate_many("folder", ["sec", "sec"])
-
-    def test_evaluate_many_surfaces_per_subject_failures(self):
-        from repro.engine import SubjectFailure
-
-        station = self.build_station()
-        tree = parse_document(DOC)
-        batch = station.evaluate_many("folder", ["sec", "stranger", "aud"])
-        assert len(batch) == 3
-        # The bad subject becomes a structured failure ...
-        failure = batch["stranger"]
-        assert isinstance(failure, SubjectFailure)
-        assert failure.kind == "no-grant"
-        assert "stranger" in failure.message
-        assert failure.as_dict()["subject"] == "stranger"
-        assert list(batch.failures) == ["stranger"]
-        assert station.stats.batch_failures == 1
-        # ... while the healthy subjects are still served correctly.
-        assert list(batch.ok) == ["sec", "aud"]
-        for subject in ("sec", "aud"):
-            assert batch[subject].events == reference_authorized_view(
-                tree, self.subjects()[subject]
-            ), subject
-        assert batch.seconds > 0  # failures do not break cost accounting
-
-    def test_evaluate_many_all_failures_still_returns(self):
-        station = self.build_station()
-        batch = station.evaluate_many("folder", ["ghost1", "ghost2"])
-        assert len(batch.failures) == 2
-        assert not batch.ok
-        assert batch.seconds > 0  # the shared decode pass still ran
-
-    def test_evaluate_many_unknown_document_still_raises(self):
-        station = self.build_station()
-        with pytest.raises(StationError):
-            station.evaluate_many("nope", ["sec"])
-
     def test_plan_cache_hits(self):
         station = self.build_station()
         station.evaluate("folder", "sec")

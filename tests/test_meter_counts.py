@@ -16,7 +16,6 @@ from repro.datasets.hospital import (
     HospitalConfig,
     doctor_policy,
     generate_hospital,
-    secretary_policy,
 )
 from repro.engine import pipeline
 from repro.engine.pipeline import audit_integrity
@@ -45,36 +44,24 @@ CRYPTO = {
         "whole": (3176, 3176, 0, 0, 0, 8),
         "structural": (408, 408, 0, 0, 0, 3),
         "wildcard": (920, 920, 0, 0, 0, 4),
-        "batch-shared": (6456, 6456, 0, 0, 0, 4),
-        "batch-secretary": (0, 0, 0, 0, 0, 0),
-        "batch-doctor": (0, 0, 0, 0, 0, 0),
         "audit": (6696, 6696, 0, 0, 0, 4),
     },
     "CBC-SHA": {
         "whole": (16576, 16576, 16384, 8, 0, 8),
         "structural": (6216, 6216, 6144, 3, 0, 3),
         "wildcard": (8288, 8288, 8192, 4, 0, 4),
-        "batch-shared": (8288, 8288, 8192, 4, 0, 4),
-        "batch-secretary": (0, 0, 0, 0, 0, 0),
-        "batch-doctor": (0, 0, 0, 0, 0, 0),
         "audit": (8288, 8288, 8192, 4, 0, 4),
     },
     "CBC-SHAC": {
         "whole": (16576, 3368, 16384, 8, 0, 8),
         "structural": (6216, 480, 6144, 3, 0, 3),
         "wildcard": (8288, 1016, 8192, 4, 0, 4),
-        "batch-shared": (8288, 6552, 8192, 4, 0, 4),
-        "batch-secretary": (0, 0, 0, 0, 0, 0),
-        "batch-doctor": (0, 0, 0, 0, 0, 0),
         "audit": (8288, 6792, 8192, 4, 0, 4),
     },
     "ECB-MHT": {
         "whole": (9672, 3368, 7680, 8, 90, 8),
         "structural": (3548, 480, 2816, 3, 33, 3),
         "wildcard": (6100, 1016, 4864, 4, 57, 4),
-        "batch-shared": (8628, 6552, 6912, 4, 81, 4),
-        "batch-secretary": (0, 0, 0, 0, 0, 0),
-        "batch-doctor": (0, 0, 0, 0, 0, 0),
         "audit": (7048, 6792, 6912, 4, 25, 4),
     },
 }
@@ -116,30 +103,6 @@ EVALUATION = {
         "readback_events": 18,
         "skipped_bytes": 6109,
     },
-    "batch-secretary": {
-        "bytes_delivered": 306,
-        "events": 28,
-        "token_ops": 3,
-        "auth_pushes": 3,
-        "decisions": 14,
-        "killed_tokens": 10,
-        "skipped_subtrees": 7,
-        "readback_events": 60,
-        "skipped_bytes": 8650,
-    },
-    "batch-doctor": {
-        "bytes_delivered": 2787,
-        "events": 163,
-        "token_ops": 61,
-        "auth_pushes": 18,
-        "decisions": 77,
-        "killed_tokens": 112,
-        "skipped_subtrees": 8,
-        "deferred_subtrees": 29,
-        "readback_events": 230,
-        "skipped_bytes": 7471,
-        "pending_nodes": 19,
-    },
 }
 
 
@@ -150,7 +113,6 @@ def _station(scheme: str) -> SecureStation:
         generate_hospital(HospitalConfig(folders=3, seed=7)),
         PublishOptions(scheme=scheme, index=True),
     )
-    station.grant("h", secretary_policy())
     station.grant("h", doctor_policy(DOCTOR))
     return station
 
@@ -180,15 +142,11 @@ def _measure(scheme: str, monkeypatch):
         structural = station.evaluate("h", DOCTOR, query=STRUCTURAL_QUERY)
         wildcard = station.evaluate("h", DOCTOR, query=WILDCARD_QUERY)
         assert not whole.indexed and structural.indexed and not wildcard.indexed
-        batch = station.evaluate_many("h", ["secretary", DOCTOR])
         audit = _audit_meter(station.document("h"), monkeypatch)
     return {
         "whole": whole.meter.as_dict(),
         "structural": structural.meter.as_dict(),
         "wildcard": wildcard.meter.as_dict(),
-        "batch-shared": batch.shared_meter.as_dict(),
-        "batch-secretary": batch["secretary"].meter.as_dict(),
-        "batch-doctor": batch[DOCTOR].meter.as_dict(),
         "audit": audit.as_dict(),
     }
 

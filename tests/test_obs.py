@@ -2,7 +2,7 @@
 
 Covers the ``repro.obs`` package in isolation (instrument semantics,
 histogram bucket math, merge associativity, Prometheus text format,
-tracer retention and adoption) and end-to-end: trace ids stamped by a
+the tracer's slow log and adoption) and end-to-end: trace ids stamped by a
 client ride the frame header through gateway and backend and come back
 as one combined span tree in the RESULT trailer — including across a
 mid-run failover retry.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 import urllib.request
 
 import pytest
@@ -33,7 +32,7 @@ from repro.obs.trace import (
     new_trace_id,
 )
 from repro.server import protocol
-from repro.server.client import RemoteSession
+from repro.server.client import RemoteError, RemoteSession
 from repro.server.service import ServerThread, StationServer, hospital_station
 
 
@@ -284,15 +283,6 @@ class TestTracer:
         tree = format_span_tree(record.as_dict())
         assert "request" in tree and "  stage" in tree.splitlines()[2]
 
-    def test_ring_is_bounded(self):
-        tracer = Tracer(capacity=4)
-        for _ in range(10):
-            trace = new_trace_id()
-            tracer.finish(tracer.start(trace, "r"))
-            tracer.end_trace(trace)
-        assert len(tracer.records) == 4
-        assert tracer.finished == 10
-
     def test_slow_log_threshold(self):
         seen = []
         tracer = Tracer(slow_ms=10_000.0, slow_sink=seen.append)
@@ -463,8 +453,8 @@ class TestServerTracing:
 
     def test_fast_path_ships_id_only_without_slow_threshold(self):
         # Without a slow threshold a direct traced response carries the
-        # trace id but no span payload — the tree still lands in the
-        # server's ring buffer, it just never rides the hot path.
+        # trace id but no span payload, and its trace is already
+        # counted finished when the RESULT arrives.
         station, subjects = hospital_station(folders=2, seed=11)
         server = StationServer(station, chunk_size=256)
         thread = ServerThread(server)
@@ -476,15 +466,60 @@ class TestServerTracing:
             assert result.trace_id == format_trace_id(trace)
             assert result.spans == []
             assert "spans" not in result.trailer
-            # The deferred bookkeeping runs after the send, so the
-            # client can see the RESULT before the trace is finished.
-            deadline = time.monotonic() + 10
-            while (
-                server.tracer.stats()["finished"] < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
             assert server.tracer.stats()["finished"] == 1
+        finally:
+            thread.stop()
+            station.close()
+
+    def test_no_reader_means_no_spans(self):
+        # No slow log and no gateway upstream: nothing reads a tree, so
+        # a traced miss or hit makes no span at all.
+        station, subjects = hospital_station(folders=2, seed=11)
+        server = StationServer(station, chunk_size=256)
+        made = []
+        new_span = server.tracer._new_span
+
+        def counting(*args):
+            made.append(args[1])
+            return new_span(*args)
+
+        server.tracer._new_span = counting
+        thread = ServerThread(server)
+        host, port = thread.start()
+        try:
+            with RemoteSession(host, port, subjects[0], trace=True) as session:
+                miss = session.evaluate("hospital")
+                hit = session.evaluate("hospital")
+            assert miss.trailer.get("cached") is not True
+            assert hit.trailer.get("cached") is True
+            assert miss.trace_id and hit.trace_id
+            assert made == []
+            stats = server.tracer.stats()
+            assert stats["started"] == stats["finished"] == 2
+        finally:
+            thread.stop()
+            station.close()
+
+    @pytest.mark.parametrize("slow_ms", [None, 0.0])
+    def test_every_trace_is_finished_or_dropped(self, slow_ms):
+        station, subjects = hospital_station(folders=2, seed=11)
+        server = StationServer(station, chunk_size=256, slow_ms=slow_ms)
+        thread = ServerThread(server)
+        host, port = thread.start()
+        try:
+            with RemoteSession(host, port, subjects[0], trace=True) as session:
+                session.evaluate("hospital")
+                with pytest.raises(RemoteError) as excinfo:
+                    session.evaluate("no-such-document")
+                assert excinfo.value.code == "unknown-document"
+            with RemoteSession(host, port, "stranger", trace=True) as session:
+                with pytest.raises(RemoteError) as excinfo:
+                    session.evaluate("hospital")
+                assert excinfo.value.code == "no-grant"
+            stats = server.tracer.stats()
+            assert stats["started"] == 3
+            assert stats["finished"] == 1 and stats["dropped"] == 2
+            assert "retained" not in stats
         finally:
             thread.stop()
             station.close()
