@@ -14,6 +14,10 @@ import pytest
 from repro.bench.workloads import Workloads
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: Where every bench writes its report.  Gitignored, so a test run never
+#: rewrites the committed ``BENCH_*.json`` trajectory at the repo root
+#: (DESIGN.md, "Benchmarks", says how those are refreshed on purpose).
+BENCH_DIR = REPO_ROOT / "bench-out"
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +34,7 @@ def print_experiment(title: str, data) -> None:
 
 
 def write_bench(name: str, report: dict, seed=None) -> dict:
-    """Write ``report`` to ``BENCH_<name>.json`` at the repo root under
+    """Write ``report`` to ``bench-out/BENCH_<name>.json`` under
     one provenance header: the checked-out commit, the Python version,
     the usable CPUs, the XTEA implementation and the seed the bench drew its
     data from (``None`` when it draws none).  Returns what was written.
@@ -58,6 +62,7 @@ def write_bench(name: str, report: dict, seed=None) -> dict:
         },
         **report,
     }
-    path = REPO_ROOT / ("BENCH_%s.json" % name)
+    BENCH_DIR.mkdir(exist_ok=True)
+    path = BENCH_DIR / ("BENCH_%s.json" % name)
     path.write_text(json.dumps(written, indent=2, default=str) + "\n")
     return written

@@ -11,15 +11,12 @@ off and then on, and asserts the cached path wins by a wide margin.
 """
 
 import json
-import pathlib
 import time
 
-from conftest import write_bench
+from conftest import BENCH_DIR, write_bench
 from repro.bench.experiments import hotpath_experiment
 from repro.server.client import RemoteSession
 from repro.server.service import ServerThread, StationServer, hospital_station
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Generous floors under the locally measured ratios (crypto ~16x,
 #: serving ~6x) so a loaded CI host does not flake the guard.
@@ -52,7 +49,7 @@ def test_hotpath_regression_guard():
         assert ratios["native_vs_fast"] >= MIN_NATIVE_SPEEDUP, backends["cipher"]
 
     # -- the artifact landed
-    written = json.loads((REPO_ROOT / "BENCH_hotpath.json").read_text())
+    written = json.loads((BENCH_DIR / "BENCH_hotpath.json").read_text())
     assert written["bench"] == "hotpath"
     assert written["ratios"] == ratios
 

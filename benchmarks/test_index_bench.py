@@ -17,20 +17,17 @@ Guards (the reason this lives in CI):
 * an ineligible (wildcard) query falls back to streaming with no
   overhead catastrophe (sanity, not a ratio guard).
 
-The full report lands in ``BENCH_index.json`` next to the other
-``BENCH_*.json`` artifacts.
+The full report lands in ``bench-out/BENCH_index.json`` next to the
+other ``BENCH_*.json`` artifacts.
 """
 
 import json
-import pathlib
 import time
 
-from conftest import write_bench
+from conftest import BENCH_DIR, write_bench
 from repro.engine import PublishOptions, SecureStation, StationConfig
 from repro.xmlkit.dom import Node
 from repro.xmlkit.serializer import serialize_events
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 RECORDS = 400
 REPEATS = 5
@@ -136,7 +133,7 @@ def test_index_bench_writes_report():
     }
     written = write_bench("index", report)
 
-    loaded = json.loads((REPO_ROOT / "BENCH_index.json").read_text())
+    loaded = json.loads((BENCH_DIR / "BENCH_index.json").read_text())
     assert loaded == json.loads(json.dumps(written))
     assert loaded["bench"] == "index"
     assert loaded["speedup"] >= MIN_SPEEDUP

@@ -5,16 +5,15 @@ kind through :meth:`SecureStation.update`, asserting the paper's cost
 structure — a local same-length edit re-encrypts a couple of chunks, a
 worst-case edit (dictionary growth) rewrites the whole store — and
 that the cross-version replay defence holds on the benchmark document.
-The full report lands in ``BENCH_updates.json`` (next to
+The full report lands in ``bench-out/BENCH_updates.json`` (next to
 ``BENCH_engine.json``).
 """
 
 import json
-import pathlib
 
 import pytest
 
-from conftest import write_bench
+from conftest import BENCH_DIR, write_bench
 from repro.bench.experiments import updates_experiment
 from repro.crypto.integrity import IntegrityError
 from repro.datasets.hospital import HospitalConfig, generate_hospital
@@ -22,11 +21,9 @@ from repro.engine import SecureStation
 from repro.skipindex.updates import UpdateOp
 from repro.xmlkit.parser import parse_document
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
 
 def test_updates_bench_writes_report():
-    out = REPO_ROOT / "BENCH_updates.json"
+    out = BENCH_DIR / "BENCH_updates.json"
     experiment = updates_experiment(folders=16, output=None)
     report = experiment["report"]
     write_bench("updates", report, seed=7)

@@ -607,6 +607,8 @@ class ClusterGateway(FrameServer):
             "document": document_id,
             "query": body.get("query") or None,
         }
+        if trace and self.tracer.slow_ms is not None:
+            forward["spans"] = True  # this gateway grafts the backend's tree
         request = await self._encode_forward(conn, forward, trace)
         if request is None:
             return True
@@ -735,6 +737,8 @@ class ClusterGateway(FrameServer):
             "document": document_id,
             "op": op_body,
         }
+        if trace and self.tracer.slow_ms is not None:
+            forward["spans"] = True  # this gateway grafts the backend's tree
         request = await self._encode_forward(conn, forward, trace)
         if request is None:
             return True

@@ -10,6 +10,11 @@ multi-client generalization:
   holding compiled :class:`~repro.engine.plans.PolicyPlan` objects, so
   a returning subject (or any subject sharing a role policy) never
   recompiles automata;
+* a **view cache** — an LRU keyed by ``(document id, version, subject,
+  policy digest, query)`` holding each served view as the bytes
+  :meth:`SecureStation.stream` sends plus its trailer facts, never as
+  events; :meth:`SecureStation.evaluate` is the uncached evaluation
+  that local callers get, with the evaluator's exact events;
 * **per-session key material** — each :meth:`connect` derives a session
   key from the station's master secret, used to seal authorized views
   on the SOE -> client link (the document keys never leave the station).
@@ -183,9 +188,9 @@ class StationSession:
         trace: int = 0,
         parent_span: int = 0,
     ) -> "ViewStream":
-        """Streaming hand-off for the network layer: evaluate, then
-        expose the serialized view as bounded chunks (optionally sealed
-        per chunk under this session's link key)."""
+        """Streaming hand-off for the network layer: the serialized
+        view (from the view cache, or evaluated) as bounded chunks,
+        optionally sealed per chunk under this session's link key."""
         return self.station.stream(
             document_id,
             self.subject,
@@ -202,23 +207,25 @@ class StationSession:
 
 
 class ViewStream:
-    """An evaluated authorized view, packaged for chunked delivery.
+    """A served authorized view, packaged for chunked delivery.
 
     The streaming hand-off between the station and the network layer
-    (:mod:`repro.server.service`): evaluation already happened, so
-    ``result`` carries the full :class:`SessionResult` for the trailer
-    metadata, while :meth:`chunks` exposes the serialized payload as
-    bounded slices a writer can flow-control — optionally sealed one
-    chunk at a time under a session link key.
+    (:mod:`repro.server.service`): ``result`` is the view's
+    :class:`_CachedView` — the serialized payload plus the trailer
+    facts — and ``cached`` says whether the view cache served it,
+    while :meth:`chunks` exposes the payload as bounded slices a writer
+    can flow-control — optionally sealed one chunk at a time under a
+    session link key.
     """
 
-    __slots__ = ("result", "payload", "chunk_size", "_sealer")
+    __slots__ = ("result", "payload", "cached", "chunk_size", "_sealer")
 
-    def __init__(self, result, payload: bytes, chunk_size: int, sealer=None):
+    def __init__(self, result, chunk_size: int, sealer=None, cached: bool = False):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.result = result
-        self.payload = payload
+        self.payload = result.payload
+        self.cached = cached
         self.chunk_size = chunk_size
         self._sealer = sealer
 
@@ -256,32 +263,31 @@ class ViewStream:
 
 
 class _CachedView:
-    """One materialized authorized view in the station's view cache.
+    """One served authorized view: what the station's view cache keeps.
 
-    Keyed by ``(document id, version, subject, policy digest, query)``
-    — the version makes the entry self-invalidating: an update bumps
-    the document version, so every stale key becomes unreachable even
-    before the eviction sweep runs.  ``events`` and ``breakdown`` are
-    shared read-only with every hit (like compiled plans, immutable by
-    convention); ``meter`` is copied per hit so callers can merge it
-    freely.  ``payload`` is the serialized view, filled lazily by the
-    first :meth:`SecureStation.stream` that needs it — after that a
-    repeat remote query is a dictionary lookup plus per-session link
-    resealing.
+    The serialized ``payload`` (made once, on the miss) and the trailer
+    facts: the ``meter`` and ``breakdown`` of the original evaluation,
+    so a hit reports the same simulated Table-1 costs; ``indexed``,
+    whether that evaluation went through the structural index; and the
+    ``document_version`` of the snapshot it read.  Shared read-only
+    with every hit.  The cache keys it by ``(document id, version,
+    subject, policy digest, query)`` — the version makes the entry
+    self-invalidating: an update bumps the document version, so every
+    stale key becomes unreachable even before the eviction sweep runs.
     """
 
-    __slots__ = ("events", "meter", "breakdown", "payload", "indexed")
+    __slots__ = ("payload", "meter", "breakdown", "indexed", "document_version")
 
-    def __init__(self, events, meter: Meter, breakdown, indexed: bool = False):
-        # A tuple, deliberately: the entry must survive callers mutating
-        # the event list a miss or hit handed them.
-        self.events = tuple(events)
-        self.meter = meter
-        self.breakdown = breakdown
-        self.payload: Optional[bytes] = None
-        # Whether the original evaluation went through the structural
-        # index; hits replay the flag so trailers stay truthful.
-        self.indexed = indexed
+    def __init__(self, payload: bytes, result: SessionResult):
+        self.payload = payload
+        self.meter = result.meter
+        self.breakdown = result.breakdown
+        self.indexed = result.indexed
+        self.document_version = result.document_version
+
+    @property
+    def seconds(self) -> float:
+        return self.breakdown.total
 
 
 class UpdateResult:
@@ -811,83 +817,43 @@ class SecureStation:
             self.stats.sessions_opened += 1
         return StationSession(self, subject, session_id)
 
-    def evaluate(
-        self,
-        document_id: str,
-        subject_or_policy: Union[str, Policy, PolicyPlan],
-        query=None,
-        tracer=None,
-        trace: int = 0,
-        parent_span: int = 0,
-    ) -> SessionResult:
-        """One request: the authorized view of one document for one
-        subject (grant lookup) or explicit policy/plan.
-
-        Repeat requests are served from the version-keyed view cache:
-        the SOE cost model still charges the simulated Table-1 costs of
-        the *original* evaluation (the cached meter/breakdown travel
-        with the entry), so simulated seconds are identical whether a
-        request hit or missed — only real wall-clock work disappears.
-
-        With a ``tracer`` (``repro.obs.trace.Tracer``) and a nonzero
-        ``trace`` id, the request records spans under ``parent_span``:
-        one ``view-cache`` span on a hit, or one ``stage:evaluate``
-        span around :func:`evaluate_document` (with its Meter counts
-        and the XTEA implementation as attributes) on a miss.
-        Untraced requests (``trace`` 0, the default) skip every tracing
-        branch — the cached hot path stays within the ratio guard of
-        ``benchmarks/test_obs_bench.py``.
-        """
-        traced = tracer is not None and trace != 0
-        t_start = perf_counter() if traced else 0.0
+    def _resolve(self, document_id, subject_or_policy, query):
+        """One request's snapshot, its version, the compiled plan of
+        the subject's grant (or of an explicit policy/plan) and the
+        compiled query."""
         prepared, _key, version = self._snapshot(document_id)
         if isinstance(subject_or_policy, str):
             policy = self._policy_for(document_id, subject_or_policy)
         else:
             policy = subject_or_policy
         plan = self.plan_for(policy)
-        query_plan = plan.query_plan(query)
-        cache_key = None
-        if self.cache_views:
-            cache_key = (
-                document_id,
-                version,
-                plan.subject,
-                plan.digest,
-                None if query_plan is None else str(query_plan.path),
-            )
-            with self._lock:
-                entry = self._views.get(cache_key)
-                if entry is not None:
-                    self._views.move_to_end(cache_key)
-                    self.stats.view_hits += 1
-                    self.stats.requests += 1
-                else:
-                    self.stats.view_misses += 1
-            if entry is not None:
-                # Fresh list per hit: every evaluate() has always
-                # returned a caller-owned event list, and a caller
-                # mutating it must not corrupt the cache entry.
-                result = SessionResult(
-                    list(entry.events),
-                    entry.meter.copy(),
-                    entry.breakdown,
-                    self.platform,
-                )
-                result.document_version = version
-                result.cache_hit = True
-                result.cache_entry = entry
-                result.indexed = entry.indexed
-                if traced:
-                    tracer.record(
-                        trace,
-                        "view-cache",
-                        t_start,
-                        perf_counter(),
-                        parent=parent_span,
-                        attrs={"cached": True, "events": len(entry.events)},
-                    )
-                return result
+        return prepared, version, plan, plan.query_plan(query)
+
+    def evaluate(
+        self,
+        document_id: str,
+        subject_or_policy: Union[str, Policy, PolicyPlan],
+        query=None,
+    ) -> SessionResult:
+        """One request: the authorized view of one document for one
+        subject (grant lookup) or explicit policy/plan, as the
+        evaluator's exact events.
+
+        Always evaluated: the view cache holds serialized payloads and
+        serves only :meth:`stream`.
+        """
+        resolved = self._resolve(document_id, subject_or_policy, query)
+        return self._evaluate(*resolved, None, 0, 0)
+
+    def _evaluate(
+        self, prepared, version, plan, query_plan, tracer, trace, parent_span
+    ) -> SessionResult:
+        """The uncached evaluation of one resolved request.  With a
+        ``tracer`` (``repro.obs.trace.Tracer``) and a nonzero ``trace``
+        id it records one ``stage:evaluate`` span under ``parent_span``
+        around :func:`evaluate_document`, with its Meter counts and the
+        XTEA implementation as attributes."""
+        traced = tracer is not None and trace != 0
         with self._lock:
             self.stats.requests += 1
         # ---- structural-index serving decision -----------------------
@@ -961,20 +927,6 @@ class SecureStation:
                 )
         result.document_version = version
         result.indexed = serve_indexed
-        if cache_key is not None:
-            entry = _CachedView(
-                result.events,
-                result.meter.copy(),
-                result.breakdown,
-                indexed=serve_indexed,
-            )
-            result.cache_entry = entry
-            with self._lock:
-                self._views[cache_key] = entry
-                self._views.move_to_end(cache_key)
-                while len(self._views) > self.view_cache_size:
-                    self._views.popitem(last=False)
-                    self.stats.view_evictions += 1
         return result
 
     def cached_views(self) -> int:
@@ -1005,39 +957,80 @@ class SecureStation:
         trace: int = 0,
         parent_span: int = 0,
     ) -> ViewStream:
-        """Evaluate and hand the serialized view off for chunked
-        delivery (the network layer's entry point).
+        """Serve one request as a serialized view handed off for
+        chunked delivery (the network layer's entry point).
 
-        The serialized payload is memoized on the view-cache entry, so
-        a repeat remote query skips the NFA pass *and* serialization —
-        what remains per request is the per-session link reseal."""
-        result = self.evaluate(
-            document_id,
-            subject_or_policy,
-            query=query,
-            tracer=tracer,
-            trace=trace,
-            parent_span=parent_span,
+        Repeat requests are served from the version-keyed view cache.
+        An entry keeps the payload serialized on the miss, so a hit
+        skips the NFA pass *and* serialization — what remains per
+        request is the per-session link reseal.  The cost model still
+        charges the simulated Table-1 costs of the *original*
+        evaluation (the entry keeps its meter/breakdown), so simulated
+        seconds are identical whether a request hit or missed.
+
+        Traced requests (a ``tracer`` and a nonzero ``trace`` id)
+        record one ``view-cache`` span under ``parent_span`` on a hit,
+        or ``stage:evaluate`` and ``serialize-payload`` spans on a miss.  Untraced requests
+        (``trace`` 0, the default) skip every tracing branch — the
+        cached hot path stays within the ratio guard of
+        ``benchmarks/test_obs_bench.py``.
+        """
+        traced = tracer is not None and trace != 0
+        t_start = perf_counter() if traced else 0.0
+        prepared, version, plan, query_plan = self._resolve(
+            document_id, subject_or_policy, query
         )
-        entry = result.cache_entry
-        if entry is not None and entry.payload is not None:
-            payload = entry.payload
-        else:
-            traced = tracer is not None and trace != 0
-            t_serialize = perf_counter() if traced else 0.0
-            payload = serialize_events(result.events).encode("utf-8")
-            if traced:
-                tracer.record(
-                    trace,
-                    "serialize-payload",
-                    t_serialize,
-                    perf_counter(),
-                    parent=parent_span,
-                    attrs={"bytes": len(payload)},
-                )
+        cache_key = None
+        if self.cache_views:
+            cache_key = (
+                document_id,
+                version,
+                plan.subject,
+                plan.digest,
+                None if query_plan is None else str(query_plan.path),
+            )
+            with self._lock:
+                entry = self._views.get(cache_key)
+                if entry is not None:
+                    self._views.move_to_end(cache_key)
+                    self.stats.view_hits += 1
+                    self.stats.requests += 1
+                else:
+                    self.stats.view_misses += 1
             if entry is not None:
-                entry.payload = payload
-        return ViewStream(result, payload, chunk_size, sealer=sealer)
+                if traced:
+                    tracer.record(
+                        trace,
+                        "view-cache",
+                        t_start,
+                        perf_counter(),
+                        parent=parent_span,
+                        attrs={"cached": True, "bytes": len(entry.payload)},
+                    )
+                return ViewStream(entry, chunk_size, sealer=sealer, cached=True)
+        result = self._evaluate(
+            prepared, version, plan, query_plan, tracer, trace, parent_span
+        )
+        t_serialize = perf_counter() if traced else 0.0
+        payload = serialize_events(result.events).encode("utf-8")
+        if traced:
+            tracer.record(
+                trace,
+                "serialize-payload",
+                t_serialize,
+                perf_counter(),
+                parent=parent_span,
+                attrs={"bytes": len(payload)},
+            )
+        entry = _CachedView(payload, result)
+        if cache_key is not None:
+            with self._lock:
+                self._views[cache_key] = entry
+                self._views.move_to_end(cache_key)
+                while len(self._views) > self.view_cache_size:
+                    self._views.popitem(last=False)
+                    self.stats.view_evictions += 1
+        return ViewStream(entry, chunk_size, sealer=sealer)
 
     def close(self) -> None:
         """Release the document store (log/manifest handles, lock).

@@ -78,9 +78,11 @@ INVALIDATED = 0x0B  # server -> client (push): {"document": ..., "version": ...}
 # Cluster frames (repro.cluster).  FORWARD is the gateway -> backend
 # impersonation frame: a backend honors it only on a connection whose
 # HELLO declared {"gateway": true} (and the server was started with
-# allow_forward).  TOPOLOGY is the gateway's control frame; PING/PONG
-# is the health probe every server answers, even before HELLO.  Type
-# 0x0F is unassigned: a decoder refuses it like any unknown type.
+# allow_forward); its "spans": true asks for the backend's span tree
+# in the RESULT trailer (sent only by a gateway that keeps one).
+# TOPOLOGY is the gateway's control frame; PING/PONG is the health
+# probe every server answers, even before HELLO.  Type 0x0F is
+# unassigned: a decoder refuses it like any unknown type.
 FORWARD = 0x0C  # gateway -> backend: {"kind": "query"|"update", "subject": ...}
 TOPOLOGY_REQUEST = 0x0D  # client -> gateway: {}
 TOPOLOGY = 0x0E  # gateway -> client: {"backends": ..., "documents": ...}

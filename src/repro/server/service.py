@@ -281,7 +281,7 @@ class StationServer(FrameServer):
         or gateway, carried in the frame header) makes the RESULT
         trailer echo the id; trace 0 pays for one ``perf_counter`` pair
         and a histogram observe.  The span *tree* is built only when
-        something reads it: the gateway on a FORWARD hop
+        something reads it: a gateway whose FORWARD asked for it
         (``ship_spans``, it grafts backend spans into its own tree) or
         the slow-query log when ``slow_ms`` is set.  Any other traced
         request is counted and echoed but makes no span at all.
@@ -329,7 +329,7 @@ class StationServer(FrameServer):
             # simulated seconds above are identical either way (the
             # cost model charges the original evaluation); this flag is
             # what lets clients report honest hit rates.
-            "cached": bool(stream.result.cache_hit),
+            "cached": stream.cached,
             # Which serving path produced the view: "indexed" when the
             # structural index resolved the query to chunk-range plans
             # (or proved it empty), "streamed" for the full pass.  Both
@@ -362,16 +362,18 @@ class StationServer(FrameServer):
                 root,
                 trailer,
                 ship_spans,
-                cached=bool(stream.result.cache_hit),
+                cached=stream.cached,
                 bytes=stream.payload_bytes,
             )
         self._latency_metric.observe((perf_counter() - started) * 1000.0)
         self._view_bytes_metric.observe(stream.payload_bytes)
+        # Counted before the RESULT goes out: a client holding its
+        # trailer must never read STATS that do not include its view.
+        self.stats["chunks_streamed"] += chunks
+        self.stats["bytes_streamed"] += sent_bytes
         await self._send(
             conn, json_frame(RESULT, conn.session_id, trailer, trace=trace)
         )
-        self.stats["chunks_streamed"] += chunks
-        self.stats["bytes_streamed"] += sent_bytes
         return True
 
     # ------------------------------------------------------------------
@@ -475,6 +477,8 @@ class StationServer(FrameServer):
         kind = body.get("kind", "query")
         subject = body["subject"]
         document_id = body["document"]
+        # Spans ship upstream only when the gateway keeps them.
+        ship = bool(body.get("spans"))
         self.stats["forwards"] += 1
         if kind == "update":
             try:
@@ -485,7 +489,7 @@ class StationServer(FrameServer):
                 message = "bad FORWARD op: %s" % exc
                 return await self._refuse(conn, 0, E_BAD_FRAME, message)
             return await self._apply_update(
-                document_id, op, subject, conn, trace=frame.trace, ship_spans=True
+                document_id, op, subject, conn, trace=frame.trace, ship_spans=ship
             )
         if kind != "query":
             await self._send_error(
@@ -516,7 +520,7 @@ class StationServer(FrameServer):
             evaluate,
             {"document": document_id, "subject": subject},
             trace=frame.trace,
-            ship_spans=True,
+            ship_spans=ship,
         )
 
     def _on_station_update(self, document_id: str, version: int) -> None:

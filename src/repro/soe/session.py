@@ -81,15 +81,12 @@ def delivered_bytes(events: List[Event]) -> int:
 class SessionResult:
     """Authorized view + cost accounting of one SOE run.
 
-    ``document_version`` is stamped by :meth:`SecureStation.evaluate`
-    with the update version of the exact snapshot evaluated (read
-    atomically with the snapshot itself); ``None`` outside the station
-    path.  ``cache_hit`` marks a
-    result served from the station's version-keyed view cache — its
-    events/breakdown are then shared read-only with the cache entry,
-    and the meter still carries the simulated Table-1 costs of the
-    original evaluation (cached and uncached responses report
-    identical simulated seconds).
+    ``events`` are the evaluator's own: every result is a fresh run
+    (the station's view cache keeps serialized payloads for its served
+    path, never results).  ``document_version`` is stamped by
+    :meth:`SecureStation.evaluate` with the update version of the exact
+    snapshot evaluated (read atomically with the snapshot itself);
+    ``None`` outside the station path.
     """
 
     def __init__(
@@ -104,15 +101,10 @@ class SessionResult:
         self.breakdown = breakdown
         self.context = context
         self.document_version: Optional[int] = None
-        self.cache_hit = False
         #: True when the station served this result through the
         #: structural index (indexed navigation or a provably-empty
         #: early exit) instead of full streaming.
         self.indexed = False
-        #: Station-internal: the view-cache entry backing this result
-        #: (lets :meth:`SecureStation.stream` reuse the serialized
-        #: payload).  ``None`` outside the station path.
-        self.cache_entry = None
 
     @property
     def seconds(self) -> float:

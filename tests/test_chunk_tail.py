@@ -112,13 +112,19 @@ def check_views(station: SecureStation, tree: Node) -> None:
     for document_id in ("plain", "indexed"):
         for query in QUERIES:
             expected = reference(tree, query)
-            cold = station.evaluate(document_id, "s", query=query)
-            hit = station.evaluate(document_id, "s", query=query)
-            assert serialize_events(cold.events) == expected, (document_id, query)
-            assert serialize_events(hit.events) == expected, (document_id, query)
-            assert hit.cache_hit
+            local = station.evaluate(document_id, "s", query=query)
+            cold = station.stream(document_id, "s", query=query)
+            hit = station.stream(document_id, "s", query=query)
+            assert serialize_events(local.events) == expected, (document_id, query)
+            assert cold.payload == expected.encode("utf-8"), (document_id, query)
+            assert hit.payload == expected.encode("utf-8"), (document_id, query)
+            assert hit.cached
+            assert hit.result.meter.as_dict() == cold.result.meter.as_dict()
+            assert hit.result.seconds == cold.result.seconds
+            assert hit.result.document_version == cold.result.document_version
+            assert hit.result.indexed == cold.result.indexed
             if document_id == "indexed" and query == QUERIES[1]:
-                assert cold.indexed
+                assert local.indexed and cold.result.indexed
 
 
 def check_stored(station: SecureStation, tree: Node, scheme: str) -> None:

@@ -202,8 +202,9 @@ def test_fuzz_engine_batch_matches_reference():
 @pytest.mark.parametrize("scheme", ["ECB", "CBC-SHAC", "ECB-MHT"])
 def test_fuzz_station_cold_cached_identical(scheme):
     """Random (document, policy, query) triples through the station's
-    two streaming strategies — cold and cache-hit — must produce
-    byte-identical serialized views on every scheme."""
+    two serving strategies — cold and cache-hit — must produce
+    byte-identical served views and costs on every scheme, equal to the
+    local (uncached) evaluation's events."""
     from repro.engine import SecureStation, prepare_document
     from repro.xmlkit.parser import parse_document
     from repro.xmlkit.serializer import serialize
@@ -217,19 +218,27 @@ def test_fuzz_station_cold_cached_identical(scheme):
 
         cold_station = SecureStation(cache_views=False)
         cold_station.publish("doc", prepared)
-        cold = cold_station.evaluate("doc", policy, query=query)
+        local = cold_station.evaluate("doc", policy, query=query)
+        cold = cold_station.stream("doc", policy, query=query)
 
         cached_station = SecureStation(cache_views=True)
         cached_station.publish("doc", prepared)
-        cached_station.evaluate("doc", policy, query=query)
-        hit = cached_station.evaluate("doc", policy, query=query)
+        cached_station.stream("doc", policy, query=query)
+        hit = cached_station.stream("doc", policy, query=query)
 
-        assert hit.cache_hit, round_index
-        cold_bytes = serialize_events(cold.events)
-        assert serialize_events(hit.events) == cold_bytes, (
-            "cached divergence (%s, round %d): policy=%s query=%s"
-            % (scheme, round_index, list(policy.rules), query)
+        assert hit.cached, round_index
+        cold_bytes = serialize_events(local.events).encode("utf-8")
+        context = "cached divergence (%s, round %d): policy=%s query=%s" % (
+            scheme,
+            round_index,
+            list(policy.rules),
+            query,
         )
+        assert cold.payload == cold_bytes, context
+        assert hit.payload == cold_bytes, context
+        assert hit.result.meter.as_dict() == cold.result.meter.as_dict(), context
+        assert hit.result.seconds == cold.result.seconds, context
+        assert hit.result.document_version == cold.result.document_version
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +294,9 @@ def test_fuzz_indexed_station_matches_every_strategy(scheme):
         indexed_station.publish(
             "doc", serialize(tree), PublishOptions(scheme=scheme, index=True)
         )
-        indexed = indexed_station.evaluate("doc", policy, query=query)
-        hit = indexed_station.evaluate("doc", policy, query=query)
+        local = indexed_station.evaluate("doc", policy, query=query)
+        indexed = indexed_station.stream("doc", policy, query=query)
+        hit = indexed_station.stream("doc", policy, query=query)
         indexed_served += indexed_station.stats.indexed_requests
 
         cold_bytes = serialize_events(cold.events)
@@ -296,9 +306,13 @@ def test_fuzz_indexed_station_matches_every_strategy(scheme):
             list(policy.rules),
             query,
         )
-        assert serialize_events(indexed.events) == cold_bytes, context
-        assert serialize_events(hit.events) == cold_bytes, context
-        assert hit.cache_hit and hit.indexed == indexed.indexed, context
+        assert serialize_events(local.events) == cold_bytes, context
+        assert indexed.payload == cold_bytes.encode("utf-8"), context
+        assert hit.payload == cold_bytes.encode("utf-8"), context
+        assert local.indexed == indexed.result.indexed, context
+        assert hit.cached and hit.result.indexed == indexed.result.indexed, context
+        assert hit.result.meter.as_dict() == indexed.result.meter.as_dict(), context
+        assert hit.result.seconds == indexed.result.seconds, context
     # The structural path must actually have engaged during the run —
     # otherwise this test silently degrades to streaming-vs-streaming.
     assert indexed_served > 0

@@ -441,6 +441,10 @@ class TestServerTracing:
         assert first.trace_id != second.trace_id
         assert second.trailer.get("cached") is True
         assert [span["name"] for span in second.spans].count("view-cache") == 1
+        # A hit is a payload lookup: its span counts the bytes it serves.
+        hit_span = next(s for s in second.spans if s["name"] == "view-cache")
+        assert hit_span["attrs"]["bytes"] == len(second.data) > 0
+        assert "events" not in hit_span["attrs"]
 
     def test_slow_log_retains_full_tree(self, traced_server):
         server, host, port, subjects = traced_server
@@ -564,6 +568,51 @@ class TestClusterTracing:
             # The gateway's slow log holds the same cross-process tree.
             record = cluster.gateway.tracer.slow_records()[-1]
             assert "gateway.request" in format_span_tree(record)
+        finally:
+            cluster.stop()
+
+    @pytest.mark.parametrize("slow_ms", [None, 0.0])
+    def test_backends_build_spans_only_for_a_gateway_that_keeps_them(self, slow_ms):
+        # The FORWARD body asks for the backend's spans only when the
+        # gateway grafts them (its slow_ms is set); otherwise a traced
+        # view or update makes no backend span at all.
+        from repro.cluster.topology import hospital_cluster
+        from repro.skipindex.updates import UpdateOp
+
+        cluster, docs, _subjects = hospital_cluster(
+            backends=2, replicas=2, documents=1, folders=2, slow_ms=slow_ms
+        )
+        made = []
+        try:
+            for node in cluster.nodes.values():
+                tracer = node.server.tracer
+
+                def counting(*args, _new_span=tracer._new_span):
+                    made.append(args[1])
+                    return _new_span(*args)
+
+                tracer._new_span = counting
+            host, port = cluster.gateway_address
+            with RemoteSession(host, port, "secretary") as session:
+                views = [
+                    session.evaluate(docs[0], trace=new_trace_id())
+                    for _ in range(5)
+                ]
+                update = session.update(
+                    docs[0], UpdateOp.set_text([0, 0, 0], "x"), trace=new_trace_id()
+                )
+            assert all(view.trace_id for view in views) and update["trace"]
+            grafted = [
+                [span["name"] for span in view.spans].count("backend.query")
+                for view in views
+            ]
+            if slow_ms is None:
+                assert made == []
+                assert grafted == [0] * 5
+            else:
+                assert made.count("backend.query") == 5
+                assert made.count("backend.update") == 1
+                assert grafted == [1] * 5
         finally:
             cluster.stop()
 

@@ -451,10 +451,13 @@ def test_station_cached_hit_replays_indexed_flag():
     station = SecureStation(StationConfig(cache_views=True))
     station.publish("d", serialize(selective_document()), PublishOptions(index=True))
     station.grant("d", FOLDER_POLICY)
-    miss = station.evaluate("d", "s", query="/folder/rare/val")
-    hit = station.evaluate("d", "s", query="/folder/rare/val")
-    assert miss.indexed and hit.indexed and hit.cache_hit
-    assert hit.events == miss.events
+    miss = station.stream("d", "s", query="/folder/rare/val")
+    hit = station.stream("d", "s", query="/folder/rare/val")
+    assert miss.result.indexed and hit.result.indexed and hit.cached
+    assert hit.payload == miss.payload
+    assert hit.result.meter.as_dict() == miss.result.meter.as_dict()
+    assert hit.result.seconds == miss.result.seconds
+    assert hit.result.document_version == miss.result.document_version == 0
 
 
 # ----------------------------------------------------------------------
