@@ -153,7 +153,6 @@ class StreamingEvaluator:
         "depth",
         "_navigator",
         "_outstanding",
-        "_pruned",
     )
 
     def __init__(
@@ -190,7 +189,6 @@ class StreamingEvaluator:
         self.depth = 0
         self._navigator: Optional[Navigator] = None
         self._outstanding: List[object] = []  # undecided deferred subtrees
-        self._pruned = False  # the open element was skipped from a memo
 
     # ------------------------------------------------------------------
     # Public API
@@ -241,7 +239,6 @@ class StreamingEvaluator:
         self.depth = 0
         self._navigator = navigator
         self._outstanding = []
-        self._pruned = False
         bottom = self.tokens.top
         for index, automaton in enumerate(self.automata):
             bottom.add_nav(NavToken(index, automaton.initial, ()))
@@ -255,28 +252,12 @@ class StreamingEvaluator:
     def _on_open(self, tag: str, meta) -> None:
         meter = self.meter
         meter.events += 1
-        top = self.tokens.top
-        denied = top.denied_children
-        if denied is not None and meta is not None:
-            known = denied.get((tag, meta.desc_tags))
-            if known is not None and known[1].state() == FALSE:
-                # A sibling with this tag and these descendant tags was
-                # already skipped as denied: every token of ``top`` is
-                # discarded again and the same condition decides, so
-                # skip without building a frame.  A FALSE node leaves
-                # nothing in the result, so none is opened for it.
-                meter.killed_tokens += known[0]
-                meter.decisions += 1
-                meter.skipped_subtrees += 1
-                self._navigator.skip_subtree()
-                self._pruned = True
-                return
-        token_ops = meter.token_ops
         self.depth += 1
         depth = self.depth
         self.auth.open_level(depth)
         if self.query_index is not None:
             self.qstack.open_level(depth)
+        top = self.tokens.top
         frame = Frame(tag)
         automata = self.automata
         witnesses: List[Tuple[PredicateInstance, tuple, bool]] = []
@@ -313,7 +294,6 @@ class StreamingEvaluator:
             instance.add_witness(and_condition(parts))
 
         navigator = self._navigator
-        killed = None
         if self.enable_skipping and meta is not None and meta.desc_tags is not None:
             desc_tags = meta.desc_tags
             killed = frame.remove_tokens(
@@ -333,13 +313,6 @@ class StreamingEvaluator:
                 self.result.open(tag, NEVER)
                 navigator.skip_subtree()
                 meter.skipped_subtrees += 1
-                if killed is not None and not top.pred and meter.token_ops == token_ops:
-                    # No token moved on ``tag``: the outcome depends only
-                    # on ``top``'s tokens, the tag and the descendant
-                    # tags, so later siblings like this one reuse it.
-                    if top.denied_children is None:
-                        top.denied_children = {}
-                    top.denied_children[(tag, desc_tags)] = (killed, node_condition)
                 return
             if state == UNKNOWN and navigator.supports_capture():
                 fetch = navigator.skip_and_capture()
@@ -376,31 +349,26 @@ class StreamingEvaluator:
     def _on_close(self) -> None:
         meter = self.meter
         meter.events += 1
-        if self._pruned:
-            # The close of a child skipped from its parent's memo: it
-            # pushed no level, frame or result node to pop.
-            self._pruned = False
-        else:
-            depth = self.depth
-            frame = self.tokens.top
-            if frame.listeners:
-                text = "".join(frame.text_parts)
-                for listener in frame.listeners:
-                    if listener.instance.settled_true():
-                        continue
-                    if listener.comparison.matches(text):
-                        parts: List[Condition] = list(listener.preds)
-                        if listener.needs_access:
-                            parts.append(frame.access_condition)
-                        listener.instance.add_witness(and_condition(parts))
-            self.auth.close_level(depth)
-            if self.query_index is not None:
-                self.qstack.close_level(depth)
-            for instance in self.windows.pop(depth, ()):
-                instance.close_window()
-            self.tokens.pop()
-            self.result.close()
-            self.depth -= 1
+        depth = self.depth
+        frame = self.tokens.top
+        if frame.listeners:
+            text = "".join(frame.text_parts)
+            for listener in frame.listeners:
+                if listener.instance.settled_true():
+                    continue
+                if listener.comparison.matches(text):
+                    parts: List[Condition] = list(listener.preds)
+                    if listener.needs_access:
+                        parts.append(frame.access_condition)
+                    listener.instance.add_witness(and_condition(parts))
+        self.auth.close_level(depth)
+        if self.query_index is not None:
+            self.qstack.close_level(depth)
+        for instance in self.windows.pop(depth, ()):
+            instance.close_window()
+        self.tokens.pop()
+        self.result.close()
+        self.depth -= 1
         if self._outstanding:
             self._resolve_outstanding()
         self._maybe_skip_rest()

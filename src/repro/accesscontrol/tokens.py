@@ -133,7 +133,6 @@ class Frame:
         "listeners",
         "text_parts",
         "access_condition",
-        "denied_children",
     )
 
     def __init__(self, tag: str):
@@ -145,9 +144,6 @@ class Frame:
         self.listeners: List[TextListener] = []
         self.text_parts: List[str] = []
         self.access_condition = None  # set by the evaluator at open time
-        # (tag, descendant tags) -> (tokens discarded, node condition)
-        # of a child the evaluator skipped as denied; filled lazily.
-        self.denied_children = None
 
     def add_nav(self, token: NavToken) -> bool:
         """Add a navigational token; returns False on duplicates."""

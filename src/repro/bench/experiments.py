@@ -8,6 +8,7 @@ embedded where the paper states them, for side-by-side reporting.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import format_output, human_bytes
@@ -394,7 +395,7 @@ def _first_text_path(tree) -> Tuple[List[int], str]:
 
 
 def updates_experiment(
-    folders: int = 16, output: Optional[str] = "BENCH_updates.json"
+    folders: int = 16, output: Optional[str] = "bench-out/BENCH_updates.json"
 ) -> Dict[str, object]:
     """Live update costs: dirtied-chunk ratio, re-encrypted bytes, latency.
 
@@ -405,7 +406,7 @@ def updates_experiment(
     edits (a same-length text change) touch a couple of chunks; a
     rename introducing a fresh tag grows the dictionary — the paper's
     worst case — and cascades into a full re-encryption.  The report
-    lands in ``BENCH_updates.json``.
+    lands in ``bench-out/BENCH_updates.json``.
     """
     import json as _json
     import time as _time
@@ -491,6 +492,7 @@ def updates_experiment(
     }
     chained.close()
     if output:
+        os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
         with open(output, "w", encoding="utf-8") as handle:
             _json.dump(report, handle, indent=2)
             handle.write("\n")
@@ -651,7 +653,7 @@ def _backend_microbench(buffer_bytes: int = 65536) -> Dict[str, object]:
 
 
 def hotpath_experiment(
-    output: Optional[str] = "BENCH_hotpath.json",
+    output: Optional[str] = "bench-out/BENCH_hotpath.json",
 ) -> Dict[str, object]:
     """Hot-path profile: vectorized crypto and compute backends.
 
@@ -686,6 +688,7 @@ def hotpath_experiment(
         "ratios": ratios,
     }
     if output:
+        os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
         with open(output, "w", encoding="utf-8") as handle:
             _json.dump(report, handle, indent=2)
             handle.write("\n")

@@ -218,16 +218,19 @@ class ViewStream:
     session link key.
     """
 
-    __slots__ = ("result", "payload", "cached", "chunk_size", "_sealer")
+    __slots__ = ("result", "cached", "chunk_size", "_sealer")
 
     def __init__(self, result, chunk_size: int, sealer=None, cached: bool = False):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.result = result
-        self.payload = result.payload
         self.cached = cached
         self.chunk_size = chunk_size
         self._sealer = sealer
+
+    @property
+    def payload(self) -> bytes:
+        return self.result.payload
 
     @property
     def payload_bytes(self) -> int:
@@ -256,9 +259,7 @@ class ViewStream:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ViewStream(%d bytes, %d chunks%s)" % (
-            len(self.payload),
-            self.chunk_count,
-            ", sealed" if self.sealed else "",
+            len(self.payload), self.chunk_count, ", sealed" if self.sealed else ""
         )
 
 

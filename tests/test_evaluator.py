@@ -257,33 +257,6 @@ class TestStreamingMachinery:
         # With skipping, far fewer events than the full document.
         assert meter.events < 20 * 4
 
-    def test_repeated_denied_siblings_cost_what_the_first_did(self):
-        # Past the first, a denied sibling with the same tag and
-        # descendant tags is skipped from its parent frame's memo; it
-        # must be charged exactly what the first one was.
-        policy = make_policy([("+", "//r")])
-
-        def counts(records):
-            doc = parse_document(
-                "<r>" + "<x><y>1</y></x>" * records + "<z><w>t</w></z></r>"
-            )
-            meter = Meter()
-            evaluator = StreamingEvaluator(policy, query="//z/w", meter=meter)
-            events = evaluator.run_events(list(doc.iter_events()), with_index=True)
-            assert events == reference_authorized_view(doc, policy, query="//z/w")
-            assert serialize_events(events) == "<r><z><w>t</w></z></r>"
-            return meter.as_dict()
-
-        runs = [counts(records) for records in range(4)]
-        steps = [
-            {name: later[name] - earlier[name] for name in earlier}
-            for earlier, later in zip(runs, runs[1:])
-        ]
-        assert steps[0]["skipped_subtrees"] == 1
-        assert steps[0]["killed_tokens"] > 0
-        assert steps[1] == steps[0]
-        assert steps[2] == steps[0]
-
     def test_drain_ready_streams_prefix(self):
         doc = parse_document("<r><a>1</a><b>2</b><c>3</c></r>")
         policy = make_policy([("+", "/r")])
